@@ -7,6 +7,7 @@
 //! classify it, and hands the raw payloads back so tests can assert on
 //! exact wire shapes.
 
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -56,9 +57,10 @@ impl core::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A connected client.
+/// A connected client. Responses are read through a buffer, so a
+/// streamed body costs a few large reads rather than two per frame.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     max_frame: usize,
 }
 
@@ -73,7 +75,10 @@ impl Client {
         // A generous dead-peer guard: the protocol answers everything
         // with a frame, so a long silent gap means the daemon is gone.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(300)));
-        Ok(Client { stream, max_frame: DEFAULT_MAX_FRAME })
+        // A request is one write; send it now rather than after the
+        // previous response's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        Ok(Client { stream: BufReader::new(stream), max_frame: DEFAULT_MAX_FRAME })
     }
 
     /// Sends one raw request payload (a JSON object line).
@@ -82,7 +87,7 @@ impl Client {
     ///
     /// [`ClientError::Frame`] if the write fails.
     pub fn send(&mut self, payload: &str) -> Result<(), ClientError> {
-        frame::write_frame(&mut self.stream, payload).map_err(ClientError::Frame)
+        frame::write_frame(self.stream.get_mut(), payload).map_err(ClientError::Frame)
     }
 
     /// Reads one response frame's raw payload (the binary's `--request`

@@ -16,10 +16,11 @@
 //!   unit the adversarial proptests grind on (`tests/properties.rs`): it
 //!   must never panic, never over-read, and never consume bytes without
 //!   producing a frame or an error.
-//! * [`read_frame`]/[`write_frame`] — blocking I/O wrappers used by the
-//!   daemon and client, built on the same validation.
+//! * [`read_frame`]/[`write_frame`]/[`push_frame`] — blocking I/O
+//!   wrappers used by the daemon and client, built on the same
+//!   validation.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 
 /// Hard ceiling no configuration can raise: 64 MiB. Guards the daemon
 /// against a hostile 4 GiB length prefix even if an operator configures
@@ -135,6 +136,28 @@ pub fn encode(payload: &str) -> Vec<u8> {
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), FrameError> {
     w.write_all(&encode(payload)).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
+}
+
+/// Appends one frame to `w` without flushing.
+///
+/// Bytes are split at the buffer boundary: the buffer is always filled
+/// to capacity before it is written out, so a run of frames reaches the
+/// inner writer in full-capacity chunks — at most
+/// ⌈bytes / capacity⌉ + 1 writes however the frames fall, where
+/// appending whole frames would strand up to one frame's worth of
+/// spare capacity per write.
+///
+/// # Errors
+///
+/// [`FrameError::Io`] if a write-out of the full buffer fails.
+pub fn push_frame<W: Write>(w: &mut BufWriter<W>, payload: &str) -> Result<(), FrameError> {
+    let bytes = encode(payload);
+    // `head` fits exactly, so it never triggers a write; `tail`, if any,
+    // finds the buffer full and writes it out (or, when it is itself at
+    // least a buffer long, goes straight through).
+    let room = w.capacity() - w.buffer().len();
+    let (head, tail) = bytes.split_at(room.min(bytes.len()));
+    w.write_all(head).and_then(|()| w.write_all(tail)).map_err(FrameError::Io)
 }
 
 /// Outcome of one blocking frame read.
@@ -278,5 +301,38 @@ mod tests {
         assert!(matches!(read_frame(&mut cursor, DEFAULT_MAX_FRAME), Err(FrameError::Truncated)));
         let mut empty = std::io::Cursor::new(Vec::<u8>::new());
         assert!(matches!(read_frame(&mut empty, DEFAULT_MAX_FRAME), Ok(ReadFrame::Closed)));
+    }
+
+    #[test]
+    fn pushed_frames_leave_in_full_buffers() {
+        /// Records the size of every write that reaches it.
+        #[derive(Default)]
+        struct Sizes(Vec<usize>, Vec<u8>);
+        impl Write for Sizes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        const CAP: usize = 64;
+        // Frames smaller than, near, and larger than the buffer.
+        let payloads: Vec<String> =
+            [5, 59, 60, 61, 0, 200, 13, 64, 127, 7].iter().map(|&n| "x".repeat(n)).collect();
+        let mut w = BufWriter::with_capacity(CAP, Sizes::default());
+        for p in &payloads {
+            push_frame(&mut w, p).unwrap();
+        }
+        w.flush().unwrap();
+        let Sizes(sizes, bytes) = w.into_inner().map_err(|_| ()).unwrap();
+        let expected: Vec<u8> = payloads.iter().flat_map(|p| encode(p)).collect();
+        assert_eq!(bytes, expected, "bytes are neither lost nor reordered");
+        let (last, full) = sizes.split_last().unwrap();
+        assert!(full.iter().all(|&n| n >= CAP), "a write before the last was short: {sizes:?}");
+        assert!(*last > 0);
+        assert!(sizes.len() <= bytes.len().div_ceil(CAP) + 1, "{sizes:?}");
     }
 }

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use telemetry::registry::{Counter, Gauge, Registry};
+use telemetry::registry::{Buckets, Counter, Gauge, Histogram, Registry};
 
 use crate::cache::{Lookup, ResultCache};
 use crate::scenario::{RunArtifact, RunSpec};
@@ -90,6 +90,8 @@ struct Job {
     key: u64,
     /// Whether the completed artifact should be written to the cache.
     store: bool,
+    /// When the job entered the queue (for `serve.queue_wait_ms`).
+    queued_at: Instant,
     state: Mutex<JobState>,
     cv: Condvar,
 }
@@ -152,6 +154,19 @@ struct SchedState {
     draining: bool,
 }
 
+/// Buckets of every serve latency histogram, in milliseconds: 10 µs
+/// doubling to ~22 min, beyond which observations overflow.
+pub(crate) fn latency_ms_buckets() -> Result<Buckets, telemetry::TelemetryError> {
+    Buckets::exponential(0.01, 2.0, 28)
+}
+
+/// Records the milliseconds since `since` into a latency histogram —
+/// the one place serve wall-clock time enters telemetry. The serve
+/// registry is never folded into a run digest (DESIGN.md §6).
+pub(crate) fn observe_ms(h: &Histogram, since: Instant) {
+    h.observe(since.elapsed().as_secs_f64() * 1e3);
+}
+
 /// Telemetry handles the scheduler updates (registered once at startup
 /// so a zero-traffic `stats` snapshot already shows every counter).
 #[derive(Clone)]
@@ -174,6 +189,12 @@ pub struct PoolMetrics {
     pub workers_busy: Gauge,
     /// Jobs currently queued behind the workers.
     pub queue_depth: Gauge,
+    /// Enqueue → picked up by a worker, per job.
+    pub queue_wait_ms: Histogram,
+    /// Scenario execution time, per job.
+    pub execute_ms: Histogram,
+    /// Cache lookup (read + verify) time, per cache-using request.
+    pub lookup_ms: Histogram,
 }
 
 impl PoolMetrics {
@@ -194,6 +215,9 @@ impl PoolMetrics {
             deadline_expired: reg.counter("serve.rejected.deadline")?,
             workers_busy: reg.gauge("serve.workers.busy")?,
             queue_depth: reg.gauge("serve.queue.depth")?,
+            queue_wait_ms: reg.histogram("serve.queue_wait_ms", latency_ms_buckets()?)?,
+            execute_ms: reg.histogram("serve.execute_ms", latency_ms_buckets()?)?,
+            lookup_ms: reg.histogram("serve.cache.lookup_ms", latency_ms_buckets()?)?,
         })
     }
 }
@@ -271,7 +295,10 @@ impl Scheduler {
             return Err(ServeError::ShuttingDown);
         }
         if mode == CacheMode::Use {
-            match self.shared.cache.lookup(key) {
+            let started = Instant::now();
+            let found = self.shared.cache.lookup(key);
+            observe_ms(&self.shared.metrics.lookup_ms, started);
+            match found {
                 Lookup::Hit(hit) => {
                     self.shared.metrics.cache_hits.inc();
                     return Ok((
@@ -339,6 +366,7 @@ impl Scheduler {
             spec: spec.clone(),
             key,
             store,
+            queued_at: Instant::now(),
             state: Mutex::new(JobState::Pending),
             cv: Condvar::new(),
         });
@@ -398,7 +426,10 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
+        observe_ms(&shared.metrics.queue_wait_ms, job.queued_at);
+        let started = Instant::now();
         let result = job.spec.execute();
+        observe_ms(&shared.metrics.execute_ms, started);
         if let Ok(artifact) = &result {
             shared.metrics.executed.inc();
             if job.store {

@@ -8,12 +8,14 @@
 //! connection thread.
 //!
 //! There are no signals and no async runtime: shutdown is a flag
-//! ([`Server::shutdown`] or the `op:"shutdown"` frame) that every
-//! blocking loop polls via short read timeouts ([`ReadFrame::Idle`]).
-//! The sequencing is strictly graceful — stop accepting, join
-//! connections (each finishes its in-flight request), then drop the
-//! scheduler, whose drain finishes every queued job and completes its
-//! cache stores before the workers join.
+//! ([`Server::shutdown`] or the `op:"shutdown"` frame). The accept
+//! thread blocks in `accept`; whoever sets the flag wakes it with one
+//! loopback connect to the listener's own address. Connection readers
+//! poll the flag via short read timeouts ([`ReadFrame::Idle`]). The
+//! sequencing is strictly graceful — stop accepting, join connections
+//! (each finishes its in-flight request), then drop the scheduler, whose
+//! drain finishes every queued job and completes its cache stores before
+//! the workers join.
 //!
 //! Protocol (all frames are flat JSON objects, see [`crate::json`]):
 //!
@@ -33,27 +35,40 @@
 //! frame. Every defect — malformed frame, hostile length, bad request,
 //! overload, deadline — is answered with a typed error frame or a closed
 //! connection, never a panic and never a hang.
+//!
+//! Transport: every connection sets `TCP_NODELAY` and writes through
+//! one 64 KiB [`BufWriter`]. Streamed frames are
+//! appended without a flush ([`frame::push_frame`]); the terminal
+//! `result`/`error` frame flushes, once per response. A streamed
+//! response therefore leaves in a handful of full-buffer writes, not one
+//! small segment per body line that would wait on the peer's delayed
+//! ACK.
 
 use std::fmt::Write as _;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufWriter, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use telemetry::registry::{Counter, MetricValue, Registry};
+use telemetry::registry::{Counter, Histogram, MetricValue, Registry};
 
 use crate::cache::{Lookup, ResultCache};
 use crate::frame::{self, FrameError, ReadFrame, DEFAULT_MAX_FRAME};
 use crate::json::{self, push_escaped, Object};
-use crate::pool::{CacheMode, PoolMetrics, Scheduler, Served};
+use crate::pool::{latency_ms_buckets, observe_ms, CacheMode, PoolMetrics, Scheduler, Served};
 use crate::scenario::{run_spec_from, RunSpec};
 use crate::ServeError;
 
-/// How long blocking reads wait before re-polling the shutdown flag.
+/// How long connection reads wait before re-polling the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Capacity of each connection's response buffer. Bounded so a large
+/// streamed body costs the daemon this much memory per connection, not
+/// the whole response.
+const RESPONSE_BUFFER: usize = 64 << 10;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -91,6 +106,8 @@ struct ServerMetrics {
     requests: Counter,
     protocol_errors: Counter,
     sweeps: Counter,
+    /// `run` artifact ready → response flushed.
+    respond_ms: Histogram,
 }
 
 impl ServerMetrics {
@@ -100,6 +117,7 @@ impl ServerMetrics {
             requests: reg.counter("serve.requests")?,
             protocol_errors: reg.counter("serve.protocol.errors")?,
             sweeps: reg.counter("serve.sweeps")?,
+            respond_ms: reg.histogram("serve.respond_ms", latency_ms_buckets()?)?,
         })
     }
 }
@@ -111,7 +129,38 @@ struct Ctx {
     registry: Arc<Registry>,
     metrics: ServerMetrics,
     shutdown: Arc<AtomicBool>,
+    /// Where a connect wakes the blocked accept loop.
+    wake: SocketAddr,
     max_frame: usize,
+}
+
+/// A startup failure: the daemon refuses to half-start.
+fn internal(what: &str, e: &dyn core::fmt::Display) -> ServeError {
+    ServeError::Internal(format!("{what}: {e}"))
+}
+
+impl Ctx {
+    /// Opens the cache, registers metrics and starts the worker pool.
+    fn start(cfg: &ServerConfig, wake: SocketAddr) -> Result<Ctx, ServeError> {
+        let registry = Arc::new(Registry::new());
+        let pool_metrics =
+            PoolMetrics::register(&registry).map_err(|e| internal("metrics", &e))?;
+        let metrics =
+            ServerMetrics::register(&registry).map_err(|e| internal("metrics", &e))?;
+        let cache = ResultCache::open(&cfg.cache_dir)
+            .map_err(|e| internal("cache open failed", &e))?;
+        let scheduler =
+            Scheduler::start(cache.clone(), cfg.workers, cfg.queue_depth, pool_metrics)?;
+        Ok(Ctx {
+            scheduler: Arc::new(scheduler),
+            cache,
+            registry,
+            metrics,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            wake,
+            max_frame: cfg.max_frame.max(64),
+        })
+    }
 }
 
 /// A running daemon. Dropping it shuts it down gracefully.
@@ -132,36 +181,15 @@ impl Server {
     /// registration or thread spawn fails — a daemon that cannot fully
     /// start refuses to half-start.
     pub fn start(cfg: ServerConfig) -> Result<Server, ServeError> {
-        let internal = |what: &str, e: &dyn core::fmt::Display| {
-            ServeError::Internal(format!("{what}: {e}"))
-        };
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| internal("bind failed", &e))?;
         let addr = listener.local_addr().map_err(|e| internal("local_addr failed", &e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| internal("set_nonblocking failed", &e))?;
+        let ctx = Arc::new(Ctx::start(&cfg, loopback(addr))?);
+        let shutdown = Arc::clone(&ctx.shutdown);
+        let registry = Arc::clone(&ctx.registry);
 
-        let registry = Arc::new(Registry::new());
-        let pool_metrics =
-            PoolMetrics::register(&registry).map_err(|e| internal("metrics", &e))?;
-        let metrics =
-            ServerMetrics::register(&registry).map_err(|e| internal("metrics", &e))?;
-        let cache = ResultCache::open(&cfg.cache_dir)
-            .map_err(|e| internal("cache open failed", &e))?;
-        let scheduler =
-            Scheduler::start(cache.clone(), cfg.workers, cfg.queue_depth, pool_metrics)?;
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ctx = Arc::new(Ctx {
-            scheduler: Arc::new(scheduler),
-            cache,
-            registry: Arc::clone(&registry),
-            metrics,
-            shutdown: Arc::clone(&shutdown),
-            max_frame: cfg.max_frame.max(64),
-        });
-
+        // The accept thread holds the only `Ctx` outside connection
+        // threads, so its exit drops the scheduler (see `accept_loop`).
         let accept = std::thread::Builder::new()
             .name("serve-accept".to_string())
             .spawn(move || accept_loop(&listener, &ctx))
@@ -189,8 +217,8 @@ impl Server {
     /// Requests a graceful shutdown and blocks until in-flight work has
     /// drained and every thread has joined. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
+            begin_shutdown(&self.shutdown, loopback(self.addr));
             let _ = handle.join();
         }
     }
@@ -210,10 +238,35 @@ impl Drop for Server {
     }
 }
 
+/// The address a local connect reaches `bound` at: an unspecified bind
+/// IP (`0.0.0.0`, `::`) maps to the loopback of its family.
+fn loopback(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Sets the shutdown flag, then unblocks the accept loop with a
+/// throwaway connection to `wake`. A refused connect means the listener
+/// is already gone, which is the goal.
+fn begin_shutdown(flag: &AtomicBool, wake: SocketAddr) {
+    flag.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+}
+
 fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The flag is set before the wake connect, so the connection
+        // that unblocked this accept (or any racing it) is dropped here.
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 ctx.metrics.connections.inc();
                 let ctx_conn = Arc::clone(ctx);
@@ -226,9 +279,6 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
                     // refused-by-close); the daemon itself stays up.
                     Err(_) => ctx.metrics.protocol_errors.inc(),
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
             }
             // Transient accept failures (EMFILE, aborted handshake):
             // back off and keep serving.
@@ -244,22 +294,26 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
 }
 
 fn connection_loop(stream: TcpStream, ctx: &Arc<Ctx>) {
-    let mut stream = stream;
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
+    // Without it, every small segment after the first waits on the
+    // peer's delayed ACK (Nagle); responses are flushed whole anyway.
+    let _ = stream.set_nodelay(true);
+    let mut reader = &stream;
+    let mut out = BufWriter::with_capacity(RESPONSE_BUFFER, &stream);
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
             // Best-effort notice; the peer may already be gone.
-            let _ = send_error(&mut stream, &ServeError::ShuttingDown);
+            let _ = send_error(&mut out, &ServeError::ShuttingDown);
             return;
         }
-        match frame::read_frame(&mut stream, ctx.max_frame) {
+        match frame::read_frame(&mut reader, ctx.max_frame) {
             Ok(ReadFrame::Idle) => continue,
             Ok(ReadFrame::Closed) => return,
             Ok(ReadFrame::Frame(payload)) => {
                 ctx.metrics.requests.inc();
-                if handle_request(&mut stream, &payload, ctx).is_err() {
+                if handle_request(&mut out, &payload, ctx).is_err() {
                     // The peer vanished mid-response; nothing to tell it.
                     return;
                 }
@@ -268,41 +322,43 @@ fn connection_loop(stream: TcpStream, ctx: &Arc<Ctx>) {
                 // A framing defect desynchronizes the stream: report the
                 // typed error, then close rather than guess at a resync.
                 ctx.metrics.protocol_errors.inc();
-                let _ = send_error(&mut stream, &ServeError::BadFrame(e));
+                let _ = send_error(&mut out, &ServeError::BadFrame(e));
                 return;
             }
         }
     }
 }
 
-/// Dispatches one request frame. `Err` means the *transport* failed
-/// (peer gone) and the connection should close; request-level failures
-/// are answered in-band as error frames and return `Ok`.
-fn handle_request(
-    stream: &mut TcpStream,
+/// Dispatches one request frame, answering into `out`: streamed frames
+/// are appended, and the terminal frame flushes the response. `Err`
+/// means the *transport* failed (peer gone) and the connection should
+/// close; request-level failures are answered in-band as error frames
+/// and return `Ok`.
+fn handle_request<W: Write>(
+    out: &mut BufWriter<W>,
     payload: &str,
-    ctx: &Arc<Ctx>,
+    ctx: &Ctx,
 ) -> Result<(), FrameError> {
     let obj = match json::parse_object(payload) {
         Ok(obj) => obj,
         Err(e) => {
             ctx.metrics.protocol_errors.inc();
-            return send_error(stream, &ServeError::BadRequest(format!("invalid JSON: {e}")));
+            return send_error(out, &ServeError::BadRequest(format!("invalid JSON: {e}")));
         }
     };
     let outcome = match obj.str_field("op") {
         Some("ping") => {
-            return write_result(stream, "ping", &[]);
+            return write_result(out, "ping", &[]);
         }
-        Some("run") => op_run(stream, &obj, ctx),
-        Some("replay") => op_replay(stream, &obj, ctx),
-        Some("sweep") => op_sweep(stream, &obj, ctx),
+        Some("run") => op_run(out, &obj, ctx),
+        Some("replay") => op_replay(out, &obj, ctx),
+        Some("sweep") => op_sweep(out, &obj, ctx),
         Some("stats") => {
-            return op_stats(stream, ctx);
+            return op_stats(out, ctx);
         }
         Some("shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            return write_result(stream, "shutdown", &[]);
+            begin_shutdown(&ctx.shutdown, ctx.wake);
+            return write_result(out, "shutdown", &[]);
         }
         Some(other) => Err(RequestFailure::Refused(ServeError::BadRequest(format!(
             "unknown op {other:?}"
@@ -313,7 +369,7 @@ fn handle_request(
     };
     match outcome {
         Ok(()) => Ok(()),
-        Err(RequestFailure::Refused(e)) => send_error(stream, &e),
+        Err(RequestFailure::Refused(e)) => send_error(out, &e),
         Err(RequestFailure::Transport(e)) => Err(e),
     }
 }
@@ -361,7 +417,11 @@ fn deadline_from(obj: &Object) -> Result<Option<Instant>, ServeError> {
     }
 }
 
-fn op_run(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), RequestFailure> {
+fn op_run<W: Write>(
+    out: &mut BufWriter<W>,
+    obj: &Object,
+    ctx: &Ctx,
+) -> Result<(), RequestFailure> {
     let spec = run_spec_from(obj)?;
     let mode = cache_mode(obj)?;
     let deadline = deadline_from(obj)?;
@@ -370,6 +430,7 @@ fn op_run(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), Re
         return Err(ServeError::ShuttingDown.into());
     }
     let (artifact, served) = ctx.scheduler.run(&spec, mode, deadline)?;
+    let ready = Instant::now();
     let mut body_lines = 0u64;
     if stream_body {
         for line in artifact.body.lines() {
@@ -378,13 +439,13 @@ fn op_run(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), Re
             frame_text.push_str("{\"type\":\"body\",\"line\":");
             push_escaped(&mut frame_text, line);
             frame_text.push('}');
-            frame::write_frame(stream, &frame_text)?;
+            frame::push_frame(out, &frame_text)?;
         }
     } else {
         body_lines = artifact.body.lines().count() as u64;
     }
     write_result(
-        stream,
+        out,
         "run",
         &[
             ("served", Field::Str(served.as_str())),
@@ -395,10 +456,15 @@ fn op_run(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), Re
             ("body_lines", Field::U64(body_lines)),
         ],
     )?;
+    observe_ms(&ctx.metrics.respond_ms, ready);
     Ok(())
 }
 
-fn op_replay(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), RequestFailure> {
+fn op_replay<W: Write>(
+    out: &mut BufWriter<W>,
+    obj: &Object,
+    ctx: &Ctx,
+) -> Result<(), RequestFailure> {
     let spec: RunSpec = run_spec_from(obj)?;
     let deadline = deadline_from(obj)?;
     let key = spec.request_key();
@@ -417,7 +483,7 @@ fn op_replay(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(),
     debug_assert_eq!(served, Served::Bypassed);
     let verified = fresh.digest == cached.digest && fresh.body == cached.body;
     write_result(
-        stream,
+        out,
         "replay",
         &[
             ("verified", Field::Bool(verified)),
@@ -430,7 +496,11 @@ fn op_replay(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(),
     Ok(())
 }
 
-fn op_sweep(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), RequestFailure> {
+fn op_sweep<W: Write>(
+    out: &mut BufWriter<W>,
+    obj: &Object,
+    ctx: &Ctx,
+) -> Result<(), RequestFailure> {
     let bad = |msg: &str| ServeError::BadRequest(msg.to_string());
     let seed = match obj.get("seed") {
         None => 0,
@@ -482,10 +552,10 @@ fn op_sweep(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), 
         push_field(&mut text, "spend_mean", &Field::F64(arm.spend_dollars.mean()));
         push_field(&mut text, "labor_mean", &Field::F64(arm.labor_hours.mean()));
         text.push('}');
-        frame::write_frame(stream, &text)?;
+        frame::push_frame(out, &text)?;
     }
     write_result(
-        stream,
+        out,
         "sweep",
         &[
             ("arms", Field::U64(arm_count)),
@@ -496,20 +566,45 @@ fn op_sweep(stream: &mut TcpStream, obj: &Object, ctx: &Arc<Ctx>) -> Result<(), 
     Ok(())
 }
 
-fn op_stats(stream: &mut TcpStream, ctx: &Arc<Ctx>) -> Result<(), FrameError> {
+fn op_stats<W: Write>(out: &mut BufWriter<W>, ctx: &Ctx) -> Result<(), FrameError> {
     let snapshot = ctx.registry.snapshot();
     let mut text = String::from("{\"type\":\"result\",\"op\":\"stats\"");
     for (name, value) in snapshot.entries() {
         match value {
             MetricValue::Counter(v) => push_field(&mut text, name, &Field::U64(*v)),
             MetricValue::Gauge(v) => push_field(&mut text, name, &Field::F64(*v)),
-            // Histograms would need nesting; the serve registry holds
-            // none, and the flat protocol skips any that appear.
-            MetricValue::Histogram { .. } => {}
+            // The protocol is flat: a histogram becomes three scalars.
+            MetricValue::Histogram { bounds, counts, count, .. } => {
+                push_field(&mut text, &format!("{name}.count"), &Field::U64(*count));
+                for (suffix, q) in [("p50", 0.5), ("p99", 0.99)] {
+                    let at = bucket_quantile(bounds, counts, *count, q);
+                    push_field(&mut text, &format!("{name}.{suffix}"), &Field::F64(at));
+                }
+            }
         }
     }
     text.push('}');
-    frame::write_frame(stream, &text)
+    finish(out, &text)
+}
+
+/// The upper bound of the bucket holding the `q`-quantile observation:
+/// an overestimate by at most one bucket width. Zero for an empty
+/// histogram; infinite (rendered `null`) when the quantile lies in the
+/// overflow bucket.
+fn bucket_quantile(bounds: &[f64], counts: &[u64], count: u64, q: f64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    // Rank of the quantile observation, 1-based: ⌈q·count⌉, at least 1.
+    let rank = ((q * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bounds.get(i).copied().unwrap_or(f64::INFINITY);
+        }
+    }
+    f64::INFINITY
 }
 
 /// Scalar response-field values (the protocol is flat by design).
@@ -543,8 +638,14 @@ fn push_field(out: &mut String, key: &str, value: &Field) {
     }
 }
 
-fn write_result(
-    stream: &mut TcpStream,
+/// Appends the terminal frame and flushes: the one flush of a response.
+fn finish<W: Write>(out: &mut BufWriter<W>, text: &str) -> Result<(), FrameError> {
+    frame::push_frame(out, text)?;
+    out.flush().map_err(FrameError::Io)
+}
+
+fn write_result<W: Write>(
+    out: &mut BufWriter<W>,
     op: &str,
     fields: &[(&str, Field)],
 ) -> Result<(), FrameError> {
@@ -554,14 +655,130 @@ fn write_result(
         push_field(&mut text, key, value);
     }
     text.push('}');
-    frame::write_frame(stream, &text)
+    finish(out, &text)
 }
 
-fn send_error(stream: &mut TcpStream, e: &ServeError) -> Result<(), FrameError> {
+fn send_error<W: Write>(out: &mut BufWriter<W>, e: &ServeError) -> Result<(), FrameError> {
     let mut text = String::from("{\"type\":\"error\",\"code\":");
     push_escaped(&mut text, e.code());
     text.push_str(",\"message\":");
     push_escaped(&mut text, &e.to_string());
     text.push('}');
-    frame::write_frame(stream, &text)
+    finish(out, &text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::Decoded;
+
+    /// What reaches the socket side of a response buffer.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn ctx(name: &str) -> Ctx {
+        let dir = std::env::temp_dir().join("century-serve-server-tests").join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        Ctx::start(&ServerConfig::local(dir), loopback("0.0.0.0:0".parse().unwrap())).unwrap()
+    }
+
+    /// Answers one request into a fresh counting response buffer.
+    fn answer(ctx: &Ctx, request: &str) -> Counting {
+        let mut out = BufWriter::with_capacity(RESPONSE_BUFFER, Counting::default());
+        handle_request(&mut out, request, ctx).unwrap();
+        assert!(out.buffer().is_empty(), "a response never lingers in the buffer");
+        out.into_inner().map_err(|_| ()).unwrap()
+    }
+
+    fn frames(mut bytes: &[u8]) -> Vec<Object> {
+        let mut out = Vec::new();
+        while !bytes.is_empty() {
+            match frame::decode(bytes, DEFAULT_MAX_FRAME).unwrap() {
+                Decoded::Frame { payload, consumed } => {
+                    out.push(json::parse_object(&payload).unwrap());
+                    bytes = &bytes[consumed..];
+                }
+                Decoded::NeedMore => panic!("response ends mid-frame"),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_run_reaches_the_writer_in_full_buffers_with_one_flush() {
+        let ctx = ctx("streamed");
+        let request = "{\"op\":\"run\",\"seed\":5,\"years\":200,\"stream\":true}";
+        for served in ["miss", "hit"] {
+            let sink = answer(&ctx, request);
+            let frames = frames(&sink.bytes);
+            let (result, body) = frames.split_last().unwrap();
+            assert_eq!(result.str_field("served"), Some(served));
+            assert_eq!(result.u64_field("body_lines"), Some(body.len() as u64));
+            assert!(body.iter().all(|f| f.str_field("type") == Some("body")));
+            // Big enough that the bound is not met by a single write.
+            assert!(sink.bytes.len() > RESPONSE_BUFFER, "{} bytes", sink.bytes.len());
+            assert!(
+                sink.writes <= sink.bytes.len().div_ceil(RESPONSE_BUFFER) + 1,
+                "{} frames, {} bytes, {} writes",
+                frames.len(),
+                sink.bytes.len(),
+                sink.writes
+            );
+            assert_eq!(sink.flushes, 1, "one flush per response, at the terminal frame");
+        }
+    }
+
+    #[test]
+    fn unstreamed_answers_are_one_write_and_one_flush() {
+        let ctx = ctx("unstreamed");
+        for request in [
+            "{\"op\":\"ping\"}",
+            "{\"op\":\"stats\"}",
+            "not json",
+            "{\"op\":\"run\",\"seed\":1,\"years\":1}",
+        ] {
+            let sink = answer(&ctx, request);
+            assert_eq!((sink.writes, sink.flushes), (1, 1), "{request}");
+            assert_eq!(frames(&sink.bytes).len(), 1, "{request}");
+        }
+    }
+
+    #[test]
+    fn bucket_quantile_reports_the_holding_bucket_bound() {
+        let bounds = [1.0, 2.0, 4.0];
+        assert_eq!(bucket_quantile(&bounds, &[0, 0, 0, 0], 0, 0.5), 0.0);
+        // Ranks 1..=4 fall in buckets 0, 1, 1, 2.
+        let counts = [1, 2, 1, 0];
+        assert_eq!(bucket_quantile(&bounds, &counts, 4, 0.25), 1.0);
+        assert_eq!(bucket_quantile(&bounds, &counts, 4, 0.5), 2.0);
+        assert_eq!(bucket_quantile(&bounds, &counts, 4, 0.99), 4.0);
+        assert!(bucket_quantile(&bounds, &[0, 0, 0, 3], 3, 0.5).is_infinite());
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:4300".parse().unwrap();
+        let v6: SocketAddr = "[::]:4300".parse().unwrap();
+        let bound: SocketAddr = "10.1.2.3:4300".parse().unwrap();
+        assert_eq!(loopback(v4), "127.0.0.1:4300".parse().unwrap());
+        assert_eq!(loopback(v6), "[::1]:4300".parse().unwrap());
+        assert_eq!(loopback(bound), bound);
+    }
 }

@@ -77,7 +77,7 @@ if ./target/release/throughput --resume "$torn" > /dev/null 2>&1; then
 fi
 rm -rf target/verify-snapshots
 
-echo "== serve smoke (daemon up; miss -> hit with equal digests; replay re-proof; graceful shutdown) =="
+echo "== serve smoke (daemon up; miss -> hit with equal digests; replay re-proof; streamed hit; stats histograms; graceful shutdown) =="
 rm -rf target/verify-serve-cache
 ./target/release/century-serve --cache-dir target/verify-serve-cache \
   > target/verify-serve-ready.json &
@@ -111,6 +111,26 @@ fi
   --request '{"op":"replay","seed":9,"years":5}' \
   | grep -q '"verified":true' \
   || { echo "verify: FAIL — replay did not re-prove the cached digest" >&2; exit 1; }
+# A streamed hit carries one body frame per body line (the response is
+# buffered and flushed once, so a lost or duplicated frame shows here).
+streamed=$(./target/release/century-serve --addr "$serve_addr" \
+  --request '{"op":"run","seed":9,"years":5,"stream":true}')
+streamed_result=$(echo "$streamed" | tail -n 1)
+echo "$streamed_result" | grep -q '"served":"hit"' \
+  || { echo "verify: FAIL — streamed request was not a cache hit: $streamed_result" >&2; exit 1; }
+body_frames=$(echo "$streamed" | grep -c '"type":"body"' || true)
+body_lines=$(echo "$streamed_result" | sed -n 's/.*"body_lines":\([0-9]*\).*/\1/p')
+if [ -z "$body_lines" ] || [ "$body_lines" -lt 1 ] || [ "$body_frames" != "$body_lines" ]; then
+  echo "verify: FAIL — streamed $body_frames body frames for $body_lines body lines" >&2
+  exit 1
+fi
+# The latency histograms reach the flat stats op.
+respond_count=$(./target/release/century-serve --addr "$serve_addr" --request '{"op":"stats"}' \
+  | sed -n 's/.*"serve\.respond_ms\.count":\([0-9]*\).*/\1/p')
+if [ -z "$respond_count" ] || [ "$respond_count" -lt 1 ]; then
+  echo "verify: FAIL — stats shows no serve.respond_ms observations" >&2
+  exit 1
+fi
 ./target/release/century-serve --addr "$serve_addr" \
   --request '{"op":"shutdown"}' > /dev/null
 wait "$serve_pid" \

@@ -15,11 +15,15 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use fleet::sim::{FleetConfig, FleetSim};
 use serve::client::{Client, Response};
 use serve::frame::encode;
+use serve::json::Object;
 use serve::{Server, ServerConfig};
+use simcore::time::SimDuration;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("century-serve-protocol").join(name);
@@ -45,6 +49,51 @@ fn assert_healthy(server: &Server) {
     match client.call("{\"op\":\"ping\"}").expect("daemon must still answer") {
         (_, Response::Result(obj)) => assert_eq!(obj.str_field("op"), Some("ping")),
         (_, other) => panic!("expected ping result, got {other:?}"),
+    }
+}
+
+/// Polls the `stats` op until `ready` holds (bounded): the way tests
+/// order themselves against the daemon without sleeping.
+fn wait_for_stats(server: &Server, what: &str, ready: impl Fn(&Object) -> bool) {
+    let mut client = connect(server);
+    let give_up = Instant::now() + Duration::from_secs(120);
+    loop {
+        match client.call("{\"op\":\"stats\"}").expect("transport holds") {
+            (_, Response::Result(obj)) if ready(&obj) => return,
+            (_, Response::Result(_)) => {}
+            (_, other) => panic!("expected stats, got {other:?}"),
+        }
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A numeric `stats` field (gauges and counters alike).
+fn stat(obj: &Object, name: &str) -> f64 {
+    obj.f64_field(name).unwrap_or_else(|| panic!("stats missing {name:?}: {obj:?}"))
+}
+
+/// Runs `f` on its own thread and fails if it has not returned within
+/// `limit`, so a shutdown that never wakes fails instead of hanging.
+fn returns_within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(limit).is_err() {
+        panic!("{what} did not return within {limit:?} (or panicked)");
+    }
+}
+
+/// Reads frames until the terminal one and returns the run's digest.
+fn read_digest(client: &mut Client) -> u64 {
+    loop {
+        match client.read().expect("transport holds") {
+            Response::Stream(_) => continue,
+            Response::Result(obj) => return obj.u64_field("digest").expect("digest"),
+            Response::Error { code, message } => panic!("run failed: {code}: {message}"),
+        }
     }
 }
 
@@ -204,23 +253,26 @@ fn overload_sheds_excess_requests_with_typed_errors() {
     // request C must be refused at admission.
     let server = start_server("overload", 1, 1);
     let addr = server.addr().to_string();
-    // Millennia-long scenarios keep the single worker busy for long
-    // enough that the admission sequence below cannot race.
-    let slow = |seed: u64| format!("{{\"op\":\"run\",\"seed\":{seed},\"years\":3000}}");
+    // A runs the longest horizon the protocol admits (seconds, in any
+    // build); each step below is ordered on a `stats` observation, so
+    // nothing depends on how long A takes beyond outlasting a few
+    // loopback round trips.
+    let run =
+        |seed: u64, years: u64| format!("{{\"op\":\"run\",\"seed\":{seed},\"years\":{years}}}");
 
-    // Fire A and B without waiting for their results.
     let mut a = Client::connect(&addr).expect("connect a");
-    a.send(&slow(100)).expect("send a");
+    a.send(&run(100, 10_000)).expect("send a");
+    wait_for_stats(&server, "A to occupy the worker", |s| stat(s, "serve.workers.busy") == 1.0);
     let mut b = Client::connect(&addr).expect("connect b");
-    // Give A time to be popped by the worker so B lands in the queue.
-    std::thread::sleep(Duration::from_millis(250));
-    b.send(&slow(101)).expect("send b");
-    std::thread::sleep(Duration::from_millis(250));
+    b.send(&run(101, 1)).expect("send b");
+    wait_for_stats(&server, "B to queue behind A", |s| {
+        stat(s, "serve.workers.busy") == 1.0 && stat(s, "serve.queue.depth") == 1.0
+    });
 
     // C finds the queue full.
     let mut c = Client::connect(&addr).expect("connect c");
     let started = Instant::now();
-    expect_error(&mut c, &slow(102), "overloaded");
+    expect_error(&mut c, &run(102, 1), "overloaded");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "admission control must reject immediately, not after the backlog"
@@ -228,18 +280,7 @@ fn overload_sheds_excess_requests_with_typed_errors() {
 
     // A and B still complete correctly — shedding C lost no work.
     for client in [&mut a, &mut b] {
-        loop {
-            match client.read().expect("transport holds") {
-                Response::Stream(_) => continue,
-                Response::Result(obj) => {
-                    assert!(obj.u64_field("digest").is_some());
-                    break;
-                }
-                Response::Error { code, message } => {
-                    panic!("queued request failed: {code}: {message}")
-                }
-            }
-        }
+        read_digest(client);
     }
     assert_healthy(&server);
 }
@@ -248,8 +289,13 @@ fn overload_sheds_excess_requests_with_typed_errors() {
 fn shutdown_op_drains_gracefully_and_refuses_new_work() {
     let server = start_server("shutdown", 1, 8);
     let mut worker_client = connect(&server);
-    // Queue real work, then shut down before reading its result.
+    // Queue real work, then shut down before reading its result — but
+    // only once the daemon has admitted it, so the drain owes it.
     worker_client.send("{\"op\":\"run\",\"seed\":31,\"years\":200}").expect("send run");
+    wait_for_stats(&server, "the run to be admitted", |s| {
+        stat(s, "serve.workers.busy") + stat(s, "serve.queue.depth") >= 1.0
+            || stat(s, "serve.executed") >= 1.0
+    });
 
     let mut admin = connect(&server);
     match admin.call("{\"op\":\"shutdown\"}").expect("transport holds") {
@@ -257,10 +303,8 @@ fn shutdown_op_drains_gracefully_and_refuses_new_work() {
         (_, other) => panic!("expected shutdown ack, got {other:?}"),
     }
 
-    // The in-flight run drains to completion: the client that submitted
-    // it still gets its digest (or, at worst, a typed shutting_down if
-    // the request had not been admitted yet — but we gave it a head
-    // start, so it must have been).
+    // The admitted run drains to completion: the client that submitted
+    // it still gets its digest.
     match worker_client.read().expect("transport holds") {
         Response::Result(obj) => {
             assert!(obj.u64_field("digest").is_some(), "drained run must return its digest");
@@ -273,4 +317,63 @@ fn shutdown_op_drains_gracefully_and_refuses_new_work() {
     let mut server = server;
     server.wait();
     assert!(server.shutting_down());
+}
+
+#[test]
+fn both_shutdown_paths_wake_the_blocking_accept_loop() {
+    // `Server::shutdown` on a daemon that never saw a connection, bound
+    // to the unspecified address (its wake connect goes to loopback).
+    let mut cfg = ServerConfig::local(temp_dir("shutdown-idle"));
+    cfg.addr = "0.0.0.0:0".to_string();
+    let mut idle = Server::start(cfg).expect("server starts");
+    returns_within(Duration::from_secs(30), "Server::shutdown", move || {
+        idle.shutdown();
+        assert!(idle.shutting_down());
+    });
+
+    // `op:"shutdown"`, then `wait` with no `Server::shutdown` call.
+    let mut server = start_server("shutdown-op", 1, 4);
+    match connect(&server).call("{\"op\":\"shutdown\"}").expect("transport holds") {
+        (_, Response::Result(obj)) => assert_eq!(obj.str_field("op"), Some("shutdown")),
+        (_, other) => panic!("expected shutdown ack, got {other:?}"),
+    }
+    returns_within(Duration::from_secs(30), "Server::wait after op:shutdown", move || {
+        server.wait();
+    });
+}
+
+#[test]
+fn latency_histograms_reach_stats_and_never_enter_a_digest() {
+    let server = start_server("histograms", 1, 4);
+    let mut client = connect(&server);
+    let mut digest = |request: &str| {
+        client.send(request).expect("send run");
+        read_digest(&mut client)
+    };
+    let cold = digest("{\"op\":\"run\",\"seed\":41,\"years\":5,\"stream\":true}");
+
+    let mut admin = connect(&server);
+    let stats = match admin.call("{\"op\":\"stats\"}").expect("transport holds") {
+        (_, Response::Result(obj)) => obj,
+        (_, other) => panic!("expected stats, got {other:?}"),
+    };
+    for name in
+        ["serve.queue_wait_ms", "serve.execute_ms", "serve.cache.lookup_ms", "serve.respond_ms"]
+    {
+        // One miss so far: one lookup, one queued job, one execution,
+        // one response.
+        assert_eq!(stat(&stats, &format!("{name}.count")), 1.0, "{name}");
+        let (p50, p99) =
+            (stat(&stats, &format!("{name}.p50")), stat(&stats, &format!("{name}.p99")));
+        assert!(0.0 < p50 && p50 <= p99, "{name}: p50 {p50}, p99 {p99}");
+    }
+
+    // Wall-clock observations are now in the registry; the digest of the
+    // same scenario — cached, recomputed, or run directly — is not moved.
+    let warm = digest("{\"op\":\"run\",\"seed\":41,\"years\":5}");
+    let recomputed = digest("{\"op\":\"run\",\"seed\":41,\"years\":5,\"cache\":\"bypass\"}");
+    let mut cfg = FleetConfig::paper_experiment(41);
+    cfg.horizon = SimDuration::from_years(5);
+    let direct = FleetSim::run(cfg).digest();
+    assert_eq!([cold, warm, recomputed], [direct; 3]);
 }
