@@ -9,7 +9,7 @@
 //!   across worker threads.
 //!
 //! With `--scale-devices N[,N...]` it additionally measures **intra-run
-//! sharding** ([`fleet::sim::FleetSim::run_sharded`]) on synthetic
+//! sharding** ([`fleet::shard::run_sharded`]) on synthetic
 //! many-arm fleets of those device counts — serial vs `--shards K` on the
 //! *same single run* — gating each pair on digest equality exactly like
 //! the serial/parallel check. This is the ROADMAP's million-device axis:
@@ -66,7 +66,9 @@
 use std::time::Instant;
 
 use bench::parallel::run_reports;
-use fleet::sim::{ArmConfig, FleetConfig, FleetSim, SamplingMode};
+use fleet::fault::FaultPlan;
+use fleet::run::{Run, Shards, Start};
+use fleet::sim::{FleetConfig, FleetSim, SamplingMode, SCALE_ARMS};
 use fleet::snapshot::{self, ChaosProgress};
 use net::coverage::{resolve, resolve_pairwise, Coverage, RadioParams};
 use net::link::ReceptionModel;
@@ -124,10 +126,6 @@ fn measure_parallel(base_seed: u64, replicates: usize, threads: usize) -> Pass {
     Pass { wall_ms, events, events_per_sec: events as f64 / (wall_ms / 1e3), digest_xor }
 }
 
-/// Arm count for the synthetic scale fleets: divisible by 2, 4 and 8 so
-/// the LPT plan balances perfectly at the usual shard counts.
-const SCALE_ARMS: usize = 16;
-
 /// Horizon for a scale point, sized so the sweep finishes in bench time:
 /// bigger fleets get shorter (but still multi-year) horizons.
 fn scale_horizon_years(devices: usize) -> u64 {
@@ -140,10 +138,10 @@ fn scale_horizon_years(devices: usize) -> u64 {
     }
 }
 
-/// A synthetic `devices`-device fleet: [`SCALE_ARMS`] owned arms of
-/// `devices / SCALE_ARMS` sensors with 2 gateways each, sharing the paper
-/// environment. Many equal arms make the shard plan balanced, so the
-/// measurement isolates engine scaling rather than partition skew.
+/// The synthetic `devices`-device fleet ([`FleetConfig::scaled`]: many
+/// equal arms keep the shard plan balanced, so the measurement isolates
+/// engine scaling rather than partition skew) over its
+/// [`scale_horizon_years`] horizon.
 ///
 /// The sweep runs in [`SamplingMode::Aggregate`] — one binomial draw per
 /// path cohort per week instead of a per-device RNG loop — which is what
@@ -151,11 +149,8 @@ fn scale_horizon_years(devices: usize) -> u64 {
 /// [`SamplingMode::Reference`] oracle is measured alongside and must
 /// agree digest-for-digest.
 fn scaled_config(seed: u64, devices: usize) -> FleetConfig {
-    let mut cfg = FleetConfig::paper_experiment(seed).with_sampling(SamplingMode::Aggregate);
+    let mut cfg = FleetConfig::scaled(seed, devices).with_sampling(SamplingMode::Aggregate);
     cfg.horizon = SimDuration::from_years(scale_horizon_years(devices));
-    cfg.arms = (0..SCALE_ARMS)
-        .map(|_| ArmConfig::paper_owned_154((devices / SCALE_ARMS).max(1), 2))
-        .collect();
     cfg
 }
 
@@ -174,7 +169,7 @@ fn measure_scale_serial(cfg: &FleetConfig) -> Pass {
 fn measure_scale_sharded(cfg: &FleetConfig, shards: usize) -> Pass {
     let t0 = Instant::now();
     #[allow(clippy::expect_used)]
-    let report = FleetSim::run_sharded(cfg.clone(), shards)
+    let report = fleet::shard::run_sharded(cfg.clone(), shards)
         // simlint: allow(P001, shards is validated nonzero in main)
         .expect("shards is validated nonzero in main");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -457,7 +452,7 @@ fn run_checkpoint_mode(args: &Args, every_weeks: u64) -> Result<String, String> 
         let t = Instant::now();
         let resumed = snapshot::resume_from(path, cfg.clone())
             .map_err(|e| format!("resume of week-{week} snapshot: {e}"))?;
-        let report = resumed.run_to_horizon();
+        let report = resume_to_horizon(resumed);
         let resume_ms = t.elapsed().as_secs_f64() * 1e3;
         if report.digest() != baseline.digest() {
             return Err(format!(
@@ -486,6 +481,12 @@ fn run_checkpoint_mode(args: &Args, every_weeks: u64) -> Result<String, String> 
     ))
 }
 
+/// Runs a restored plain-run snapshot to its horizon, serially.
+fn resume_to_horizon(resumed: snapshot::ResumedFleet) -> fleet::sim::FleetReport {
+    let start = Start::Resumed(Box::new(resumed));
+    Run { start, faults: FaultPlan::empty(), shards: Shards::SERIAL }.execute()
+}
+
 /// `--resume` mode: restore one snapshot and drive it to the horizon.
 fn run_resume_mode(args: &Args, path: &str) -> Result<String, String> {
     let cfg = FleetConfig::paper_experiment(args.base_seed);
@@ -493,7 +494,7 @@ fn run_resume_mode(args: &Args, path: &str) -> Result<String, String> {
     let resumed = snapshot::resume_from(std::path::Path::new(path), cfg)
         .map_err(|e| format!("cannot resume {path}: {e}"))?;
     let from = resumed.engine.now();
-    let report = resumed.run_to_horizon();
+    let report = resume_to_horizon(resumed);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     Ok(format!(
         "{{\"bench\":\"sim_throughput\",\"mode\":\"resume\",\"git_rev\":\"{}\",\

@@ -138,7 +138,8 @@ impl GeoStormBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{checkpoint_with_plan, resume_with_plan, run_with_plan};
+    use crate::run_with_plan;
+    use fleet::run::{Run, Shards, Start};
     use fleet::sim::FleetSim;
 
     fn cfg(seed: u64) -> FleetConfig {
@@ -238,8 +239,10 @@ mod tests {
         let dir = std::env::temp_dir().join("chaos-geo-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mid-storm.snap");
-        let _ = checkpoint_with_plan(cfg(21), plan.clone(), mid, &path).unwrap();
-        let resumed = resume_with_plan(&path, cfg(21), plan).unwrap();
+        let _ = fleet::run::checkpoint(cfg(21), plan.clone(), mid, &path).unwrap();
+        let resumed = fleet::snapshot::resume_from(&path, cfg(21)).unwrap();
+        let start = Start::Resumed(Box::new(resumed));
+        let resumed = Run { start, faults: plan, shards: Shards::SERIAL }.execute();
         assert_eq!(resumed.digest(), baseline.digest());
         std::fs::remove_file(&path).unwrap();
     }

@@ -8,176 +8,34 @@
 //! that wedge or go byzantine in the field. This crate turns those into
 //! a reproducible experiment:
 //!
-//! * [`FaultPlan`] — a time-ordered fault schedule, built once from a
-//!   seed and replayed exactly.
 //! * [`FaultPlanBuilder`] — Poisson-arrival fault generation over a
 //!   [`FleetConfig`]'s horizon, scaled by an *intensity* knob in `[0, 1]`.
 //!   Plans built at lower intensity are **nested subsets** of plans built
 //!   at higher intensity from the same seed, which is what makes
 //!   monotonicity metamorphic tests meaningful.
-//! * [`FleetInjector`] — a [`FaultHook`] that replays a plan against a
-//!   running [`FleetSim`] engine without touching the world's own event
-//!   stream or randomness (injection is draw-free by construction).
-//! * [`run_with_plan`] — build, run hooked, finalize: the chaos
-//!   counterpart of [`FleetSim::run`]. With an empty plan the output is
-//!   byte-identical to the fault-free run.
+//! * [`geo`] — geometric storms: a disc over the device layout, expanded
+//!   at plan time into per-device knockouts.
+//! * [`FaultPlan`], [`FleetInjector`] and the fault types live in
+//!   [`fleet::fault`] and are re-exported here: a plan is one field of a
+//!   [`fleet::run::Run`], which drives every run — serial or sharded,
+//!   fresh or resumed from a snapshot.
+//! * [`run_with_plan`] — the one-line serial chaos run, the counterpart
+//!   of [`FleetSim::run`](fleet::sim::FleetSim::run). With an empty plan
+//!   the output is byte-identical to the fault-free run.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod geo;
 
-use fleet::shard::{run_sharded_hooked, ShardError};
-use fleet::sim::{ArmKind, Ev, FleetConfig, FleetReport, FleetSim};
-use simcore::engine::{Ctx, FaultHook};
+pub use fleet::fault::*;
+
+use fleet::run::{Run, Shards, Start};
+use fleet::sim::{ArmKind, FleetConfig, FleetReport};
 use simcore::error::ModelError;
 use simcore::event::EventQueue;
 use simcore::rng::Rng;
-use simcore::snapshot::SnapshotError;
 use simcore::time::{SimDuration, SimTime};
-
-/// One kind of injected fault, with its target and magnitude.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultKind {
-    /// Correlated regional outage (storm/grid): the whole arm's coverage
-    /// is suppressed for `duration`.
-    RegionalOutage {
-        /// Target arm index.
-        arm: usize,
-        /// Outage length.
-        duration: SimDuration,
-    },
-    /// The owned arm's backhaul link flaps out for `duration`.
-    BackhaulFlap {
-        /// Target arm index.
-        arm: usize,
-        /// Flap length.
-        duration: SimDuration,
-    },
-    /// The backhaul provider sunsets service abruptly; the arm spends an
-    /// emergency-recommissioning quarter dark.
-    ProviderSunset {
-        /// Target arm index.
-        arm: usize,
-    },
-    /// The federated arm's hotspot market collapses, losing `fraction`
-    /// of the audible census at once.
-    HotspotCollapse {
-        /// Target arm index.
-        arm: usize,
-        /// Fraction of hotspots removed, clamped to `[0, 1]`.
-        fraction: f64,
-    },
-    /// A top-up/billing failure drains one device's prepaid wallet.
-    WalletFailure {
-        /// Target arm index.
-        arm: usize,
-        /// Target device index within the arm.
-        device: usize,
-    },
-    /// A device's firmware wedges: it transmits nothing for `duration`.
-    DeviceStuck {
-        /// Target arm index.
-        arm: usize,
-        /// Target device index within the arm.
-        device: usize,
-        /// Wedged interval.
-        duration: SimDuration,
-    },
-    /// A device goes byzantine: it transmits (and pays) but every
-    /// reading is garbage for `duration`.
-    DeviceByzantine {
-        /// Target arm index.
-        arm: usize,
-        /// Target device index within the arm.
-        device: usize,
-        /// Garbage interval.
-        duration: SimDuration,
-    },
-    /// A geometric storm disc (see [`geo`]) knocks one device out for
-    /// `duration` — planned per affected device so replay, sharded
-    /// routing and snapshot cursors need no geometry at injection time.
-    StormKnockout {
-        /// Target arm index.
-        arm: usize,
-        /// Target device index within the arm.
-        device: usize,
-        /// Knockout interval.
-        duration: SimDuration,
-    },
-}
-
-impl FaultKind {
-    /// The global arm index this fault targets. Possibly out of range —
-    /// plans can aim at arms a configuration lacks; those faults inject
-    /// as skips. The sharded runner routes such strays to shard 0, whose
-    /// injector skips them exactly as the serial injector would.
-    pub fn arm(&self) -> usize {
-        match *self {
-            FaultKind::RegionalOutage { arm, .. }
-            | FaultKind::BackhaulFlap { arm, .. }
-            | FaultKind::ProviderSunset { arm }
-            | FaultKind::HotspotCollapse { arm, .. }
-            | FaultKind::WalletFailure { arm, .. }
-            | FaultKind::DeviceStuck { arm, .. }
-            | FaultKind::DeviceByzantine { arm, .. }
-            | FaultKind::StormKnockout { arm, .. } => arm,
-        }
-    }
-}
-
-/// One scheduled fault.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Fault {
-    /// Injection time.
-    pub at: SimTime,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A time-ordered fault schedule. Build one with [`FaultPlanBuilder`] or
-/// start [`empty`](FaultPlan::empty) and [`push`](FaultPlan::push) faults
-/// by hand for targeted experiments.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// A plan with no faults: running it is byte-identical to not
-    /// injecting at all.
-    pub fn empty() -> Self {
-        FaultPlan { faults: Vec::new() }
-    }
-
-    /// Builds a plan from an unordered fault list, sorting by time
-    /// (stable: equal-time faults keep insertion order).
-    pub fn from_faults(mut faults: Vec<Fault>) -> Self {
-        faults.sort_by_key(|f| f.at);
-        FaultPlan { faults }
-    }
-
-    /// Appends one fault, keeping the schedule time-ordered.
-    pub fn push(&mut self, fault: Fault) {
-        self.faults.push(fault);
-        self.faults.sort_by_key(|f| f.at);
-    }
-
-    /// Scheduled faults in replay order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-}
 
 /// Per-injector candidate rates (events per arm-year at full intensity)
 /// and magnitudes. The *intensity* argument of
@@ -369,340 +227,26 @@ impl FaultPlanBuilder {
         while let Some((at, kind)) = queue.pop() {
             faults.push(Fault { at, kind });
         }
-        Ok(FaultPlan { faults })
+        Ok(FaultPlan::from_faults(faults))
     }
 }
 
-/// Replays a [`FaultPlan`] against a running [`FleetSim`] engine.
-///
-/// Use with [`simcore::engine::Engine::run_until_hooked`]; each fault
-/// fires at its scheduled time, before any simulation event at the same
-/// instant. Faults that target a missing arm/device or an arm of the
-/// wrong kind are counted as skipped, not errors.
-#[derive(Clone, Debug)]
-pub struct FleetInjector {
-    plan: FaultPlan,
-    next: usize,
-    applied: u64,
-    skipped: u64,
-}
-
-impl FleetInjector {
-    /// Wraps a plan for replay.
-    pub fn new(plan: FaultPlan) -> Self {
-        FleetInjector { plan, next: 0, applied: 0, skipped: 0 }
-    }
-
-    /// Wraps a plan with replay already advanced to `progress` — the
-    /// snapshot-resume constructor. `progress.next` indexes into *this*
-    /// plan's fault order (a stored value beyond the plan clamps to its
-    /// end, leaving nothing to replay).
-    pub fn with_progress(plan: FaultPlan, progress: fleet::snapshot::ChaosProgress) -> Self {
-        let next = usize::try_from(progress.next).unwrap_or(plan.len()).min(plan.len());
-        FleetInjector { plan, next, applied: progress.applied, skipped: progress.skipped }
-    }
-
-    /// Replay progress in snapshot form: the next fault index and the
-    /// applied/skipped tallies. Stored by `fleet::snapshot` checkpoints
-    /// and fed back through [`FleetInjector::with_progress`] on resume.
-    pub fn progress(&self) -> fleet::snapshot::ChaosProgress {
-        fleet::snapshot::ChaosProgress {
-            next: self.next as u64,
-            applied: self.applied,
-            skipped: self.skipped,
-        }
-    }
-
-    /// Faults successfully injected so far.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Faults whose target did not exist (wrong arm kind, index out of
-    /// range).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-}
-
-impl FaultHook<FleetSim> for FleetInjector {
-    fn next_fault_at(&self) -> Option<SimTime> {
-        self.plan.faults.get(self.next).map(|f| f.at)
-    }
-
-    fn fire(&mut self, now: SimTime, world: &mut FleetSim, _ctx: &mut Ctx<'_, Ev>) {
-        let Some(fault) = self.plan.faults.get(self.next).copied() else { return };
-        self.next += 1;
-        let ok = match fault.kind {
-            FaultKind::RegionalOutage { arm, duration } => {
-                world.inject_regional_outage(arm, now, duration)
-            }
-            FaultKind::BackhaulFlap { arm, duration } => {
-                world.inject_backhaul_flap(arm, now, duration)
-            }
-            FaultKind::ProviderSunset { arm } => world.inject_provider_sunset(arm, now),
-            FaultKind::HotspotCollapse { arm, fraction } => {
-                world.inject_hotspot_collapse(arm, now, fraction)
-            }
-            FaultKind::WalletFailure { arm, device } => {
-                world.inject_wallet_failure(arm, now, device)
-            }
-            FaultKind::DeviceStuck { arm, device, duration } => {
-                world.inject_device_stuck(arm, now, device, duration)
-            }
-            FaultKind::DeviceByzantine { arm, device, duration } => {
-                world.inject_device_byzantine(arm, now, device, duration)
-            }
-            FaultKind::StormKnockout { arm, device, duration } => {
-                world.inject_storm_knockout(arm, now, device, duration)
-            }
-        };
-        if ok {
-            self.applied += 1;
-        } else {
-            self.skipped += 1;
-            world.note_chaos_skipped();
-        }
-    }
-}
-
-/// Runs `cfg` to its horizon with `plan` injected, and finalizes through
-/// the same path as [`FleetSim::run`]. An [`empty`](FaultPlan::empty)
-/// plan reproduces the fault-free run byte for byte (diary included).
+/// Runs `cfg` to its horizon with `plan` injected, serially, and
+/// finalizes through the same path as
+/// [`FleetSim::run`](fleet::sim::FleetSim::run). An
+/// [`empty`](FaultPlan::empty) plan reproduces the fault-free run byte
+/// for byte (diary included). Shorthand for a fresh one-shard
+/// [`Run`].
 pub fn run_with_plan(cfg: FleetConfig, plan: FaultPlan) -> FleetReport {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let mut engine = FleetSim::build(cfg);
-    let mut injector = FleetInjector::new(plan);
-    engine.run_until_hooked(horizon, &mut injector);
-    FleetSim::into_report(engine, horizon)
-}
-
-/// [`run_with_plan`] split across `shards` worker threads — bit-identical
-/// digest, same skip accounting.
-///
-/// Each fault is routed to the shard owning its target arm
-/// ([`fleet::shard::ShardPlan::owner_of`]); faults aimed at arms the
-/// configuration lacks go to shard 0, whose injector records the skip
-/// just like the serial injector. Because the per-arm interleaving of
-/// faults and simulation events is preserved within each shard (hooks
-/// fire before tied events there too), the merged report digests
-/// identically to the serial injected run for every plan and shard count.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_with_plan(
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ShardError> {
-    run_sharded_hooked(cfg, shards, |si, splan| {
-        let mine: Vec<Fault> = plan
-            .faults()
-            .iter()
-            .copied()
-            .filter(|f| splan.owner_of(f.kind.arm()).unwrap_or(0) == si)
-            .collect();
-        // `from_faults` sorts stably by time; the filtered subsequence is
-        // already time-ordered, so replay order is the serial plan's.
-        FleetInjector::new(FaultPlan::from_faults(mine))
-    })
-}
-
-/// [`run_sharded_with_plan`] without the small-fleet serial fallback
-/// (see [`fleet::shard::SERIAL_FALLBACK_DEVICES`]): always splits into
-/// the requested shard count. The differential suites use this so small
-/// test fleets still exercise the multi-shard fault routing.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_with_plan_forced(
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ShardError> {
-    fleet::shard::run_sharded_hooked_forced(cfg, shards, |si, splan| {
-        let mine: Vec<Fault> = plan
-            .faults()
-            .iter()
-            .copied()
-            .filter(|f| splan.owner_of(f.kind.arm()).unwrap_or(0) == si)
-            .collect();
-        FleetInjector::new(FaultPlan::from_faults(mine))
-    })
-}
-
-/// Why a chaos-run resume failed: the snapshot was unusable, or the
-/// shard request was invalid. Both are fail-closed — no partial world is
-/// ever returned.
-#[derive(Debug)]
-pub enum ResumeError {
-    /// The snapshot failed verification or decoding.
-    Snapshot(SnapshotError),
-    /// The sharded continuation request was invalid.
-    Shard(ShardError),
-}
-
-impl core::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ResumeError::Snapshot(e) => write!(f, "resume failed: {e}"),
-            ResumeError::Shard(e) => write!(f, "resume failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ResumeError::Snapshot(e) => Some(e),
-            ResumeError::Shard(e) => Some(e),
-        }
-    }
-}
-
-impl From<SnapshotError> for ResumeError {
-    fn from(e: SnapshotError) -> Self {
-        ResumeError::Snapshot(e)
-    }
-}
-
-impl From<ShardError> for ResumeError {
-    fn from(e: ShardError) -> Self {
-        ResumeError::Shard(e)
-    }
-}
-
-/// Runs `cfg` under `plan` to the checkpoint boundary `at` and writes an
-/// atomic snapshot (world state plus the injector's replay progress) to
-/// `path`. Returns the engine and injector still positioned at `at`, so
-/// the caller can keep running — checkpointing never perturbs the run.
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] on any filesystem failure.
-pub fn checkpoint_with_plan(
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    at: SimTime,
-    path: &std::path::Path,
-) -> Result<(simcore::engine::Engine<FleetSim>, FleetInjector), SnapshotError> {
-    let mut engine = FleetSim::build(cfg);
-    let mut injector = FleetInjector::new(plan);
-    engine.run_until_hooked(at, &mut injector);
-    fleet::snapshot::write_checkpoint(path, &mut engine, injector.progress())?;
-    Ok((engine, injector))
-}
-
-/// Resumes a chaos run from the snapshot at `path` and runs it serially
-/// to the horizon. `cfg` and `plan` must be the configuration and the
-/// *full serial* fault plan of the original run; replay continues from
-/// the stored progress, so already-injected faults never fire twice. The
-/// finished report digests bit-identically to the uninterrupted
-/// [`run_with_plan`].
-///
-/// # Errors
-///
-/// Fail-closed [`SnapshotError`] on any snapshot defect.
-pub fn resume_with_plan(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-) -> Result<FleetReport, SnapshotError> {
-    let resumed = fleet::snapshot::resume_from(path, cfg)?;
-    let mut injector = FleetInjector::with_progress(plan, resumed.chaos);
-    Ok(resumed.run_to_horizon_hooked(&mut injector))
-}
-
-/// [`resume_with_plan`] continued across `shards` worker threads —
-/// bit-identical digest to the uninterrupted serial run. Small fleets
-/// take the serial fallback; [`resume_sharded_with_plan_forced`]
-/// bypasses it.
-///
-/// # Errors
-///
-/// [`ResumeError`] wrapping the snapshot or shard failure.
-pub fn resume_sharded_with_plan(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ResumeError> {
-    resume_sharded_inner(path, cfg, plan, shards, false)
-}
-
-/// [`resume_sharded_with_plan`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// [`ResumeError`] wrapping the snapshot or shard failure.
-pub fn resume_sharded_with_plan_forced(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-) -> Result<FleetReport, ResumeError> {
-    resume_sharded_inner(path, cfg, plan, shards, true)
-}
-
-fn resume_sharded_inner(
-    path: &std::path::Path,
-    cfg: FleetConfig,
-    plan: FaultPlan,
-    shards: usize,
-    force: bool,
-) -> Result<FleetReport, ResumeError> {
-    let resumed = fleet::snapshot::resume_from(path, cfg)?;
-    let serial_next = usize::try_from(resumed.chaos.next).unwrap_or(plan.len()).min(plan.len());
-    // Each shard replays the plan subsequence targeting its arms; its
-    // replay cursor starts past the prefix of that subsequence the serial
-    // run had already fired (faults with serial index < `next`). The
-    // shard tallies restart at zero — the cumulative pre-checkpoint
-    // applied/skipped counts live in the world's restored chaos counters,
-    // exactly as in an uninterrupted sharded run.
-    let make_hook = |si: usize, splan: &fleet::shard::ShardPlan| {
-        let mut mine = Vec::new();
-        let mut mine_next = 0usize;
-        for (idx, f) in plan.faults().iter().enumerate() {
-            if splan.owner_of(f.kind.arm()).unwrap_or(0) == si {
-                if idx < serial_next {
-                    mine_next += 1;
-                }
-                mine.push(*f);
-            }
-        }
-        FleetInjector::with_progress(
-            FaultPlan::from_faults(mine),
-            fleet::snapshot::ChaosProgress { next: mine_next as u64, applied: 0, skipped: 0 },
-        )
-    };
-    let report = if force {
-        fleet::shard::run_resumed_hooked_forced(resumed.engine, shards, make_hook)?
-    } else {
-        fleet::shard::run_resumed_hooked(resumed.engine, shards, make_hook)?
-    };
-    Ok(report)
-}
-
-/// Convenience: the paper experiment under a storm-heavy plan at the
-/// given intensity.
-///
-/// # Errors
-///
-/// Propagates [`FaultPlanBuilder::build`] validation failures.
-pub fn paper_experiment_under_storms(
-    seed: u64,
-    intensity: f64,
-) -> Result<FleetReport, ModelError> {
-    let cfg = FleetConfig::paper_experiment(seed);
-    let plan = FaultPlanBuilder::storm_heavy(seed ^ 0x5eed_c4a0).build(&cfg, intensity)?;
-    Ok(run_with_plan(cfg, plan))
+    Run { start: Start::Fresh(cfg), faults: plan, shards: Shards::SERIAL }.execute()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleet::sim::FleetSim;
+    use fleet::snapshot::ChaosProgress;
+    use std::num::NonZeroUsize;
 
     fn cfg(seed: u64) -> FleetConfig {
         FleetConfig::paper_experiment(seed)
@@ -811,8 +355,12 @@ mod tests {
 
     #[test]
     fn storms_cost_uptime() {
-        let calm = paper_experiment_under_storms(11, 0.0).unwrap();
-        let wild = paper_experiment_under_storms(11, 1.0).unwrap();
+        let storms = |intensity: f64| {
+            let plan = FaultPlanBuilder::storm_heavy(11 ^ 0x5eed_c4a0).build(&cfg(11), intensity);
+            run_with_plan(cfg(11), plan.unwrap())
+        };
+        let calm = storms(0.0);
+        let wild = storms(1.0);
         for (c, w) in calm.arms.iter().zip(&wild.arms) {
             assert!(
                 w.weeks_up < c.weeks_up,
@@ -880,14 +428,14 @@ mod tests {
     #[test]
     fn injector_progress_roundtrip() {
         let plan = FaultPlanBuilder::full(5).build(&cfg(5), 1.0).unwrap();
-        let mut a = FleetInjector::new(plan.clone());
-        a.next = 3;
-        a.applied = 2;
-        a.skipped = 1;
+        let a = FleetInjector::with_progress(
+            plan.clone(),
+            ChaosProgress { next: 3, applied: 2, skipped: 1 },
+        );
         let b = FleetInjector::with_progress(plan.clone(), a.progress());
         assert_eq!(b.progress(), a.progress());
         // A stored cursor beyond the plan clamps to its end.
-        let over = fleet::snapshot::ChaosProgress { next: u64::MAX, applied: 0, skipped: 0 };
+        let over = ChaosProgress { next: u64::MAX, applied: 0, skipped: 0 };
         let clamped = FleetInjector::with_progress(plan.clone(), over);
         assert_eq!(clamped.progress().next, plan.len() as u64);
     }
@@ -898,10 +446,12 @@ mod tests {
         let baseline = run_with_plan(cfg(77), plan.clone());
         let path = temp_snapshot("serial-resume.snap");
         let at = SimTime::from_years(10);
-        let (engine, injector) = checkpoint_with_plan(cfg(77), plan.clone(), at, &path).unwrap();
+        let (engine, injector) = fleet::run::checkpoint(cfg(77), plan.clone(), at, &path).unwrap();
         assert!(injector.progress().next > 0, "a decade of full chaos fires faults");
         drop(engine);
-        let report = resume_with_plan(&path, cfg(77), plan).unwrap();
+        let resumed = fleet::snapshot::resume_from(&path, cfg(77)).unwrap();
+        let start = Start::Resumed(Box::new(resumed));
+        let report = Run { start, faults: plan, shards: Shards::SERIAL }.execute();
         assert_eq!(report.digest(), baseline.digest());
         std::fs::remove_file(&path).unwrap();
     }
@@ -912,8 +462,11 @@ mod tests {
         let baseline = run_with_plan(cfg(78), plan.clone());
         let path = temp_snapshot("sharded-resume.snap");
         let at = SimTime::from_years(25);
-        let _ = checkpoint_with_plan(cfg(78), plan.clone(), at, &path).unwrap();
-        let report = resume_sharded_with_plan_forced(&path, cfg(78), plan, 2).unwrap();
+        let _ = fleet::run::checkpoint(cfg(78), plan.clone(), at, &path).unwrap();
+        let resumed = fleet::snapshot::resume_from(&path, cfg(78)).unwrap();
+        let two = Shards::Forced(NonZeroUsize::new(2).unwrap());
+        let start = Start::Resumed(Box::new(resumed));
+        let report = Run { start, faults: plan, shards: two }.execute();
         assert_eq!(report.digest(), baseline.digest());
         assert_eq!(report.events_processed, baseline.events_processed);
         std::fs::remove_file(&path).unwrap();

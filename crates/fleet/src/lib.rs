@@ -16,6 +16,9 @@
 //! * [`pipeline`] — Ship-of-Theseus cohort pipelining.
 //! * [`sim`] — the discrete-event fleet simulation running §4's 50-year
 //!   experiment.
+//! * [`run`] — the one run path: a [`Run`] value (start, fault plan,
+//!   shard count) and the one function that runs it, [`Run::execute`].
+//! * [`fault`] — fault plans and the injector that replays them.
 //! * [`shard`] — deterministic intra-run sharding: the same simulation
 //!   split across worker threads with a bit-identical run digest.
 //! * [`snapshot`] — crash-recoverable mid-run checkpoints: run-to-week,
@@ -34,12 +37,14 @@
 pub mod cloud;
 pub mod commissioning;
 pub mod device;
+pub mod fault;
 pub mod gateway;
 pub mod geometry;
 pub mod hierarchy;
 pub mod maintenance;
 pub mod obsolescence;
 pub mod pipeline;
+pub mod run;
 pub mod shard;
 pub mod sim;
 pub mod snapshot;
@@ -50,7 +55,10 @@ pub mod workforce;
 pub use device::{DeviceSpec, DeviceState, EnergySystem};
 pub use gateway::{GatewaySpec, GatewayState};
 pub use hierarchy::Hierarchy;
+pub use run::{Run, Shards, Start};
 pub use shard::{ShardError, ShardPlan};
-pub use sim::{ArmConfig, ArmReport, FleetConfig, FleetReport, FleetSim, SamplingMode};
+pub use sim::{
+    ArmConfig, ArmReport, FleetConfig, FleetReport, FleetSim, SamplingMode, SCALE_ARMS,
+};
 pub use snapshot::{ChaosProgress, ResumedFleet, FLEET_SNAPSHOT_VERSION};
 pub use store::DeviceStore;

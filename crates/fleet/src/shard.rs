@@ -41,11 +41,15 @@
 //! (`tests/shard_differential.rs`) and the golden pins keep it that way.
 
 use core::fmt;
+use std::num::NonZeroUsize;
 
-use simcore::engine::{Ctx, Engine, FaultHook};
+use simcore::engine::Engine;
 use simcore::time::SimTime;
 
-use crate::sim::{Ev, FleetConfig, FleetReport, FleetSim};
+use crate::fault::{FaultPlan, FleetInjector};
+use crate::run::{Run, Shards, Start};
+use crate::sim::{FleetConfig, FleetReport, FleetSim};
+use crate::snapshot::ChaosProgress;
 
 /// Ways a sharded run request can be invalid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,9 +100,11 @@ impl ShardPlan {
     ///
     /// Returns [`ShardError::ZeroShards`] when `shards == 0`.
     pub fn balance(weights: &[u64], shards: usize) -> Result<ShardPlan, ShardError> {
-        if shards == 0 {
-            return Err(ShardError::ZeroShards);
-        }
+        NonZeroUsize::new(shards).map(|k| Self::lpt(weights, k)).ok_or(ShardError::ZeroShards)
+    }
+
+    fn lpt(weights: &[u64], shards: NonZeroUsize) -> ShardPlan {
+        let shards = shards.get();
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by(|&a, &b| weights[b].max(1).cmp(&weights[a].max(1)).then(a.cmp(&b)));
         let mut loads = vec![0u64; shards];
@@ -122,17 +128,13 @@ impl ShardPlan {
                 owner[ai] = si;
             }
         }
-        Ok(ShardPlan { groups, owner })
+        ShardPlan { groups, owner }
     }
 
     /// The plan for a fleet configuration: arms weighted by device count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-    pub fn for_fleet(cfg: &FleetConfig, shards: usize) -> Result<ShardPlan, ShardError> {
+    pub fn for_fleet(cfg: &FleetConfig, shards: NonZeroUsize) -> ShardPlan {
         let weights: Vec<u64> = cfg.arms.iter().map(|a| a.devices as u64).collect();
-        Self::balance(&weights, shards)
+        Self::lpt(&weights, shards)
     }
 
     /// The shard owning global arm `ai`, or `None` for an out-of-range id
@@ -156,254 +158,115 @@ impl ShardPlan {
     }
 }
 
-/// The no-op hook behind the plain [`run_sharded`] entry point.
-struct NoFaults;
-
-impl FaultHook<FleetSim> for NoFaults {
-    fn next_fault_at(&self) -> Option<SimTime> {
-        None
-    }
-    fn fire(&mut self, _now: SimTime, _world: &mut FleetSim, _ctx: &mut Ctx<'_, Ev>) {}
-}
-
-/// Fleets smaller than this many devices run serially even when shards
-/// are requested: below it the per-thread spawn/merge overhead exceeds
+/// Fleets smaller than this many devices run serially under
+/// [`Shards::Auto`]: below it the per-thread spawn/merge overhead exceeds
 /// the parallel win (the throughput bench measured a 0.979× *slowdown*
 /// at 10k devices and a 1.34× speedup at 100k —
-/// `BENCH_sim_throughput.json`). The `*_forced` entry points bypass the
-/// threshold; the differential and golden suites use them so small test
+/// `BENCH_sim_throughput.json`). [`Shards::Forced`] bypasses the
+/// threshold; the differential and golden suites use it so small test
 /// fleets still exercise the real multi-shard machinery.
 pub const SERIAL_FALLBACK_DEVICES: u64 = 50_000;
 
 /// Total configured device count — the work measure the serial-fallback
 /// threshold compares against [`SERIAL_FALLBACK_DEVICES`].
-fn fleet_devices(cfg: &FleetConfig) -> u64 {
+pub(crate) fn fleet_devices(cfg: &FleetConfig) -> u64 {
     cfg.arms.iter().map(|a| a.devices as u64).sum()
 }
 
-/// The plan a run request resolves to: the requested shard count, or —
-/// when the fleet is below the serial-fallback threshold and `force` is
-/// off — a one-shard plan. Collapsing the *plan* (not just the thread
-/// count) matters for hooked runs: the serial fallback builds shard 0's
-/// hook, and under a one-shard plan `owner_of` routes every arm's faults
-/// to shard 0, so no fault is silently dropped.
-fn effective_plan(cfg: &FleetConfig, shards: usize, force: bool) -> Result<ShardPlan, ShardError> {
-    if shards == 0 {
-        return Err(ShardError::ZeroShards);
-    }
-    if !force && fleet_devices(cfg) < SERIAL_FALLBACK_DEVICES {
-        return ShardPlan::for_fleet(cfg, 1);
-    }
-    ShardPlan::for_fleet(cfg, shards)
-}
-
-/// Runs `cfg` split across `shards` worker threads.
+/// Runs `cfg` split across up to `shards` worker threads: a fresh,
+/// fault-free [`Run`] under [`Shards::Auto`].
 ///
 /// The returned report is bit-identical — same digest — to
 /// [`FleetSim::run`] for every seed and every shard count. `shards`
 /// larger than the arm count degrades gracefully (one arm per shard,
-/// surplus shards idle); `shards == 1` takes the serial path outright;
-/// fleets under [`SERIAL_FALLBACK_DEVICES`] devices also run serially
-/// (use [`run_sharded_forced`] to bypass).
+/// surplus shards idle); fleets under [`SERIAL_FALLBACK_DEVICES`]
+/// devices run serially.
 ///
 /// # Errors
 ///
 /// Returns [`ShardError::ZeroShards`] when `shards == 0`.
 pub fn run_sharded(cfg: FleetConfig, shards: usize) -> Result<FleetReport, ShardError> {
-    run_sharded_hooked(cfg, shards, |_si, _plan| NoFaults)
+    let shards = Shards::Auto(NonZeroUsize::new(shards).ok_or(ShardError::ZeroShards)?);
+    Ok(Run { start: Start::Fresh(cfg), faults: FaultPlan::empty(), shards }.execute())
 }
 
-/// [`run_sharded`] without the small-fleet serial fallback: always
-/// splits into the requested shard count. Test harnesses use this so
-/// small fleets still drive the real multi-shard machinery; production
-/// callers should prefer [`run_sharded`].
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_forced(cfg: FleetConfig, shards: usize) -> Result<FleetReport, ShardError> {
-    run_sharded_hooked_forced(cfg, shards, |_si, _plan| NoFaults)
+/// Shard `si`'s injector: the subsequence of `faults` targeting the arms
+/// `plan` gives it (faults aimed at arms the configuration lacks go to
+/// shard 0, whose injector skips them exactly like a serial one), in
+/// serial plan order. Its replay cursor starts past the faults the serial
+/// run had fired before a checkpoint — serial index below `fired`, zero
+/// for a fresh run. Tallies restart at zero: pre-checkpoint counts live
+/// in the world's restored chaos counters, exactly as in an
+/// uninterrupted run. Under a one-shard plan this is the whole plan.
+fn injector_for(si: usize, plan: &ShardPlan, faults: &FaultPlan, fired: u64) -> FleetInjector {
+    let mut mine = Vec::new();
+    let mut mine_fired = 0u64;
+    for (idx, f) in faults.faults().iter().enumerate() {
+        if plan.owner_of(f.kind.arm()).unwrap_or(0) == si {
+            if (idx as u64) < fired {
+                mine_fired += 1;
+            }
+            mine.push(*f);
+        }
+    }
+    // `from_faults` sorts stably by time; the filtered subsequence is
+    // already time-ordered, so replay order is the serial plan's.
+    FleetInjector::with_progress(
+        FaultPlan::from_faults(mine),
+        ChaosProgress { next: mine_fired, applied: 0, skipped: 0 },
+    )
 }
 
-/// [`run_sharded`] with a per-shard [`FaultHook`] — the chaos crate's
-/// entry point. `make_hook(si, plan)` builds shard `si`'s hook; hooks for
-/// the serial fallback (one or zero non-empty shards) are built as shard
-/// 0's. Hooks fire before tied world events *within their shard*, which
-/// is the same per-arm interleaving the serial engine produces.
+/// The one runner behind every [`Run`]: fresh and resumed, serial and
+/// sharded, plain and injected, under the run's effective `plan`.
 ///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-///
-/// # Panics
-///
-/// Re-raises (via [`std::panic::resume_unwind`]) any panic raised on a
-/// shard worker thread, after every worker has been joined.
-pub fn run_sharded_hooked<H, F>(
-    cfg: FleetConfig,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_sharded_hooked_inner(cfg, shards, make_hook, false)
-}
-
-/// [`run_sharded_hooked`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_sharded_hooked_forced<H, F>(
-    cfg: FleetConfig,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_sharded_hooked_inner(cfg, shards, make_hook, true)
-}
-
-fn run_sharded_hooked_inner<H, F>(
-    cfg: FleetConfig,
-    shards: usize,
-    make_hook: F,
-    force: bool,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    let plan = effective_plan(&cfg, shards, force)?;
-    let horizon = SimTime::ZERO + cfg.horizon;
-    // Per-arm planning is pure in (seed, arm index, config), so the build
-    // itself parallelizes — bit-identical to the serial build. Fan out as
-    // wide as the run phase will: the caller asked for `shards` threads.
-    let workers = shards.max(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
-    let engine = FleetSim::build_parallel_with(cfg, workers);
-    drive_sharded(engine, &plan, horizon, make_hook)
-}
-
-/// Continues a restored mid-run engine (see [`crate::snapshot`]) to its
-/// horizon across `shards` worker threads. The finished report — digest
-/// included — is bit-identical to the uninterrupted serial run for every
-/// checkpoint instant and shard count; small fleets take the serial
-/// fallback as in [`run_sharded`].
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed(engine: Engine<FleetSim>, shards: usize) -> Result<FleetReport, ShardError> {
-    run_resumed_hooked(engine, shards, |_si, _plan| NoFaults)
-}
-
-/// [`run_resumed`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed_forced(
-    engine: Engine<FleetSim>,
-    shards: usize,
-) -> Result<FleetReport, ShardError> {
-    run_resumed_hooked_forced(engine, shards, |_si, _plan| NoFaults)
-}
-
-/// [`run_resumed`] with a per-shard [`FaultHook`] — the chaos crate's
-/// resume entry point. Hook construction follows
-/// [`run_sharded_hooked`]'s contract.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed_hooked<H, F>(
-    engine: Engine<FleetSim>,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_resumed_hooked_inner(engine, shards, make_hook, false)
-}
-
-/// [`run_resumed_hooked`] without the small-fleet serial fallback.
-///
-/// # Errors
-///
-/// Returns [`ShardError::ZeroShards`] when `shards == 0`.
-pub fn run_resumed_hooked_forced<H, F>(
-    engine: Engine<FleetSim>,
-    shards: usize,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    run_resumed_hooked_inner(engine, shards, make_hook, true)
-}
-
-fn run_resumed_hooked_inner<H, F>(
-    engine: Engine<FleetSim>,
-    shards: usize,
-    make_hook: F,
-    force: bool,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
-    let plan = effective_plan(&engine.world().cfg, shards, force)?;
-    let horizon = SimTime::ZERO + engine.world().cfg.horizon;
-    drive_sharded(engine, &plan, horizon, make_hook)
-}
-
-/// The one sharded driver behind fresh and resumed runs: split the
-/// engine by the plan's non-empty groups, run each shard on a scoped
-/// worker thread, merge through the canonical finalize path.
+/// A fresh world is built first — its per-arm planning fanned out over
+/// threads exactly when the plan has two or more non-empty groups. The
+/// engine is then split by those groups, each shard runs under its own
+/// injector on a scoped worker thread, and the shards merge through the
+/// canonical finalize path; with one group of work (or an arm-less
+/// config) the split would be the identity, so the engine runs serially
+/// under shard 0's injector.
 ///
 /// The engine's profile is captured *before* the split and folded back
 /// in at merge ([`FleetSim::merge_shards_onto`]): a fresh engine
 /// contributes an empty base, a resumed engine its pre-checkpoint
 /// dispatch counts, so `events_processed` matches the uninterrupted
 /// serial run either way.
-fn drive_sharded<H, F>(
-    engine: Engine<FleetSim>,
-    plan: &ShardPlan,
-    horizon: SimTime,
-    make_hook: F,
-) -> Result<FleetReport, ShardError>
-where
-    H: FaultHook<FleetSim> + Send,
-    F: Fn(usize, &ShardPlan) -> H + Sync,
-{
+pub(crate) fn drive(run: Run, plan: &ShardPlan) -> FleetReport {
+    let Run { start, faults, shards } = run;
+    let faults = &faults;
     let groups: Vec<Vec<usize>> =
         plan.groups().iter().filter(|g| !g.is_empty()).cloned().collect();
+    let (engine, fired) = match start {
+        Start::Fresh(cfg) if groups.len() > 1 => {
+            // Fan the build out as wide as the run phase will: the caller
+            // asked for this many threads, even where the cgroup quota
+            // reports fewer cores.
+            let (Shards::Auto(k) | Shards::Forced(k)) = shards;
+            let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            (FleetSim::build_parallel_with(cfg, k.get().max(host)), 0)
+        }
+        Start::Fresh(cfg) => (FleetSim::build(cfg), 0),
+        Start::Resumed(resumed) => (resumed.engine, resumed.chaos.next),
+    };
+    let horizon = SimTime::ZERO + engine.world().cfg.horizon;
     if groups.len() <= 1 {
-        // One shard of work (or an arm-less config): the split would be
-        // the identity, so run serial under shard 0's hook.
         let mut engine = engine;
-        let mut hook = make_hook(0, plan);
-        engine.run_until_hooked(horizon, &mut hook);
-        return Ok(FleetSim::into_report(engine, horizon));
+        let mut injector = injector_for(0, plan, faults, fired);
+        engine.run_until_hooked(horizon, &mut injector);
+        return FleetSim::into_report(engine, horizon);
     }
     let base_profile = engine.profile().clone();
     let engines = FleetSim::split_for_shards(engine, &groups);
     let joined: Vec<std::thread::Result<Engine<FleetSim>>> = std::thread::scope(|scope| {
-        let make_hook = &make_hook;
         let handles: Vec<_> = engines
             .into_iter()
             .enumerate()
             .map(|(si, mut engine)| {
                 scope.spawn(move || {
-                    let mut hook = make_hook(si, plan);
-                    engine.run_until_hooked(horizon, &mut hook);
+                    let mut injector = injector_for(si, plan, faults, fired);
+                    engine.run_until_hooked(horizon, &mut injector);
                     engine
                 })
             })
@@ -419,12 +282,20 @@ where
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-    FleetSim::merge_shards_onto(base_profile, finished, horizon).ok_or(ShardError::ZeroShards)
+    let Some(report) = FleetSim::merge_shards_onto(base_profile, finished, horizon) else {
+        unreachable!("{} non-empty groups yield as many shard engines", groups.len());
+    };
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_forced(cfg: FleetConfig, k: usize) -> FleetReport {
+        let shards = Shards::Forced(NonZeroUsize::new(k).unwrap());
+        Run { start: Start::Fresh(cfg), faults: FaultPlan::empty(), shards }.execute()
+    }
 
     #[test]
     fn zero_shards_is_an_error() {
@@ -472,8 +343,9 @@ mod tests {
 
     #[test]
     fn plan_is_seed_independent() {
-        let a = ShardPlan::for_fleet(&FleetConfig::paper_experiment(1), 2).unwrap();
-        let b = ShardPlan::for_fleet(&FleetConfig::paper_experiment(999), 2).unwrap();
+        let two = NonZeroUsize::new(2).unwrap();
+        let a = ShardPlan::for_fleet(&FleetConfig::paper_experiment(1), two);
+        let b = ShardPlan::for_fleet(&FleetConfig::paper_experiment(999), two);
         assert_eq!(a, b);
     }
 
@@ -482,7 +354,7 @@ mod tests {
         let serial = FleetSim::run(FleetConfig::paper_experiment(5));
         // Forced: the 20-device paper fleet is below the fallback
         // threshold, and this smoke test wants the real split machinery.
-        let sharded = run_sharded_forced(FleetConfig::paper_experiment(5), 2).unwrap();
+        let sharded = run_forced(FleetConfig::paper_experiment(5), 2);
         assert_eq!(serial.digest(), sharded.digest());
     }
 
@@ -493,7 +365,7 @@ mod tests {
         // and still digest exactly like serial and like a forced split.
         let serial = FleetSim::run(FleetConfig::paper_experiment(9));
         let auto = run_sharded(FleetConfig::paper_experiment(9), 4).unwrap();
-        let forced = run_sharded_forced(FleetConfig::paper_experiment(9), 4).unwrap();
+        let forced = run_forced(FleetConfig::paper_experiment(9), 4);
         assert_eq!(serial.digest(), auto.digest());
         assert_eq!(serial.digest(), forced.digest());
         assert_eq!(serial.events_processed, auto.events_processed);
@@ -513,7 +385,9 @@ mod tests {
         );
         drop(engine);
         let resumed = crate::snapshot::resume_from_bytes(&bytes, cfg()).unwrap();
-        let report = run_resumed_forced(resumed.engine, 2).unwrap();
+        let shards = Shards::Forced(NonZeroUsize::new(2).unwrap());
+        let start = Start::Resumed(Box::new(resumed));
+        let report = Run { start, faults: FaultPlan::empty(), shards }.execute();
         assert_eq!(report.digest(), baseline.digest());
         assert_eq!(report.events_processed, baseline.events_processed);
     }

@@ -197,6 +197,10 @@ pub enum SamplingMode {
     Reference,
 }
 
+/// Arm count of [`FleetConfig::scaled`]: divisible by 2, 4 and 8 so the
+/// LPT shard plan balances perfectly at the usual shard counts.
+pub const SCALE_ARMS: usize = 16;
+
 /// Whole-simulation configuration.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -225,6 +229,21 @@ impl FleetConfig {
             ],
             env: bom::Environment::default(),
             sampling: SamplingMode::Legacy,
+        }
+    }
+
+    /// A synthetic `devices`-device fleet: [`SCALE_ARMS`] equal owned
+    /// arms of `devices / SCALE_ARMS` sensors (at least one) with 2
+    /// gateways each, otherwise the paper experiment (seed, horizon,
+    /// environment, sampling). Many equal arms keep the shard plan
+    /// balanced. The throughput bench and `century-serve`'s `scaled`
+    /// scenario both build this shape.
+    pub fn scaled(seed: u64, devices: usize) -> Self {
+        FleetConfig {
+            arms: (0..SCALE_ARMS)
+                .map(|_| ArmConfig::paper_owned_154((devices / SCALE_ARMS).max(1), 2))
+                .collect(),
+            ..Self::paper_experiment(seed)
         }
     }
 
@@ -488,7 +507,7 @@ pub struct FleetSim {
 
 /// The registry-free output of build phase 1 for one arm: a pure function
 /// of `(config, arm index)`, computable on any thread
-/// (see [`FleetSim::build_parallel`]).
+/// (see [`FleetSim::build_parallel_with`]).
 struct ArmPlan {
     store: DeviceStore,
     infra: ArmInfra,
@@ -510,7 +529,7 @@ impl FleetSim {
     /// previous run (see [`Engine::new_with_queue`]) — the replicate-worker
     /// fast path. Event order, and therefore the run digest, is identical
     /// to a fresh build.
-    pub fn build_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> Engine<FleetSim> {
+    pub(crate) fn build_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> Engine<FleetSim> {
         let plans = (0..cfg.arms.len()).map(|ai| Self::plan_arm(&cfg, ai)).collect();
         Self::assemble(cfg, plans, queue)
     }
@@ -528,18 +547,14 @@ impl FleetSim {
     /// lifetimes per arm) dominates build time, which is what was
     /// Amdahl-capping the sharded sweep.
     ///
+    /// The shard runner calls this for a fresh run that splits into two or
+    /// more shards, with at least its shard count as `workers`: a
+    /// container whose cgroup quota reports one core still runs `k`
+    /// shard threads, so the plan phase should fan out just as wide.
+    ///
     /// [`plan_arm`]: Self::plan_arm
     /// [`assemble`]: Self::assemble
-    pub fn build_parallel(cfg: FleetConfig) -> Engine<FleetSim> {
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        Self::build_parallel_with(cfg, workers)
-    }
-
-    /// [`build_parallel`](Self::build_parallel) with an explicit worker
-    /// count. The sharded runner passes its shard count here: a container
-    /// whose cgroup quota reports one core still runs `k` shard threads,
-    /// so the plan phase should fan out just as wide.
-    pub fn build_parallel_with(cfg: FleetConfig, workers: usize) -> Engine<FleetSim> {
+    pub(crate) fn build_parallel_with(cfg: FleetConfig, workers: usize) -> Engine<FleetSim> {
         let n = cfg.arms.len();
         let workers = workers.min(n.max(1));
         if workers <= 1 {
@@ -566,7 +581,7 @@ impl FleetSim {
     /// deploys, the coverage lottery, initial spend, and the arm's primed
     /// events (in the canonical device → provider → gateway order). No
     /// registry or queue access, so arms can be planned concurrently
-    /// ([`build_parallel`](Self::build_parallel)) with a bit-identical
+    /// ([`build_parallel_with`](Self::build_parallel_with)) with a bit-identical
     /// result.
     fn plan_arm(cfg: &FleetConfig, ai: usize) -> ArmPlan {
         let arm_cfg = &cfg.arms[ai];
@@ -795,10 +810,10 @@ impl FleetSim {
     }
 
     /// Finalizes a finished engine into a [`FleetReport`]: right-censors
-    /// the survivors and collects the per-arm ledgers. Shared by [`run`]
-    /// and external drivers (fault injection wraps the engine itself, then
-    /// finalizes through the same path so reports stay structurally
-    /// identical).
+    /// the survivors and collects the per-arm ledgers. Shared by [`run`],
+    /// [`Run::execute`](crate::run::Run::execute) and external callers
+    /// that step an engine themselves, so reports stay structurally
+    /// identical.
     ///
     /// [`run`]: FleetSim::run
     pub fn into_report(engine: Engine<FleetSim>, horizon: SimTime) -> FleetReport {
@@ -809,7 +824,7 @@ impl FleetSim {
     /// engine's event queue so the caller can recycle its allocations
     /// into the next replicate via
     /// [`build_with_queue`](Self::build_with_queue).
-    pub fn into_report_recycling(
+    pub(crate) fn into_report_recycling(
         engine: Engine<FleetSim>,
         horizon: SimTime,
     ) -> (FleetReport, EventQueue<Ev>) {
@@ -875,22 +890,6 @@ impl FleetSim {
             metrics,
             spans,
         }
-    }
-
-    /// Restores a mid-run simulation from the snapshot file at `path`
-    /// (see [`crate::snapshot`]). `cfg` must be the configuration the
-    /// snapshot was taken under; the rebuilt world is positioned exactly
-    /// at the checkpoint instant.
-    ///
-    /// # Errors
-    ///
-    /// Fail-closed [`simcore::snapshot::SnapshotError`] on any I/O,
-    /// framing, checksum, or configuration defect.
-    pub fn resume_from(
-        path: &std::path::Path,
-        cfg: FleetConfig,
-    ) -> Result<crate::snapshot::ResumedFleet, simcore::snapshot::SnapshotError> {
-        crate::snapshot::resume_from(path, cfg)
     }
 
     /// Event kinds every shard replays locally instead of owning: the
@@ -1008,21 +1007,6 @@ impl FleetSim {
         }
         let events = profile.total_dispatched();
         Some(world.finalize(events, profile, horizon))
-    }
-
-    /// Runs the configured experiment split across `shards` worker
-    /// threads. The report — and therefore its run digest — is
-    /// bit-identical to [`run`](Self::run) for every seed and every shard
-    /// count; see [`crate::shard`] for the partitioner and the argument.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::shard::ShardError::ZeroShards`] when `shards == 0`.
-    pub fn run_sharded(
-        cfg: FleetConfig,
-        shards: usize,
-    ) -> Result<FleetReport, crate::shard::ShardError> {
-        crate::shard::run_sharded(cfg, shards)
     }
 
     /// Evaluates one week for one arm: delivers readings, burns credits,

@@ -29,7 +29,7 @@
 
 use std::path::Path;
 
-use simcore::engine::{Engine, EngineCheckpoint, FaultHook};
+use simcore::engine::{Engine, EngineCheckpoint};
 use simcore::rng::Rng;
 use simcore::snapshot::{self, ByteReader, ByteWriter, SnapshotError};
 use simcore::survival::Observation;
@@ -40,7 +40,7 @@ use telemetry::span::{Span, SpanLog};
 use econ::labor::PersonHours;
 use econ::money::Usd;
 
-use crate::sim::{ArmInfra, ArmKind, ArmState, Ev, FleetConfig, FleetReport, FleetSim, SamplingMode};
+use crate::sim::{ArmInfra, ArmKind, ArmState, Ev, FleetConfig, FleetSim, SamplingMode};
 
 /// Version byte of the fleet snapshot payload. Bump on any layout change;
 /// old files then fail with [`SnapshotError::UnsupportedVersion`] instead
@@ -54,8 +54,8 @@ use crate::sim::{ArmInfra, ArmKind, ArmState, Ev, FleetConfig, FleetReport, Flee
 pub const FLEET_SNAPSHOT_VERSION: u8 = 2;
 
 /// Chaos replay progress at the checkpoint: how far through its
-/// [`FaultPlan`](https://docs.rs/)-ordered schedule the injector had
-/// advanced, and its applied/skipped tallies. All zero for plain runs.
+/// [`FaultPlan`](crate::fault::FaultPlan)-ordered schedule the injector
+/// had advanced, and its applied/skipped tallies. All zero for plain runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosProgress {
     /// Index of the next fault to fire in the serial plan order.
@@ -68,37 +68,14 @@ pub struct ChaosProgress {
 
 /// A restored mid-run simulation: the engine positioned exactly where the
 /// checkpoint was taken, plus the chaos progress needed to resume an
-/// injected run. Produced by [`resume_from`] / [`resume_from_bytes`].
+/// injected run. Produced by [`resume_from`] / [`resume_from_bytes`];
+/// run it to the horizon as a [`Start::Resumed`](crate::run::Start::Resumed)
+/// [`Run`](crate::run::Run).
 pub struct ResumedFleet {
     /// The engine, clock and queue restored to the checkpoint instant.
     pub engine: Engine<FleetSim>,
     /// Chaos replay progress stored in the snapshot (zeros for plain runs).
     pub chaos: ChaosProgress,
-}
-
-impl ResumedFleet {
-    /// The configured horizon of the resumed run.
-    pub fn horizon(&self) -> SimTime {
-        SimTime::ZERO + self.engine.world().cfg.horizon
-    }
-
-    /// Runs the restored engine to its horizon and finalizes through the
-    /// same path as [`FleetSim::run`], so the report digests bit-identically
-    /// to an uninterrupted run.
-    pub fn run_to_horizon(mut self) -> FleetReport {
-        let horizon = self.horizon();
-        self.engine.run_until(horizon);
-        FleetSim::into_report(self.engine, horizon)
-    }
-
-    /// [`run_to_horizon`](Self::run_to_horizon) with a fault hook — the
-    /// chaos crate resumes an injected run through this, wrapping the
-    /// remaining plan suffix in a fresh injector.
-    pub fn run_to_horizon_hooked<H: FaultHook<FleetSim>>(mut self, hook: &mut H) -> FleetReport {
-        let horizon = self.horizon();
-        self.engine.run_until_hooked(horizon, hook);
-        FleetSim::into_report(self.engine, horizon)
-    }
 }
 
 /// A 64-bit FNV-1a fold of the configuration facets that determine the
@@ -188,26 +165,6 @@ pub fn write_checkpoint(
 ) -> Result<(), SnapshotError> {
     let bytes = checkpoint_bytes(engine, chaos);
     snapshot::write_atomic(path, &bytes)
-}
-
-/// Runs a plain (fault-free) simulation to the checkpoint boundary `at`
-/// and writes an atomic snapshot there, returning the engine still
-/// positioned at `at` — keep running it, or drop it and [`resume_from`]
-/// later. Chaos runs checkpoint through the `chaos` crate instead, which
-/// carries the injector's replay progress into the snapshot.
-///
-/// # Errors
-///
-/// [`SnapshotError::Io`] on any filesystem failure.
-pub fn checkpoint_run(
-    cfg: FleetConfig,
-    at: SimTime,
-    path: &Path,
-) -> Result<Engine<FleetSim>, SnapshotError> {
-    let mut engine = FleetSim::build(cfg);
-    engine.run_until(at);
-    write_checkpoint(path, &mut engine, ChaosProgress::default())?;
-    Ok(engine)
 }
 
 /// Restores a mid-run simulation from a sealed snapshot image.
@@ -617,6 +574,8 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use crate::run::{Run, Shards, Start};
     use simcore::time::SimDuration;
 
     fn cfg(seed: u64) -> FleetConfig {
@@ -636,7 +595,8 @@ mod tests {
         drop(engine);
         let resumed = resume_from_bytes(&bytes, cfg(11)).expect("snapshot round-trips");
         assert_eq!(resumed.chaos, ChaosProgress::default());
-        let report = resumed.run_to_horizon();
+        let start = Start::Resumed(Box::new(resumed));
+        let report = Run { start, faults: FaultPlan::empty(), shards: Shards::SERIAL }.execute();
         assert_eq!(report.digest(), baseline.digest());
         assert_eq!(report.events_processed, baseline.events_processed);
     }

@@ -19,8 +19,12 @@
 //! serial by the `fleet::shard` contract, so `k=1` and `k=4` requests
 //! for the same scenario share one cache entry.
 
+use std::num::NonZeroUsize;
+
 use chaos::{FaultPlan, FaultPlanBuilder};
-use fleet::sim::{ArmConfig, FleetConfig, FleetReport, FleetSim, SamplingMode};
+use fleet::run::{Run, Shards, Start};
+use fleet::shard::ShardError;
+use fleet::sim::{FleetConfig, SamplingMode};
 use fleet::snapshot::config_fingerprint;
 use simcore::snapshot::{fnv1a, ByteWriter};
 use simcore::time::SimDuration;
@@ -48,8 +52,9 @@ pub const MAX_DEVICES: usize = 4_000_000;
 pub enum Scenario {
     /// The paper's two-arm experiment ([`FleetConfig::paper_experiment`]).
     Paper,
-    /// The throughput bench's synthetic many-arm fleet: 16 equal owned
-    /// arms totalling `devices` sensors.
+    /// The throughput bench's synthetic many-arm fleet
+    /// ([`FleetConfig::scaled`]): 16 equal owned arms totalling `devices`
+    /// sensors.
     Scaled {
         /// Total device count across the 16 arms.
         devices: usize,
@@ -95,7 +100,8 @@ pub struct RunSpec {
 
 /// What a completed run leaves behind: the digest, the event count, and
 /// the rendered JSONL body (diary, spans, metrics — the
-/// [`FleetReport::export_jsonl`] stream the daemon serves back).
+/// [`FleetReport::export_jsonl`](fleet::sim::FleetReport::export_jsonl)
+/// stream the daemon serves back).
 #[derive(Debug)]
 pub struct RunArtifact {
     /// The deterministic 64-bit run digest.
@@ -112,14 +118,7 @@ impl RunSpec {
     pub fn fleet_config(&self) -> FleetConfig {
         let mut cfg = match self.scenario {
             Scenario::Paper => FleetConfig::paper_experiment(self.seed),
-            Scenario::Scaled { devices } => {
-                let mut cfg = FleetConfig::paper_experiment(self.seed);
-                // 16 equal owned arms, the bench's shard-friendly shape.
-                cfg.arms = (0..16)
-                    .map(|_| ArmConfig::paper_owned_154((devices / 16).max(1), 2))
-                    .collect();
-                cfg
-            }
+            Scenario::Scaled { devices } => FleetConfig::scaled(self.seed, devices),
         };
         cfg.horizon = SimDuration::from_years(self.years);
         cfg.with_sampling(self.sampling)
@@ -173,27 +172,22 @@ impl RunSpec {
         fnv1a(w.as_bytes())
     }
 
-    /// Executes the run on the existing substrate: serial
-    /// [`FleetSim::run`] at `shards == 1`, the forced sharded path
-    /// ([`fleet::shard::run_sharded_forced`] /
-    /// [`chaos::run_sharded_with_plan_forced`]) above it — *forced* so a
-    /// `k=4` request genuinely exercises multi-shard execution even on
-    /// small fleets, exactly like the differential suites.
+    /// Executes the request as one fresh [`Run`] under
+    /// [`Shards::Forced`] — *forced* so a `k=4` request genuinely
+    /// exercises multi-shard execution even on small fleets, exactly like
+    /// the differential suites; `k=1` is the serial run.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] for an invalid chaos recipe,
-    /// [`ServeError::Internal`] for shard-plan failures.
+    /// [`ServeError::Internal`] for a zero shard count.
     pub fn execute(&self) -> Result<RunArtifact, ServeError> {
-        let cfg = self.fleet_config();
-        let plan = self.fault_plan()?;
-        let internal = |e: fleet::shard::ShardError| ServeError::Internal(format!("shard: {e}"));
-        let report: FleetReport = match (plan, self.shards) {
-            (None, 1) => FleetSim::run(cfg),
-            (None, k) => fleet::shard::run_sharded_forced(cfg, k).map_err(internal)?,
-            (Some(p), 1) => chaos::run_with_plan(cfg, p),
-            (Some(p), k) => chaos::run_sharded_with_plan_forced(cfg, p, k).map_err(internal)?,
+        let faults = self.fault_plan()?.unwrap_or_default();
+        let Some(k) = NonZeroUsize::new(self.shards) else {
+            return Err(ServeError::Internal(format!("shard: {}", ShardError::ZeroShards)));
         };
+        let start = Start::Fresh(self.fleet_config());
+        let report = Run { start, faults, shards: Shards::Forced(k) }.execute();
         Ok(RunArtifact {
             digest: report.digest(),
             events: report.events_processed,
@@ -298,6 +292,7 @@ pub fn run_spec_from(obj: &crate::json::Object) -> Result<RunSpec, ServeError> {
 mod tests {
     use super::*;
     use crate::json::parse_object;
+    use fleet::sim::FleetSim;
 
     fn spec(json: &str) -> Result<RunSpec, ServeError> {
         run_spec_from(&parse_object(json).map_err(|e| ServeError::BadRequest(e.to_string()))?)

@@ -1,7 +1,8 @@
 //! Time travel: rewind a fifty-year run to just before a storm hits.
 //!
-//! The snapshot layer (`fleet::snapshot` + `chaos::checkpoint_with_plan`)
-//! makes a mid-run checkpoint a first-class artifact: a sealed,
+//! The snapshot layer (`fleet::run::checkpoint` writes, `fleet::snapshot`
+//! restores, a resumed `fleet::run::Run` replays) makes a mid-run
+//! checkpoint a first-class artifact: a sealed,
 //! checksummed file that rebuilds the *exact* simulation state — clock,
 //! pending events, every rng stream, wallets, wear, diaries, chaos replay
 //! progress. This demo uses it the way an operator would after an ugly
@@ -22,8 +23,9 @@
 //! ```
 
 use chaos::{FaultKind, FaultPlanBuilder};
+use fleet::run::{Run, Shards, Start};
 use fleet::sim::FleetConfig;
-use fleet::sim::FleetSim;
+use fleet::snapshot;
 use simcore::time::{SimDuration, SimTime};
 
 fn main() {
@@ -60,7 +62,7 @@ fn main() {
 
     // --- Act 2: checkpoint before the storm, then crash. ----------------
     let snap = std::env::temp_dir().join(format!("time-travel-seed{seed}.snap"));
-    let live = chaos::checkpoint_with_plan(cfg(), plan.clone(), rewind_point, &snap);
+    let live = fleet::run::checkpoint(cfg(), plan.clone(), rewind_point, &snap);
     #[allow(clippy::expect_used)]
     // simlint: allow(P001, demo binary; temp dir is writable)
     let (engine, injector) = live.expect("checkpoint writes to the temp dir");
@@ -82,9 +84,11 @@ fn main() {
     println!("=== replaying the storm from the snapshot ===");
     for attempt in 1..=2 {
         #[allow(clippy::expect_used)]
-        let report = chaos::resume_with_plan(&snap, cfg(), plan.clone())
+        let resumed = snapshot::resume_from(&snap, cfg())
             // simlint: allow(P001, demo binary; the snapshot was just written)
             .expect("the snapshot was just written");
+        let start = Start::Resumed(Box::new(resumed));
+        let report = Run { start, faults: plan.clone(), shards: Shards::SERIAL }.execute();
         let identical = report.digest() == baseline.digest();
         println!(
             "  replay {attempt}: digest {:016x}, {} events — {}",
@@ -98,7 +102,7 @@ fn main() {
     // What the rewound week actually contains: the diary lines around the
     // storm, straight from a resumed run.
     #[allow(clippy::expect_used)]
-    let resumed = FleetSim::resume_from(&snap, cfg())
+    let resumed = snapshot::resume_from(&snap, cfg())
         // simlint: allow(P001, demo binary; the snapshot was just written)
         .expect("the snapshot was just written");
     println!(
@@ -106,8 +110,8 @@ fn main() {
         resumed.engine.now().as_secs() / SimDuration::from_weeks(1).as_secs(),
         resumed.engine.now().as_secs()
     );
-    let mut injector = chaos::FleetInjector::with_progress(plan.clone(), resumed.chaos);
-    let report = resumed.run_to_horizon_hooked(&mut injector);
+    let start = Start::Resumed(Box::new(resumed));
+    let report = Run { start, faults: plan.clone(), shards: Shards::SERIAL }.execute();
     println!("  diary entries for the storm and its aftermath:");
     for line in report
         .diary

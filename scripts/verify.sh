@@ -21,6 +21,9 @@ cargo test -q --release --test golden_digests
 echo "== golden snapshot format (layout pin; intentional changes bump FLEET_SNAPSHOT_VERSION) =="
 cargo test -q --release --test golden_snapshot
 
+echo "== benchmark harness (perfbench compiles against the changed crates; its unit tests pass) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== example smoke pass =="
 cargo run -q --release --example quickstart > /dev/null
 

@@ -22,7 +22,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
-use chaos::FaultPlanBuilder;
+use std::num::NonZeroUsize;
+
+use chaos::{FaultPlan, FaultPlanBuilder};
+use fleet::run::{Run, Shards, Start};
 use fleet::sim::{FleetConfig, FleetReport, FleetSim, SamplingMode};
 
 const SEEDS: [u64; 8] = [1, 2, 3, 7, 42, 97, 1001, 0xdead_beef];
@@ -30,6 +33,12 @@ const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 fn cfg(seed: u64, sampling: SamplingMode) -> FleetConfig {
     FleetConfig::paper_experiment(seed).with_sampling(sampling)
+}
+
+/// A fresh run of `cfg` under `faults`, forced across `k` shards.
+fn run_forced(cfg: FleetConfig, faults: FaultPlan, k: usize) -> FleetReport {
+    let shards = Shards::Forced(NonZeroUsize::new(k).unwrap());
+    Run { start: Start::Fresh(cfg), faults, shards }.execute()
 }
 
 /// The wall of equality the differential demands: the full digest, plus
@@ -89,7 +98,7 @@ fn aggregate_matches_reference_plain_across_seeds_and_k() {
                 // Forced: the paper fleet sits below the small-fleet
                 // serial fallback, and this suite wants the real
                 // multi-shard aggregate path.
-                fleet::shard::run_sharded_forced(cfg(seed, SamplingMode::Aggregate), k).unwrap()
+                run_forced(cfg(seed, SamplingMode::Aggregate), FaultPlan::empty(), k)
             };
             assert_equivalent(&agg, &reference, &format!("seed {seed}, plain, k={k}"));
         }
@@ -109,12 +118,7 @@ fn aggregate_matches_reference_under_full_chaos_across_seeds_and_k() {
             let agg = if k == 1 {
                 chaos::run_with_plan(cfg(seed, SamplingMode::Aggregate), plan.clone())
             } else {
-                chaos::run_sharded_with_plan_forced(
-                    cfg(seed, SamplingMode::Aggregate),
-                    plan.clone(),
-                    k,
-                )
-                .unwrap()
+                run_forced(cfg(seed, SamplingMode::Aggregate), plan.clone(), k)
             };
             assert_equivalent(&agg, &reference, &format!("seed {seed}, chaos=full@1.0, k={k}"));
         }
@@ -128,8 +132,7 @@ fn sharded_aggregate_matches_serial_aggregate() {
     for seed in [1_u64, 42] {
         let serial = FleetSim::run(cfg(seed, SamplingMode::Aggregate));
         for k in [2_usize, 4, 8] {
-            let sharded =
-                fleet::shard::run_sharded_forced(cfg(seed, SamplingMode::Aggregate), k).unwrap();
+            let sharded = run_forced(cfg(seed, SamplingMode::Aggregate), FaultPlan::empty(), k);
             assert_eq!(
                 sharded.digest(),
                 serial.digest(),

@@ -142,3 +142,33 @@ fn serve_request_key_extends_but_never_weakens_the_fingerprint() {
         "the serve key must still distinguish chaos from plain"
     );
 }
+
+#[test]
+fn serve_request_keys_are_pinned() {
+    use serve::scenario::{ChaosSpec, RunSpec, Scenario};
+
+    // `century-serve` files every cached result under its request key, so
+    // a drift in the fingerprint fold, the key fold or a scenario's fleet
+    // shape turns every cached entry into a miss. Change these values
+    // only together with a deliberate cache-format break.
+    let paper = RunSpec {
+        scenario: Scenario::Paper,
+        seed: 42,
+        years: 50,
+        sampling: SamplingMode::Legacy,
+        shards: 1,
+        chaos: ChaosSpec::Off,
+    };
+    assert_eq!(paper.request_key(), 0xdecf_413b_b8fb_8ea1, "paper spec key drifted");
+    let stormy = RunSpec { chaos: ChaosSpec::Storm { intensity: 0.5 }, ..paper.clone() };
+    assert_eq!(stormy.request_key(), 0xecca_7f85_da8f_1052, "storm spec key drifted");
+    let scaled = RunSpec {
+        scenario: Scenario::Scaled { devices: 100_000 },
+        seed: 42,
+        years: 1,
+        sampling: SamplingMode::Aggregate,
+        shards: 4,
+        chaos: ChaosSpec::Off,
+    };
+    assert_eq!(scaled.request_key(), 0x2901_acb8_c2c8_be24, "scaled spec key drifted");
+}

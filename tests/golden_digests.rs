@@ -14,7 +14,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
-use chaos::FaultPlanBuilder;
+use std::num::NonZeroUsize;
+
+use chaos::{FaultPlan, FaultPlanBuilder};
+use fleet::run::{Run, Shards, Start};
 use fleet::sim::{FleetConfig, FleetSim};
 
 const GOLDEN_PATH: &str = "tests/golden/digests.txt";
@@ -33,14 +36,15 @@ fn current_digests() -> Vec<(String, u64)> {
     // Sharded-execution pins (k=4): identical values to the serial pins
     // above by the bit-identity contract, recorded separately so a drift
     // confined to the sharded path cannot hide behind a healthy serial
-    // run. Forced entry points: the 20-device paper fleet is below the
+    // run. Forced shards: the 20-device paper fleet is below the
     // small-fleet serial fallback, and these pins exist to pin the real
     // multi-shard machinery.
-    let report = fleet::shard::run_sharded_forced(FleetConfig::paper_experiment(1), 4)
-        .expect("four shards is valid");
+    let four = Shards::Forced(NonZeroUsize::new(4).expect("four shards is valid"));
+    let start = Start::Fresh(FleetConfig::paper_experiment(1));
+    let report = Run { start, faults: FaultPlan::empty(), shards: four }.execute();
     out.push(("paper_experiment/seed=1/shards=4".to_string(), report.digest()));
-    let report = chaos::run_sharded_with_plan_forced(FleetConfig::paper_experiment(42), plan, 4)
-        .expect("four shards is valid");
+    let start = Start::Fresh(FleetConfig::paper_experiment(42));
+    let report = Run { start, faults: plan, shards: four }.execute();
     out.push(("paper_experiment/seed=42/chaos=full@1.0/shards=4".to_string(), report.digest()));
     out
 }

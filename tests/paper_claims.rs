@@ -128,7 +128,7 @@ fn s4_experiment_sustains_weekly_uptime() {
 }
 
 /// §4 under sharded execution: splitting the experiment across worker
-/// threads (`run_sharded(4)`) must leave every paper number untouched —
+/// threads (`shard::run_sharded(.., 4)`) must leave every paper number untouched —
 /// the E7 AS-diversity exhibit computes identically before and after a
 /// sharded run (no cross-thread perturbation of seeded streams), and the
 /// sharded experiment itself digests identically to the serial §4 run.
@@ -137,7 +137,7 @@ fn s4_paper_numbers_unchanged_under_sharded_execution() {
     let before = bench::exhibits::e7::compute(777);
     let serial = fleet::sim::FleetSim::run(fleet::sim::FleetConfig::paper_experiment(12345));
     let sharded =
-        fleet::sim::FleetSim::run_sharded(fleet::sim::FleetConfig::paper_experiment(12345), 4)
+        fleet::shard::run_sharded(fleet::sim::FleetConfig::paper_experiment(12345), 4)
             .expect("four shards is valid");
     assert_eq!(serial.digest(), sharded.digest(), "sharded §4 run drifted from serial");
     for (s, p) in serial.arms.iter().zip(&sharded.arms) {

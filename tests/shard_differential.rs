@@ -1,7 +1,7 @@
 //! Differential harness for sharded execution: the tentpole's
 //! correctness gate.
 //!
-//! `FleetSim::run_sharded(k)` promises a run digest **bit-identical** to
+//! A sharded [`fleet::run::Run`] promises a run digest **bit-identical** to
 //! the serial run for every seed and every shard count — with and without
 //! fault injection. This suite grinds that promise against 8 seeds ×
 //! k ∈ {1, 2, 3, 8} × {plain, full-intensity chaos}, mirroring the
@@ -12,12 +12,27 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
-use chaos::FaultPlanBuilder;
-use fleet::shard::run_sharded_forced;
-use fleet::sim::{FleetConfig, FleetSim};
+use std::num::NonZeroUsize;
+
+use chaos::{FaultPlan, FaultPlanBuilder};
+use fleet::run::{Run, Shards, Start};
+use fleet::shard::SERIAL_FALLBACK_DEVICES;
+use fleet::sim::{FleetConfig, FleetSim, SamplingMode};
+use fleet::FleetReport;
+use simcore::time::SimDuration;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 7, 42, 97, 1001, 0xdead_beef];
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+
+fn nonzero(k: usize) -> NonZeroUsize {
+    NonZeroUsize::new(k).unwrap()
+}
+
+/// A fresh plain run forced across `k` shards.
+fn split_run(cfg: FleetConfig, k: usize) -> FleetReport {
+    let shards = Shards::Forced(nonzero(k));
+    Run { start: Start::Fresh(cfg), faults: FaultPlan::empty(), shards }.execute()
+}
 
 #[test]
 fn sharded_digest_matches_serial_across_seeds_and_k() {
@@ -27,8 +42,7 @@ fn sharded_digest_matches_serial_across_seeds_and_k() {
             // Forced: the 20-device paper fleet sits below the
             // small-fleet serial fallback, and this suite exists to
             // exercise the real multi-shard machinery.
-            let sharded =
-                run_sharded_forced(FleetConfig::paper_experiment(seed), k).unwrap();
+            let sharded = split_run(FleetConfig::paper_experiment(seed), k);
             assert_eq!(
                 serial.digest(),
                 sharded.digest(),
@@ -50,12 +64,12 @@ fn sharded_digest_matches_serial_under_full_intensity_chaos() {
         let plan = FaultPlanBuilder::full(seed ^ 0xc4a0).build(&cfg, 1.0).unwrap();
         let serial = chaos::run_with_plan(cfg, plan.clone());
         for k in SHARD_COUNTS {
-            let sharded = chaos::run_sharded_with_plan_forced(
-                FleetConfig::paper_experiment(seed),
-                plan.clone(),
-                k,
-            )
-            .unwrap();
+            let sharded = Run {
+                start: Start::Fresh(FleetConfig::paper_experiment(seed)),
+                faults: plan.clone(),
+                shards: Shards::Forced(nonzero(k)),
+            }
+            .execute();
             assert_eq!(
                 serial.digest(),
                 sharded.digest(),
@@ -63,6 +77,19 @@ fn sharded_digest_matches_serial_under_full_intensity_chaos() {
             );
         }
     }
+    // Auto mode above the serial-fallback threshold: a 16-arm aggregate
+    // fleet of exactly SERIAL_FALLBACK_DEVICES devices really splits, so
+    // its fault routing runs across two shards.
+    let mut cfg = FleetConfig::scaled(7, SERIAL_FALLBACK_DEVICES as usize)
+        .with_sampling(SamplingMode::Aggregate);
+    cfg.horizon = SimDuration::from_years(1);
+    let plan = FaultPlanBuilder::full(7 ^ 0xc4a0).build(&cfg, 1.0).unwrap();
+    assert!(!plan.is_empty(), "a year of full chaos over 16 arms fires faults");
+    let serial = chaos::run_with_plan(cfg.clone(), plan.clone());
+    let auto = Run { start: Start::Fresh(cfg), faults: plan, shards: Shards::Auto(nonzero(2)) }
+        .execute();
+    assert_eq!(serial.digest(), auto.digest(), "auto k=2 above the fallback threshold drifted");
+    assert_eq!(serial.events_processed, auto.events_processed, "auto k=2 event count");
 }
 
 #[test]
@@ -70,7 +97,7 @@ fn sharded_profile_dispatch_counts_match_serial() {
     // events_processed equality is necessary but could mask compensating
     // errors; the per-kind dispatch breakdown must match too.
     let serial = FleetSim::run(FleetConfig::paper_experiment(11));
-    let sharded = run_sharded_forced(FleetConfig::paper_experiment(11), 2).unwrap();
+    let sharded = split_run(FleetConfig::paper_experiment(11), 2);
     for &(kind, n) in serial.profile.dispatches() {
         assert_eq!(
             sharded.profile.count(kind),
@@ -89,6 +116,6 @@ fn oversharded_run_still_matches_serial() {
     // k far beyond the arm count: surplus shards sit empty and the
     // degenerate split must not perturb anything.
     let serial = FleetSim::run(FleetConfig::paper_experiment(3));
-    let sharded = run_sharded_forced(FleetConfig::paper_experiment(3), 64).unwrap();
+    let sharded = split_run(FleetConfig::paper_experiment(3), 64);
     assert_eq!(serial.digest(), sharded.digest());
 }

@@ -19,7 +19,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
-use chaos::FaultPlanBuilder;
+use std::num::NonZeroUsize;
+
+use chaos::{FaultPlan, FaultPlanBuilder};
+use fleet::run::{Run, Shards, Start};
 use fleet::sim::{FleetConfig, FleetSim, SamplingMode};
 use fleet::snapshot::{self, ChaosProgress};
 use simcore::snapshot::SnapshotError;
@@ -37,6 +40,12 @@ fn cfg(seed: u64) -> FleetConfig {
 
 fn week(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_weeks(n)
+}
+
+/// Forced: the paper fleet is below the small-fleet serial fallback, and
+/// this suite wants the real multi-shard continuation.
+fn forced(k: usize) -> Shards {
+    Shards::Forced(NonZeroUsize::new(k).unwrap())
 }
 
 fn temp_path(name: String) -> std::path::PathBuf {
@@ -57,14 +66,9 @@ fn plain_resume_matches_uninterrupted_across_seeds_weeks_and_k() {
             for k in SHARD_COUNTS {
                 let resumed = snapshot::resume_from_bytes(&bytes, cfg(seed))
                     .expect("a freshly sealed snapshot verifies");
-                let report = if k == 1 {
-                    resumed.run_to_horizon()
-                } else {
-                    // Forced: the paper fleet is below the small-fleet
-                    // serial fallback, and this suite wants the real
-                    // multi-shard continuation.
-                    fleet::shard::run_resumed_forced(resumed.engine, k).unwrap()
-                };
+                let start = Start::Resumed(Box::new(resumed));
+                let report =
+                    Run { start, faults: FaultPlan::empty(), shards: forced(k) }.execute();
                 assert_eq!(
                     report.digest(),
                     baseline.digest(),
@@ -94,15 +98,12 @@ fn chaos_resume_matches_uninterrupted_across_seeds_weeks_and_k() {
             // verified read — the bench `--checkpoint-every/--resume`
             // flags ride exactly this route.
             let path = temp_path(format!("chaos-{seed}-w{w}.snap"));
-            let _ = chaos::checkpoint_with_plan(cfg(seed), plan.clone(), week(w), &path)
+            let _ = fleet::run::checkpoint(cfg(seed), plan.clone(), week(w), &path)
                 .expect("checkpoint writes atomically");
             for k in SHARD_COUNTS {
-                let report = if k == 1 {
-                    chaos::resume_with_plan(&path, cfg(seed), plan.clone()).unwrap()
-                } else {
-                    chaos::resume_sharded_with_plan_forced(&path, cfg(seed), plan.clone(), k)
-                        .unwrap()
-                };
+                let resumed = snapshot::resume_from(&path, cfg(seed)).unwrap();
+                let start = Start::Resumed(Box::new(resumed));
+                let report = Run { start, faults: plan.clone(), shards: forced(k) }.execute();
                 assert_eq!(
                     report.digest(),
                     baseline.digest(),
@@ -137,11 +138,9 @@ fn aggregate_mode_resume_matches_uninterrupted_across_seeds_weeks_and_k() {
             for k in SHARD_COUNTS {
                 let resumed = snapshot::resume_from_bytes(&bytes, agg(seed))
                     .expect("a freshly sealed aggregate snapshot verifies");
-                let report = if k == 1 {
-                    resumed.run_to_horizon()
-                } else {
-                    fleet::shard::run_resumed_forced(resumed.engine, k).unwrap()
-                };
+                let start = Start::Resumed(Box::new(resumed));
+                let report =
+                    Run { start, faults: FaultPlan::empty(), shards: forced(k) }.execute();
                 assert_eq!(
                     report.digest(),
                     baseline.digest(),
@@ -180,10 +179,10 @@ fn resume_restores_chaos_progress_not_just_state() {
     let plan = FaultPlanBuilder::full(seed).build(&cfg(seed), 1.0).unwrap();
     let path = temp_path("progress-guard.snap".to_string());
     let (_, injector) =
-        chaos::checkpoint_with_plan(cfg(seed), plan.clone(), week(520), &path).unwrap();
+        fleet::run::checkpoint(cfg(seed), plan.clone(), week(520), &path).unwrap();
     let fired = injector.progress().next;
     assert!(fired > 0, "a decade of full-intensity chaos fires faults");
-    let resumed = FleetSim::resume_from(&path, cfg(seed)).unwrap();
+    let resumed = snapshot::resume_from(&path, cfg(seed)).unwrap();
     assert_eq!(resumed.chaos.next, fired, "stored cursor must equal fired count");
     std::fs::remove_file(&path).unwrap();
 }
@@ -199,7 +198,7 @@ fn mid_write_crash_fails_closed() {
     let path = temp_path("torn.snap".to_string());
     for cut in [0, 8, 9, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let err = match FleetSim::resume_from(&path, cfg(7)) {
+        let err = match snapshot::resume_from(&path, cfg(7)) {
             Err(e) => e,
             Ok(_) => panic!("torn snapshot ({cut} of {} bytes) must not load", bytes.len()),
         };
