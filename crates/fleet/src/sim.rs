@@ -25,6 +25,7 @@
 //! availability factor computed by the `energy` crate offline (E12 covers
 //! the fine-grained energy dynamics).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use backhaul::helium::HotspotPopulation;
@@ -488,6 +489,10 @@ pub(crate) struct ArmState {
     /// Telemetry: the open backhaul-outage span, between a provider exit
     /// and the replacement commissioning.
     pub(crate) outage_span: Option<SpanId>,
+    /// The current week's path probability per cohort, refilled by every
+    /// weekly pass before use: a reused buffer rather than a per-week
+    /// allocation, carrying nothing between weeks (never snapshotted).
+    pub(crate) path_probs: Vec<f64>,
 }
 
 /// The simulation world.
@@ -641,25 +646,17 @@ impl FleetSim {
             },
         };
         // Figure 1: each device relies on one or two gateways.
-        let mut home_rng = arm_rng.split("homes", 0);
-        let homes: Vec<Vec<usize>> = match &arm_cfg.kind {
-            ArmKind::Owned { gateways, .. } if *gateways > 0 => (0..arm_cfg.devices)
-                .map(|_| {
-                    let first = home_rng.next_below(*gateways as u64) as usize;
-                    if *gateways > 1 && home_rng.chance(arm_cfg.dual_homed_fraction) {
-                        let mut second = home_rng.next_below(*gateways as u64 - 1) as usize;
-                        if second >= first {
-                            second += 1;
-                        }
-                        vec![first, second]
-                    } else {
-                        vec![first]
-                    }
-                })
-                .collect(),
-            _ => vec![Vec::new(); arm_cfg.devices],
+        let (cohort, cohort_homes) = match &arm_cfg.kind {
+            ArmKind::Owned { gateways, .. } if *gateways > 0 => home_cohorts(
+                arm_cfg.devices,
+                *gateways,
+                arm_cfg.dual_homed_fraction,
+                &mut arm_rng.split("homes", 0),
+            ),
+            _ if arm_cfg.devices > 0 => (vec![0; arm_cfg.devices], vec![Vec::new()]),
+            _ => (Vec::new(), Vec::new()),
         };
-        let store = DeviceStore::build(arm_cfg.device_spec, fails, homes);
+        let store = DeviceStore::build(arm_cfg.device_spec, fails, cohort, cohort_homes);
         let mut report = ArmReport { name: arm_cfg.name, ..ArmReport::default() };
         // Initial spend: device hardware + wallets + gateway hardware.
         let device_cost = Usd::from_dollars(80) * arm_cfg.devices as i64;
@@ -684,10 +681,11 @@ impl FleetSim {
 
     /// Cohort-mode device lifetimes for one arm: `n` sorted uniforms
     /// (exponential spacings, O(n)) mapped through a numeric inverse of
-    /// the archetype's closed-form survival product. Device `i` receives
-    /// the `i`-th order statistic — exchangeable with `n` independent
-    /// draws for every arm-level summary statistic, and two orders of
-    /// magnitude cheaper than a million `sample_ttf` min-of-three calls.
+    /// the archetype's closed-form survival product in one forward walk
+    /// over its knots. Device `i` receives the `i`-th order statistic —
+    /// exchangeable with `n` independent draws for every arm-level summary
+    /// statistic, and two orders of magnitude cheaper than a million
+    /// `sample_ttf` min-of-three calls.
     fn cohort_death_times(cfg: &FleetConfig, arm_cfg: &ArmConfig, arm_rng: &Rng) -> Vec<SimTime> {
         let block = match arm_cfg.device_spec.energy {
             EnergySystem::Harvesting => bom::harvesting_node(&cfg.env),
@@ -701,9 +699,10 @@ impl FleetSim {
             // simlint: allow(P001, the survival product is finite and non-increasing by construction)
             .expect("lifetime CDF is finite and monotone");
         let mut death_rng = arm_rng.split("deaths", 0);
-        sorted_uniforms(arm_cfg.devices, &mut death_rng)
-            .into_iter()
-            .map(|u| SimTime::ZERO.saturating_add(SimDuration::from_years_f64(table.invert(u))))
+        let us = sorted_uniforms(arm_cfg.devices, &mut death_rng);
+        table
+            .invert_ascending(&us)
+            .map(|t| SimTime::ZERO.saturating_add(SimDuration::from_years_f64(t)))
             .collect()
     }
 
@@ -769,6 +768,7 @@ impl FleetSim {
                 weekly_hist,
                 weekly_acc,
                 outage_span: None,
+                path_probs: Vec::new(),
             });
         }
 
@@ -1037,24 +1037,9 @@ impl FleetSim {
         let reports = arm.cfg.device_spec.reports_per_week();
         arm.report.weeks_total += 1;
         arm.report.readings_expected += reports * arm.cfg.devices as u64;
-        // Arm-level infrastructure state (chaos-aware).
-        let federated_prob = match &arm.infra {
-            ArmInfra::Owned { .. } => None,
-            ArmInfra::Federated { hotspots, dark_until, .. } => {
-                let p = if now < *dark_until {
-                    0.0
-                } else {
-                    hotspots.delivery_probability(arm.cfg.per_packet_delivery)
-                };
-                Some(p)
-            }
-        };
-        let owned_backhaul_up = match &arm.infra {
-            ArmInfra::Owned { backhaul_down, flap_until, .. } => {
-                !*backhaul_down && now >= *flap_until
-            }
-            ArmInfra::Federated { .. } => true,
-        };
+        // Path state is per cohort, fixed for the week, and draw-free:
+        // computed once here, it leaves the per-device draw order alone.
+        Self::refresh_path_probs(arm, now);
         let mut any_delivered = false;
         for di in 0..arm.store.len() {
             if !arm.store.alive_at(di, now) {
@@ -1062,24 +1047,9 @@ impl FleetSim {
             }
             // One unconditional draw per alive device (CRN; see above).
             let z = simcore::dist::standard_normal(&mut arm.rng);
-            // Expected deliveries this week for this device: Figure 1's
-            // reliance structure — the device's own gateways must forward.
-            let path_p = match (&arm.infra, federated_prob) {
-                (ArmInfra::Owned { gateways, .. }, _) => {
-                    let heard = arm
-                        .store
-                        .homes(di)
-                        .iter()
-                        .any(|&g| gateways.get(g).is_some_and(|gw| gw.forwarding_at(now)));
-                    if heard && owned_backhaul_up {
-                        arm.cfg.per_packet_delivery
-                    } else {
-                        0.0
-                    }
-                }
-                (_, Some(p)) => p,
-                _ => 0.0,
-            };
+            // Figure 1's reliance structure: the device's own gateways
+            // must forward (its cohort's path probability).
+            let path_p = arm.path_probs[arm.store.cohort_of(di)];
             let p_packet = if !cloud_up || arm.store.stuck_at(di, now) {
                 0.0
             } else {
@@ -1133,29 +1103,28 @@ impl FleetSim {
         }
     }
 
-    /// Per-cohort path probability this week, shared by the aggregate and
-    /// reference passes: owned cohorts need any home gateway forwarding
-    /// plus the backhaul up; federated cohorts ride the hotspot census
-    /// (or a chaos blackout).
-    fn cohort_path_probs(arm: &ArmState, now: SimTime) -> Vec<f64> {
+    /// Refills `arm.path_probs` with this week's path probability per
+    /// cohort, shared by all three weekly passes: owned cohorts need any
+    /// home gateway forwarding plus the backhaul up; federated cohorts ride
+    /// the hotspot census (or a chaos blackout).
+    fn refresh_path_probs(arm: &mut ArmState, now: SimTime) {
         let ncoh = arm.store.cohort_count();
+        arm.path_probs.clear();
         match &arm.infra {
             ArmInfra::Owned { gateways, backhaul_down, flap_until, .. } => {
                 let backhaul_up = !*backhaul_down && now >= *flap_until;
-                (0..ncoh)
-                    .map(|c| {
-                        let heard = arm
-                            .store
-                            .cohort_homes(c)
-                            .iter()
-                            .any(|&g| gateways.get(g).is_some_and(|gw| gw.forwarding_at(now)));
-                        if heard && backhaul_up {
-                            arm.cfg.per_packet_delivery
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
+                arm.path_probs.extend((0..ncoh).map(|c| {
+                    let heard = arm
+                        .store
+                        .cohort_homes(c)
+                        .iter()
+                        .any(|&g| gateways.get(g).is_some_and(|gw| gw.forwarding_at(now)));
+                    if heard && backhaul_up {
+                        arm.cfg.per_packet_delivery
+                    } else {
+                        0.0
+                    }
+                }));
             }
             ArmInfra::Federated { hotspots, dark_until, .. } => {
                 let p = if now < *dark_until {
@@ -1163,7 +1132,7 @@ impl FleetSim {
                 } else {
                     hotspots.delivery_probability(arm.cfg.per_packet_delivery)
                 };
-                vec![p; ncoh]
+                arm.path_probs.resize(ncoh, p);
             }
         }
     }
@@ -1177,14 +1146,14 @@ impl FleetSim {
         arm: &ArmState,
         now: SimTime,
         cloud_up: bool,
-        probs: &[f64],
         participants: &[u64],
         reports: u64,
     ) -> (Vec<u64>, Vec<u64>) {
         let energy = arm.cfg.device_spec.energy_availability;
-        let mut base = vec![0u64; probs.len()];
-        let mut rem = vec![0u64; probs.len()];
-        for (c, &p) in probs.iter().enumerate() {
+        let ncoh = arm.path_probs.len();
+        let mut base = vec![0u64; ncoh];
+        let mut rem = vec![0u64; ncoh];
+        for (c, &p) in arm.path_probs.iter().enumerate() {
             let pe = if cloud_up { p * energy } else { 0.0 };
             let trials = participants[c] * reports;
             if trials == 0 || pe <= 0.0 {
@@ -1223,8 +1192,8 @@ impl FleetSim {
         arm.report.readings_expected += reports * arm.cfg.devices as u64;
         let payload_len = arm.cfg.device_spec.payload.len() as u32;
 
-        let probs = Self::cohort_path_probs(arm, now);
-        let ncoh = probs.len();
+        Self::refresh_path_probs(arm, now);
+        let ncoh = arm.path_probs.len();
 
         // Participants per cohort: the incremental alive counts minus the
         // currently-stuck present devices (corrected over the short
@@ -1239,8 +1208,7 @@ impl FleetSim {
             }
         }
 
-        let (base, rem) =
-            Self::cohort_totals(arm, now, cloud_up, &probs, &participants, reports);
+        let (base, rem) = Self::cohort_totals(arm, now, cloud_up, &participants, reports);
 
         // Owned arms with nobody stuck or byzantine: every participant's
         // delivered count *is* its share, so the histogram counts follow
@@ -1349,8 +1317,8 @@ impl FleetSim {
         arm.report.readings_expected += reports * arm.cfg.devices as u64;
         let payload_len = arm.cfg.device_spec.payload.len() as u32;
 
-        let probs = Self::cohort_path_probs(arm, now);
-        let ncoh = probs.len();
+        Self::refresh_path_probs(arm, now);
+        let ncoh = arm.path_probs.len();
 
         // Participants recounted from scratch (the oracle for the
         // aggregate pass's incremental counts + stuck-index correction).
@@ -1362,8 +1330,7 @@ impl FleetSim {
             }
         }
 
-        let (base, rem) =
-            Self::cohort_totals(arm, now, cloud_up, &probs, &participants, reports);
+        let (base, rem) = Self::cohort_totals(arm, now, cloud_up, &participants, reports);
 
         let mut rank = vec![0u64; ncoh];
         let mut any_delivered = false;
@@ -1644,6 +1611,44 @@ impl FleetSim {
         );
         true
     }
+}
+
+/// Figure 1's deployment lottery for an owned arm with `gateways ≥ 1`:
+/// each device relies on one gateway, or on two with probability
+/// `dual_homed_fraction`. Returns each device's cohort id and each
+/// cohort's canonical (sorted) home set, ids in first-appearance order.
+/// The draws per device are fixed — `next_below(gateways)`, then (with two
+/// or more gateways) a `chance` and, if dual-homed, a second
+/// `next_below(gateways − 1)` — so the cohort an id names, and the
+/// `agg_root.split("cohort", c)` stream it keys, follow from the seed.
+fn home_cohorts(
+    devices: usize,
+    gateways: usize,
+    dual_homed_fraction: f64,
+    rng: &mut Rng,
+) -> (Vec<u32>, Vec<Vec<usize>>) {
+    let g = gateways as u64;
+    let mut ids: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+    let mut homes: Vec<Vec<usize>> = Vec::new();
+    let cohort = (0..devices)
+        .map(|_| {
+            let first = rng.next_below(g) as usize;
+            let pair = if gateways > 1 && rng.chance(dual_homed_fraction) {
+                let mut second = rng.next_below(g - 1) as usize;
+                if second >= first {
+                    second += 1;
+                }
+                (first.min(second), first.max(second))
+            } else {
+                (first, first)
+            };
+            *ids.entry(pair).or_insert_with(|| {
+                homes.push(if pair.0 == pair.1 { vec![pair.0] } else { vec![pair.0, pair.1] });
+                (homes.len() - 1) as u32
+            })
+        })
+        .collect();
+    (cohort, homes)
 }
 
 /// Maps a checkpointed dispatch-count name back to the `&'static` entry
@@ -2258,6 +2263,117 @@ mod tests {
         for e in report.diary.entries() {
             assert!(e.at >= last);
             last = e.at;
+        }
+    }
+
+    #[test]
+    fn home_cohorts_replay_the_per_device_lottery() {
+        // The lottery as it was drawn into one home list per device.
+        fn per_device(devices: usize, g: usize, dual: f64, rng: &mut Rng) -> Vec<Vec<usize>> {
+            (0..devices)
+                .map(|_| {
+                    let first = rng.next_below(g as u64) as usize;
+                    if g > 1 && rng.chance(dual) {
+                        let mut second = rng.next_below(g as u64 - 1) as usize;
+                        if second >= first {
+                            second += 1;
+                        }
+                        vec![first, second]
+                    } else {
+                        vec![first]
+                    }
+                })
+                .collect()
+        }
+        for (g, dual) in [(1, 0.5), (2, 0.5), (3, 1.0), (5, 0.3), (4, 0.0)] {
+            let rng = Rng::seed_from(g as u64);
+            let (mut a, mut b) = (rng.clone(), rng);
+            let (cohort, homes) = home_cohorts(300, g, dual, &mut a);
+            let lists = per_device(300, g, dual, &mut b);
+            assert_eq!(a.next_u64(), b.next_u64(), "g {g}: same draws consumed");
+            let mut seen = 0;
+            for (di, list) in lists.iter().enumerate() {
+                let mut canon = list.clone();
+                canon.sort_unstable();
+                let c = cohort[di] as usize;
+                assert_eq!(homes[c], canon, "g {g} device {di}");
+                assert!(c <= seen, "g {g}: ids are assigned in first-appearance order");
+                seen = seen.max(c + 1);
+            }
+            assert_eq!(seen, homes.len(), "g {g}: every cohort is used");
+        }
+    }
+
+    /// Runs the same fleet under `Aggregate` and `Reference` to several
+    /// checkpoint weeks and compares every device row — including the
+    /// sequence counters, which no digest covers.
+    #[cfg(feature = "reference-mode")]
+    #[test]
+    fn aggregate_matches_reference_on_every_device_row() {
+        use crate::fault::{Fault, FaultKind, FaultPlan, FleetInjector};
+
+        let row_key = |d: &DeviceState| {
+            (d.installed_at, d.fails_at, d.failed, d.seq, d.stuck_until, d.byzantine_until)
+        };
+        let weeks = [2u64, 9, 30, 53, 130, 209];
+        for seed in 1..=4u64 {
+            for chaos in [false, true] {
+                let cfg = |sampling| FleetConfig {
+                    seed,
+                    horizon: SimDuration::from_years(4),
+                    arms: vec![
+                        ArmConfig::paper_owned_154(60, 2),
+                        ArmConfig::paper_owned_154(45, 3),
+                        ArmConfig::paper_helium(30, 4),
+                    ],
+                    sampling,
+                    ..FleetConfig::paper_experiment(seed)
+                };
+                let mut faults = Vec::new();
+                if chaos {
+                    for (i, w) in [3u64, 20, 21, 60, 120].into_iter().enumerate() {
+                        let at = SimTime::ZERO + SimDuration::from_weeks(w);
+                        let (arm, device) = (i % 3, (7 * i + seed as usize) % 30);
+                        let duration = SimDuration::from_weeks(1 + i as u64 * 3);
+                        faults.push(Fault {
+                            at,
+                            kind: FaultKind::DeviceStuck { arm, device, duration },
+                        });
+                        faults.push(Fault {
+                            at,
+                            kind: FaultKind::DeviceByzantine { arm, device: device + 1, duration },
+                        });
+                    }
+                }
+                let plan = FaultPlan::from_faults(faults);
+                let mut agg = FleetSim::build(cfg(SamplingMode::Aggregate));
+                let mut refr = FleetSim::build(cfg(SamplingMode::Reference));
+                let mut agg_hook = FleetInjector::new(plan.clone());
+                let mut ref_hook = FleetInjector::new(plan);
+                for &w in &weeks {
+                    let at = SimTime::ZERO + SimDuration::from_weeks(w);
+                    agg.run_until_hooked(at, &mut agg_hook);
+                    refr.run_until_hooked(at, &mut ref_hook);
+                    let mut delivered = 0u64;
+                    for (a, r) in agg.world().arms.iter().zip(&refr.world().arms) {
+                        assert_eq!(a.store.len(), r.store.len());
+                        for di in 0..a.store.len() {
+                            assert_eq!(
+                                row_key(&a.store.row(di)),
+                                row_key(&r.store.row(di)),
+                                "seed {seed} chaos {chaos} week {w} arm {} device {di}",
+                                a.id
+                            );
+                            delivered = delivered.wrapping_add(a.store.seq(di));
+                        }
+                    }
+                    assert!(delivered > 0, "seed {seed} week {w}: counters never moved");
+                }
+                assert_eq!(agg_hook.applied(), ref_hook.applied());
+                if chaos {
+                    assert!(agg_hook.applied() > 0, "the chaos plan must inject");
+                }
+            }
         }
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! * **Rebuilt, not stored.** Everything `FleetSim::build` derives purely
 //!   from the [`FleetConfig`] — the config itself, arm metadata, device
-//!   specs, gateway specs, the deployment-time coverage lottery
-//!   (`homes`), the cloud ritual calendar, metric registration. Resume
-//!   re-runs `build` on the caller's config and asserts (via a config
-//!   fingerprint) that it matches the one the snapshot was taken under.
+//!   specs, gateway specs, the deployment-time coverage lottery (each
+//!   device's home cohort), the cloud ritual calendar, metric
+//!   registration. Resume re-runs `build` on the caller's config and
+//!   asserts (via a config fingerprint) that it matches the one the
+//!   snapshot was taken under.
 //! * **Stored and overlaid.** Everything the run mutates: the engine's
 //!   clock, dispatch counters and pending event queue
 //!   ([`simcore::engine::EngineCheckpoint`]); each arm's runtime rng

@@ -195,6 +195,8 @@ pub struct PoolMetrics {
     pub execute_ms: Histogram,
     /// Cache lookup (read + verify) time, per cache-using request.
     pub lookup_ms: Histogram,
+    /// Cache store (seal + atomic write) time, per stored execution.
+    pub store_ms: Histogram,
 }
 
 impl PoolMetrics {
@@ -218,6 +220,7 @@ impl PoolMetrics {
             queue_wait_ms: reg.histogram("serve.queue_wait_ms", latency_ms_buckets()?)?,
             execute_ms: reg.histogram("serve.execute_ms", latency_ms_buckets()?)?,
             lookup_ms: reg.histogram("serve.cache.lookup_ms", latency_ms_buckets()?)?,
+            store_ms: reg.histogram("serve.cache.store_ms", latency_ms_buckets()?)?,
         })
     }
 }
@@ -435,7 +438,9 @@ fn worker_loop(shared: &Shared) {
             if job.store {
                 // A failed store only loses memoization, never the
                 // response; the artifact is still published to waiters.
+                let started = Instant::now();
                 let _ = shared.cache.store(job.key, artifact);
+                observe_ms(&shared.metrics.store_ms, started);
             }
         }
         {

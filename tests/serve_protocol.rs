@@ -357,11 +357,15 @@ fn latency_histograms_reach_stats_and_never_enter_a_digest() {
         (_, Response::Result(obj)) => obj,
         (_, other) => panic!("expected stats, got {other:?}"),
     };
-    for name in
-        ["serve.queue_wait_ms", "serve.execute_ms", "serve.cache.lookup_ms", "serve.respond_ms"]
-    {
+    for name in [
+        "serve.queue_wait_ms",
+        "serve.execute_ms",
+        "serve.cache.lookup_ms",
+        "serve.cache.store_ms",
+        "serve.respond_ms",
+    ] {
         // One miss so far: one lookup, one queued job, one execution,
-        // one response.
+        // one cache store, one response.
         assert_eq!(stat(&stats, &format!("{name}.count")), 1.0, "{name}");
         let (p50, p99) =
             (stat(&stats, &format!("{name}.p50")), stat(&stats, &format!("{name}.p99")));
