@@ -160,11 +160,11 @@ impl ShardPlan {
 
 /// Fleets smaller than this many devices run serially under
 /// [`Shards::Auto`]: below it the per-thread spawn/merge overhead exceeds
-/// the parallel win (the throughput bench measured a 0.979× *slowdown*
-/// at 10k devices and a 1.34× speedup at 100k —
-/// `BENCH_sim_throughput.json`). [`Shards::Forced`] bypasses the
-/// threshold; the differential and golden suites use it so small test
-/// fleets still exercise the real multi-shard machinery.
+/// the parallel win (a bench row recorded in commit `c575f22` measured a
+/// 0.979× *slowdown* at 10k devices and a 1.34× speedup at 100k, k = 8).
+/// [`Shards::Forced`] bypasses the threshold; the differential and golden
+/// suites use it so small test fleets still exercise the real multi-shard
+/// machinery.
 pub const SERIAL_FALLBACK_DEVICES: u64 = 50_000;
 
 /// Total configured device count — the work measure the serial-fallback

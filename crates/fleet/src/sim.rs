@@ -237,8 +237,9 @@ impl FleetConfig {
     /// arms of `devices / SCALE_ARMS` sensors (at least one) with 2
     /// gateways each, otherwise the paper experiment (seed, horizon,
     /// environment, sampling). Many equal arms keep the shard plan
-    /// balanced. The throughput bench and `century-serve`'s `scaled`
-    /// scenario both build this shape.
+    /// balanced. The benchmark's `fleet_1m` workload, the scale-point
+    /// differentials and `century-serve`'s `scaled` scenario all build
+    /// this shape.
     pub fn scaled(seed: u64, devices: usize) -> Self {
         FleetConfig {
             arms: (0..SCALE_ARMS)

@@ -218,8 +218,8 @@ impl Coverage {
     }
 
     /// FNV-1a 64-bit digest of the full reliance structure — the
-    /// bit-identity currency of the grid differential harness and the
-    /// throughput bench's grid-vs-pairwise cross-check.
+    /// bit-identity currency of the grid differential harness
+    /// (`tests/grid_differential.rs`), up to the 320k-pole LA city.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.device_gateways.len() as u64);

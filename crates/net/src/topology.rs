@@ -117,6 +117,19 @@ impl ManhattanCity {
         c
     }
 
+    /// The smallest square city whose utility-pole census reaches `poles`.
+    ///
+    /// Each 100 m block edge carries 3 poles at 33 m spacing and an n×n
+    /// city has 2n(n+1) street edges, so it holds 6n(n+1) poles; the LA
+    /// census of 320,000 poles lands on n = 231 (23.1 km a side).
+    pub fn with_poles(poles: usize) -> Self {
+        let mut n = 1u32;
+        while 6 * (n as usize) * (n as usize + 1) < poles {
+            n += 1;
+        }
+        ManhattanCity::new(n, n)
+    }
+
     fn validate(&self) {
         assert!(self.bx > 0 && self.by > 0, "need at least one block");
         assert!(
@@ -268,6 +281,20 @@ mod tests {
         let lr = lights as f64 / intersections as f64;
         assert!(pr > 2.0 && pr < 8.0, "pole ratio {pr}");
         assert!(lr > 1.5 && lr < 6.0, "light ratio {lr}");
+    }
+
+    #[test]
+    fn with_poles_is_the_smallest_square_city_reaching_the_census() {
+        for target in [1, 12, 13, 2_000, 20_000] {
+            let c = ManhattanCity::with_poles(target);
+            assert_eq!(c.bx, c.by);
+            assert!(c.census().0 >= target, "{target}: census too small");
+            if c.bx > 1 {
+                let smaller = ManhattanCity::new(c.bx - 1, c.by - 1);
+                assert!(smaller.census().0 < target, "{target}: not the smallest");
+            }
+        }
+        assert_eq!(ManhattanCity::with_poles(320_000).bx, 231);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub const MAX_DEVICES: usize = 4_000_000;
 pub enum Scenario {
     /// The paper's two-arm experiment ([`FleetConfig::paper_experiment`]).
     Paper,
-    /// The throughput bench's synthetic many-arm fleet
+    /// The synthetic many-arm fleet
     /// ([`FleetConfig::scaled`]): 16 equal owned arms totalling `devices`
     /// sensors.
     Scaled {

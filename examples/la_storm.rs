@@ -38,8 +38,8 @@ const STORM_RADIUS_M: f64 = 400.0;
 const SWEEP_HOURS: usize = 24;
 
 /// Street-asset radio at 2.4 GHz — the parameter set whose ~1.1 km cull
-/// radius makes the grid resolve city-scale-fast (see the throughput
-/// bench's topology sweep).
+/// radius makes the grid resolve city-scale-fast (see the 320k-pole
+/// tests in `tests/grid_differential.rs`).
 fn radio() -> RadioParams {
     RadioParams {
         tx: Dbm(12.0),
@@ -50,13 +50,8 @@ fn radio() -> RadioParams {
 }
 
 fn main() {
-    // The smallest square Manhattan city reaching the pole census:
-    // 6n(n+1) poles for n×n blocks puts 320k at n = 231 (23.1 km side).
-    let mut n = 1u32;
-    while 6 * (n as usize) * (n as usize + 1) < POLES {
-        n += 1;
-    }
-    let city = ManhattanCity::new(n, n);
+    let city = ManhattanCity::with_poles(POLES);
+    let n = city.bx;
     let (w, h) = city.extent();
     let mut poles: Vec<Point> = city
         .assets()

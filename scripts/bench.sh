@@ -1,56 +1,48 @@
 #!/usr/bin/env bash
-# Reproducible throughput bench: fixed seeds, best-of-N passes, JSON out.
+# The repository benchmark, recorded: runs the BENCHMARK.json command
+# (perfbench) on every workload at seed 0 for 20 s, once untraced and
+# once traced, and writes BENCH_perfbench.json at the repo root. Each row
+# holds the git rev, the host's core count, the workload, seed, seconds
+# and trace flag, and perfbench's final JSON object verbatim (the
+# end-to-end metrics, or with trace 1 the per-layer phase split).
 #
-# Writes BENCH_sim_throughput.json at the repo root with serial and
-# parallel events/sec for the paper experiment, compared against the
-# pinned pre-calendar-queue baseline (rev 7a8213d, same machine class,
-# same methodology: best-of-N wall clock over 64 replicates), plus the
-# intra-run sharding sweep (serial vs --shards on one 10k/100k/1M-device
-# run; see fleet::shard). Sharded speedup tracks the cores the host
-# grants — each sharded row records host_parallelism so a 1-core
-# container's ~1.0x is read as a hardware ceiling, not a regression
-# (the row says so explicitly when host_parallelism is 1).
+# Then it runs the LA-scale differential: the 320k-pole city's coverage
+# through the spatial grid must equal the pairwise oracle bit for bit
+# (~3 min in a release build on a 2-core host).
 #
-# The topology sweep is the LA-scale point: a 320k-pole Manhattan city
-# with a 300 m gateway lattice, coverage resolved through the spatial
-# grid (net::coverage::resolve) and cross-checked bit-for-bit against
-# the O(n·m) pairwise oracle — the DESIGN.md §14 differential measured
-# at full scale. Expect the oracle leg to take ~2 minutes; that is the
-# point.
-#
-# The binary exits nonzero if the serial and parallel digest XORs
-# diverge, if any serial/sharded digest pair does, or if the topology
-# grid/pairwise digests disagree — a perf regression harness must never
-# paper over a correctness break.
+# perfbench exits non-zero when any of its correctness gates fails, and
+# so does this script: a speed number from a run that drifted is never
+# recorded.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REPLICATES="${REPLICATES:-64}"
-PASSES="${PASSES:-5}"
-THREADS="${THREADS:-$(nproc)}"
-SHARDS="${SHARDS:-8}"
-SCALE_DEVICES="${SCALE_DEVICES:-10000,100000,1000000}"
-TOPOLOGY_DEVICES="${TOPOLOGY_DEVICES:-320000}"
-OUT="${OUT:-BENCH_sim_throughput.json}"
+out=BENCH_perfbench.json
+rev=$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)
+cores=$(nproc)
+seed=0
+seconds=20
 
-echo "== build (release) =="
-cargo build --release -p bench --bin throughput
+rows=()
+for workload in fleet_1m paper_sweep serve_mix; do
+  for trace in 0 1; do
+    echo "== perfbench ${workload} (seed ${seed}, ${seconds} s, trace ${trace}) =="
+    result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)
+    rows+=("{\"git_rev\":\"${rev}\",\"host_parallelism\":${cores},\"workload\":\"${workload}\",\"seed\":${seed},\"seconds\":${seconds},\"trace\":${trace},\"result\":${result}}")
+  done
+done
 
-echo "== throughput (${REPLICATES} replicates, ${THREADS} threads, best of ${PASSES}, shards ${SHARDS} @ ${SCALE_DEVICES} devices, topology @ ${TOPOLOGY_DEVICES} poles) =="
-./target/release/throughput \
-  --replicates "${REPLICATES}" \
-  --threads "${THREADS}" \
-  --passes "${PASSES}" \
-  --shards "${SHARDS}" \
-  --scale-devices "${SCALE_DEVICES}" \
-  --topology-devices "${TOPOLOGY_DEVICES}" \
-  --base-seed 0 \
-  --git-rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-  --baseline-rev 7a8213d \
-  --baseline-serial-eps 293370 \
-  --baseline-serial-wall-ms 618.410 \
-  --baseline-parallel-eps 279149 \
-  --baseline-parallel-wall-ms 650.0 \
-  --out "${OUT}"
+{
+  echo "["
+  for i in "${!rows[@]}"; do
+    sep=","
+    [ "$i" -eq $((${#rows[@]} - 1)) ] && sep=""
+    echo "  ${rows[$i]}${sep}"
+  done
+  echo "]"
+} > "$out"
+echo "bench: wrote ${out}"
 
-echo "bench: wrote ${OUT}"
+echo "== LA-scale grid differential (320k poles, grid == pairwise coverage) =="
+cargo test -q --release --test grid_differential \
+  coverage_grid_equals_pairwise_on_the_320k_pole_city -- --ignored

@@ -5,8 +5,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release) =="
-# --workspace: the root crate alone won't link member binaries
-# (throughput, century-serve) that later smoke steps execute.
+# --workspace: the root crate alone won't link the member binary
+# (century-serve) that a later smoke step executes.
 cargo build --release --workspace
 
 echo "== tests =="
@@ -41,44 +41,9 @@ cargo run -q --release -p simlint -- --workspace --baseline target/simlint-basel
 cargo run -q --release -p simlint -- --workspace --baseline target/simlint-baseline.json \
   --json > target/simlint.json
 
-echo "== bench smoke (1 replicate; also asserts serial == parallel digests) =="
-./target/release/throughput --replicates 1 --threads 1 --passes 1 \
-  --out target/bench_smoke.json > /dev/null
-
-echo "== sharded smoke (one seed; binary exits 1 unless serial == sharded digest) =="
-./target/release/throughput --replicates 1 --threads 1 --passes 1 \
-  --shards 4 --scale-devices 2000 \
-  --out target/bench_sharded_smoke.json > /dev/null
-
-echo "== sharded 100k sweep (aggregate path; exits 1 if the k=8 digest drifts from serial or the reference oracle) =="
-./target/release/throughput --replicates 1 --threads 1 --passes 1 \
-  --shards 8 --scale-devices 100000 \
-  --out target/bench_sharded_100k.json > /dev/null
-
-echo "== spatial-grid differential smoke (20k-pole city; exits 1 unless grid == pairwise coverage digest) =="
-./target/release/throughput --replicates 1 --threads 1 --passes 1 \
-  --topology-devices 20000 \
-  --out target/bench_topology_smoke.json > /dev/null
-
-echo "== LA-scale grid smoke (320k poles, grid-only; exits 1 if resolve blows its wall-clock budget) =="
-./target/release/throughput --replicates 1 --threads 1 --passes 1 \
-  --topology-devices 320000 --topology-grid-only --topology-budget-ms 20000 \
-  --out target/bench_topology_la.json > /dev/null
-
-echo "== snapshot-resume smoke (checkpoint every 10y; exits 1 unless resumed digests are bit-identical) =="
-rm -rf target/verify-snapshots
-./target/release/throughput --checkpoint-every 520 \
-  --checkpoint-dir target/verify-snapshots \
-  --out target/bench_snapshot_smoke.json > /dev/null
-
-echo "== torn-write rejection (truncated snapshot must fail closed, exit 1) =="
-torn=target/verify-snapshots/torn.snap
-head -c 100 target/verify-snapshots/seed0-week520.snap > "$torn"
-if ./target/release/throughput --resume "$torn" > /dev/null 2>&1; then
-  echo "verify: FAIL — a torn snapshot was accepted" >&2
-  exit 1
-fi
-rm -rf target/verify-snapshots
+echo "== LA-scale grid budget (320k poles; grid resolve must finish within its wall-clock budget) =="
+cargo test -q --release --test grid_differential \
+  coverage_grid_resolves_the_320k_pole_city_within_budget -- --ignored
 
 echo "== serve smoke (daemon up; miss -> hit with equal digests; replay re-proof; streamed hit; stats histograms; graceful shutdown) =="
 rm -rf target/verify-serve-cache

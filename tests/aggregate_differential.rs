@@ -18,7 +18,10 @@
 //! {plain, full-intensity chaos} × shard counts {1, 4}, comparing run
 //! digests plus the specific ledgers the aggregate path batches: weekly
 //! uptime, delivery counts, and wallet-exhaustion tallies (with their
-//! diary weeks).
+//! diary weeks). Two scale points of the 16-arm `FleetConfig::scaled`
+//! fleet (2k devices × 10 y at k = 4, 100k × 5 y at k = 8) run the same
+//! sharded ≡ serial ≡ reference wall at sizes the paper fleet never
+//! reaches.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
@@ -27,6 +30,7 @@ use std::num::NonZeroUsize;
 use chaos::{FaultPlan, FaultPlanBuilder};
 use fleet::run::{Run, Shards, Start};
 use fleet::sim::{FleetConfig, FleetReport, FleetSim, SamplingMode};
+use simcore::time::SimDuration;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 7, 42, 97, 1001, 0xdead_beef];
 const SHARD_COUNTS: [usize; 2] = [1, 4];
@@ -140,6 +144,34 @@ fn sharded_aggregate_matches_serial_aggregate() {
             );
         }
     }
+}
+
+/// One scale point: `devices` in the 16-arm scaled fleet over `years`,
+/// forced across `k` shards (`Shards::Auto` would run the 2k point
+/// serially, below the 50k fallback), must equal the serial aggregate
+/// run, which must equal the per-device reference oracle.
+fn assert_scale_point(devices: usize, years: u64, k: usize) {
+    let scaled = |sampling| {
+        let mut cfg = FleetConfig::scaled(0, devices).with_sampling(sampling);
+        cfg.horizon = SimDuration::from_years(years);
+        cfg
+    };
+    let serial = FleetSim::run(scaled(SamplingMode::Aggregate));
+    let sharded = run_forced(scaled(SamplingMode::Aggregate), FaultPlan::empty(), k);
+    let reference = FleetSim::run(scaled(SamplingMode::Reference));
+    let ctx = format!("scaled {devices} devices x {years} y");
+    assert_equivalent(&sharded, &serial, &format!("{ctx}, k={k} vs serial"));
+    assert_equivalent(&serial, &reference, &format!("{ctx}, serial vs reference"));
+}
+
+#[test]
+fn scaled_2k_fleet_sharded_matches_serial_and_reference() {
+    assert_scale_point(2_000, 10, 4);
+}
+
+#[test]
+fn scaled_100k_fleet_sharded_matches_serial_and_reference() {
+    assert_scale_point(100_000, 5, 8);
 }
 
 #[test]

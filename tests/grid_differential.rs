@@ -9,8 +9,15 @@
 //! 2 radio parameter sets for all four rewritten hot paths (coverage,
 //! mesh, placement, interference neighborhoods), comparing full
 //! structures and their digests against the `reference-mode` oracles.
+//! Coverage is also pinned on LA-shaped Manhattan cities: a 20k-pole city
+//! in every run, and the full 320k-pole census in two ignored tests (a
+//! release-build wall-clock budget for the grid resolve, and the ~3 min
+//! pairwise differential), run as
+//! `cargo test --release --test grid_differential <name> -- --ignored`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::time::{Duration, Instant};
 
 use net::coverage::{resolve, resolve_pairwise, RadioParams};
 use net::interference::{co_sf_neighborhoods, co_sf_neighborhoods_pairwise};
@@ -19,7 +26,7 @@ use net::lora::SpreadingFactor;
 use net::mesh::{resolve_mesh, resolve_mesh_pairwise};
 use net::pathloss::LogDistance;
 use net::placement::{greedy_placement, greedy_placement_pairwise};
-use net::topology::{uniform_scatter, Point};
+use net::topology::{uniform_scatter, AssetKind, ManhattanCity, Point};
 use net::units::Dbm;
 use net::{ieee802154, SpatialGrid};
 use simcore::rng::Rng;
@@ -30,6 +37,13 @@ const SEEDS: [u64; 8] = [101, 102, 103, 104, 105, 106, 107, 108];
 const DENSITIES: [(&str, usize); 2] = [("sparse", 150), ("dense", 600)];
 
 const EXTENT_M: f64 = 4_000.0;
+
+/// The LA utility-pole census (net::topology module docs).
+const LA_POLES: usize = 320_000;
+
+/// Wall-clock budget for the grid resolve of the 320k-pole city in a
+/// release build (measured ~1.9 s on a 2-core host).
+const LA_GRID_BUDGET: Duration = Duration::from_secs(20);
 
 fn radio_sets() -> Vec<(&'static str, RadioParams)> {
     vec![
@@ -54,6 +68,39 @@ fn radio_sets() -> Vec<(&'static str, RadioParams)> {
             },
         ),
     ]
+}
+
+/// The street-asset 2.4 GHz set, whose cull radius is a small fraction
+/// of a city extent.
+fn street_radio() -> RadioParams {
+    radio_sets().remove(1).1
+}
+
+/// The first `poles` utility poles of the smallest square Manhattan city
+/// that holds them, with a 300 m gateway lattice.
+fn la_city(poles: usize) -> (Vec<Point>, Vec<Point>) {
+    let city = ManhattanCity::with_poles(poles);
+    let mut devices: Vec<Point> = city
+        .assets()
+        .into_iter()
+        .filter(|a| a.kind == AssetKind::UtilityPole)
+        .map(|a| a.at)
+        .collect();
+    devices.truncate(poles);
+    (devices, city.gateway_grid(300.0))
+}
+
+fn assert_la_city_grid_equals_pairwise(poles: usize) {
+    let (devices, gateways) = la_city(poles);
+    assert_eq!(devices.len(), poles);
+    let params = street_radio();
+    let grid = resolve(&devices, &gateways, &params, &mut Rng::seed_from(0));
+    let oracle = resolve_pairwise(&devices, &gateways, &params, &mut Rng::seed_from(0));
+    let ctx = format!("LA city, {poles} poles");
+    assert_eq!(grid.device_gateways, oracle.device_gateways, "{ctx}");
+    assert_eq!(grid.gateway_load, oracle.gateway_load, "{ctx}");
+    assert_eq!(grid.digest(), oracle.digest(), "{ctx}");
+    assert!(grid.covered_fraction() > 0.0, "{ctx}: vacuous scene — nothing covered");
 }
 
 fn scene(seed: u64, devices: usize, gateways: usize) -> (Vec<Point>, Vec<Point>) {
@@ -84,6 +131,31 @@ fn coverage_grid_equals_pairwise_across_seeds_densities_radios() {
             }
         }
     }
+}
+
+#[test]
+fn coverage_grid_equals_pairwise_on_a_20k_pole_city() {
+    assert_la_city_grid_equals_pairwise(20_000);
+}
+
+#[test]
+#[ignore = "320k-pole wall-clock budget; meaningful only in a release build"]
+fn coverage_grid_resolves_the_320k_pole_city_within_budget() {
+    let (devices, gateways) = la_city(LA_POLES);
+    let t0 = Instant::now();
+    let grid = resolve(&devices, &gateways, &street_radio(), &mut Rng::seed_from(0));
+    let took = t0.elapsed();
+    assert!(
+        took <= LA_GRID_BUDGET,
+        "grid resolve of {LA_POLES} poles took {took:?}, over the {LA_GRID_BUDGET:?} budget"
+    );
+    assert!(grid.covered_fraction() > 0.0, "vacuous scene — nothing covered");
+}
+
+#[test]
+#[ignore = "the pairwise oracle takes ~3 min at 320k poles in a release build"]
+fn coverage_grid_equals_pairwise_on_the_320k_pole_city() {
+    assert_la_city_grid_equals_pairwise(LA_POLES);
 }
 
 #[test]
@@ -164,8 +236,7 @@ fn interference_neighborhoods_equal_pairwise_across_seeds() {
 /// the differential instead.)
 #[test]
 fn culling_is_not_vacuous() {
-    let (_, params) = radio_sets().remove(1);
-    let cull = params.cull_radius_m();
+    let cull = street_radio().cull_radius_m();
     assert!(
         cull < EXTENT_M / 2.0,
         "cull radius {cull} m must be well inside the {EXTENT_M} m extent"

@@ -196,7 +196,7 @@ fn mid_write_crash_fails_closed() {
     engine.run_until(week(260));
     let bytes = snapshot::checkpoint_bytes(&mut engine, ChaosProgress::default());
     let path = temp_path("torn.snap".to_string());
-    for cut in [0, 8, 9, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
+    for cut in [0, 8, 9, 100, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let err = match snapshot::resume_from(&path, cfg(7)) {
             Err(e) => e,
