@@ -7,27 +7,19 @@
 //! prepaid wallets. Reported: the weekly end-to-end uptime metric, the
 //! intervention ledger, and what fifty years of "unattended" actually cost.
 
-use century::experiment::{paper_experiment, ExperimentOutcome};
+use century::experiment::{run_replicated, ExperimentOutcome};
 use century::metrics::cost_per_reading;
 use century::report::{f, n, pct, Table};
+use fleet::sim::FleetConfig;
 use simcore::trace::Severity;
 
-/// Runs the replicated experiment (in parallel when replicates warrant).
+/// Runs the replicated experiment on every available core.
 #[allow(clippy::expect_used)]
 pub fn compute(base_seed: u64, replicates: usize) -> ExperimentOutcome {
-    if replicates >= 4 {
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        crate::parallel::run_replicated_parallel(
-            &fleet::sim::FleetConfig::paper_experiment,
-            base_seed,
-            replicates,
-            threads,
-        )
-        // simlint: allow(P001, replicates >= 4 and threads >= 1 are checked on this path)
-        .expect("replicates >= 4 and threads >= 1")
-    } else {
-        paper_experiment(base_seed, replicates)
-    }
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_replicated(&FleetConfig::paper_experiment, base_seed, replicates, threads)
+        // simlint: allow(P001, exhibit callers pass replicates >= 1; available_parallelism gives threads >= 1)
+        .expect("replicates >= 1 and threads >= 1")
 }
 
 /// Renders the exhibit.

@@ -1,400 +1,5 @@
-//! Parallel Monte-Carlo execution of fleet experiments.
-//!
-//! Replicates are embarrassingly parallel and fully deterministic per
-//! seed, so results are independent of scheduling: workers claim seed
-//! indices from an atomic counter, and the collector reorders by index
-//! before aggregation. Output is **bit-identical** to the serial
-//! [`century::experiment::run_replicated`] for the same seeds — the
-//! golden-digest suite pins this with [`FleetReport::digest`] equality.
-//!
-//! Each worker accumulates its results locally and hands them back
-//! through its join handle. A panic inside one replicate is caught at
-//! the replicate boundary and surfaced as
-//! [`ParallelError::ReplicatePanicked`] **with the failing seed** — a
-//! 64-seed batch that dies on seed 41 tells you so, instead of handing
-//! back a bare payload that leaves you bisecting. When several
-//! replicates panic, the smallest seed wins deterministically,
-//! independent of thread scheduling.
+//! The replicate driver's old path. The pool lives in
+//! [`century::experiment`]; this re-export stays because the benchmark
+//! (`perfbench/src/adapter.rs`) imports `bench::parallel::run_reports`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use century::experiment::ExperimentOutcome;
-use century::metrics::{ArmRow, ArmSummary};
-use fleet::sim::{FleetConfig, FleetReport, FleetSim};
-use simcore::event::EventQueue;
-
-/// Failures of the parallel runners: bad preconditions, or a replicate
-/// that panicked mid-run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParallelError {
-    /// `replicates` was zero: there would be no reports to aggregate.
-    ZeroReplicates,
-    /// `threads` was zero: no worker could claim a seed.
-    ZeroThreads,
-    /// One replicate's config construction or simulation run panicked.
-    /// When several do, the smallest seed is reported, deterministically.
-    ReplicatePanicked {
-        /// The seed whose replicate died (`base_seed + index`).
-        seed: u64,
-        /// The panic payload, stringified (`<non-string panic payload>`
-        /// when the payload was neither `String` nor `&str`).
-        message: String,
-    },
-}
-
-impl core::fmt::Display for ParallelError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ParallelError::ZeroReplicates => f.write_str("need at least one replicate"),
-            ParallelError::ZeroThreads => f.write_str("need at least one thread"),
-            ParallelError::ReplicatePanicked { seed, message } => {
-                write!(f, "replicate seed {seed} panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParallelError {}
-
-/// Renders a caught panic payload for [`ParallelError::ReplicatePanicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "<non-string panic payload>".to_string())
-}
-
-/// Runs `replicates` seeds (`base_seed..base_seed+replicates`) across
-/// `threads` workers, returning reports in seed order.
-///
-/// # Errors
-///
-/// [`ParallelError`] if `replicates` or `threads` is zero, or
-/// [`ParallelError::ReplicatePanicked`] (naming the smallest failing
-/// seed) if any replicate panics.
-pub fn run_reports(
-    make_config: &(dyn Fn(u64) -> FleetConfig + Sync),
-    base_seed: u64,
-    replicates: usize,
-    threads: usize,
-) -> Result<Vec<FleetReport>, ParallelError> {
-    if replicates == 0 {
-        return Err(ParallelError::ZeroReplicates);
-    }
-    if threads == 0 {
-        return Err(ParallelError::ZeroThreads);
-    }
-    let mut indexed = run_indexed(make_config, base_seed, replicates, threads, |_, report| report)?;
-    indexed.sort_by_key(|&(i, _)| i);
-    Ok(indexed.into_iter().map(|(_, r)| r).collect())
-}
-
-/// Worker pool shared by the report and summary runners: claims seed
-/// indices from an atomic counter, recycles one event queue per worker
-/// across all the seeds it claims (see [`FleetSim::run_with_queue`]), and
-/// maps each finished report through `extract` so callers choose how much
-/// of it outlives the run. Results are unordered; callers sort by index.
-///
-/// Panics are caught at the replicate boundary
-/// (`catch_unwind(AssertUnwindSafe(..))` — safe because the replicate's
-/// world, queue and report are abandoned on failure, never reused) and
-/// the worker stops claiming seeds. The collector still joins every
-/// worker, then reports the panicking replicate with the **smallest
-/// seed**, so the error is independent of which worker happened to claim
-/// what.
-///
-/// # Panics
-///
-/// Re-raises a panic only if it somehow escapes the per-replicate guard
-/// (e.g. from a `Drop` impl during unwinding).
-fn run_indexed<T: Send>(
-    make_config: &(dyn Fn(u64) -> FleetConfig + Sync),
-    base_seed: u64,
-    replicates: usize,
-    threads: usize,
-    extract: impl Fn(usize, FleetReport) -> T + Sync,
-) -> Result<Vec<(usize, T)>, ParallelError> {
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(replicates))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    let mut queue = EventQueue::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= replicates {
-                            break;
-                        }
-                        let seed = base_seed + i as u64;
-                        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || {
-                                let (report, queue) =
-                                    FleetSim::run_with_queue(make_config(seed), queue);
-                                ((i, extract(i, report)), queue)
-                            },
-                        ));
-                        match attempt {
-                            Ok((item, recycled)) => {
-                                queue = recycled;
-                                local.push(item);
-                            }
-                            Err(payload) => {
-                                return (
-                                    local,
-                                    Some((seed, panic_message(payload.as_ref()))),
-                                );
-                            }
-                        }
-                    }
-                    (local, None)
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(replicates);
-        let mut first_panic: Option<(u64, String)> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok((local, failure)) => {
-                    all.extend(local);
-                    if let Some((seed, message)) = failure {
-                        let beats = match &first_panic {
-                            None => true,
-                            Some((earliest, _)) => seed < *earliest,
-                        };
-                        if beats {
-                            first_panic = Some((seed, message));
-                        }
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        match first_panic {
-            Some((seed, message)) => Err(ParallelError::ReplicatePanicked { seed, message }),
-            None => Ok(all),
-        }
-    })
-}
-
-/// Parallel equivalent of [`century::experiment::run_replicated`]:
-/// identical summaries, wall-clock divided by the worker count.
-///
-/// # Errors
-///
-/// [`ParallelError`] if `replicates` or `threads` is zero.
-pub fn run_replicated_parallel(
-    make_config: &(dyn Fn(u64) -> FleetConfig + Sync),
-    base_seed: u64,
-    replicates: usize,
-    threads: usize,
-) -> Result<ExperimentOutcome, ParallelError> {
-    let reports = run_reports(make_config, base_seed, replicates, threads)?;
-    let mut arms: Vec<ArmSummary> = reports[0]
-        .arms
-        .iter()
-        .map(|a| ArmSummary::new(a.name))
-        .collect();
-    for report in &reports {
-        for (summary, arm) in arms.iter_mut().zip(&report.arms) {
-            summary.add(arm);
-        }
-    }
-    // `replicates` is checked nonzero on entry, so a report always exists;
-    // re-surface the same error rather than panic if that ever changes.
-    let Some(exemplar) = reports.into_iter().next() else {
-        return Err(ParallelError::ZeroReplicates);
-    };
-    Ok(ExperimentOutcome { arms, exemplar, replicates })
-}
-
-/// Summary-only fast path: like [`run_replicated_parallel`] but each
-/// worker reduces a replicate to its [`ArmRow`] scalars as soon as the
-/// run finishes, so full `FleetReport`s (diary, spans, metric snapshots)
-/// never pile up behind the join barrier — memory stays O(threads)
-/// instead of O(replicates). Rows are folded in seed order, making the
-/// resulting [`ArmSummary`]s bit-identical to the serial
-/// [`century::experiment::run_replicated`] for the same seeds.
-///
-/// # Errors
-///
-/// [`ParallelError`] if `replicates` or `threads` is zero.
-pub fn run_replicated_parallel_summaries(
-    make_config: &(dyn Fn(u64) -> FleetConfig + Sync),
-    base_seed: u64,
-    replicates: usize,
-    threads: usize,
-) -> Result<Vec<ArmSummary>, ParallelError> {
-    if replicates == 0 {
-        return Err(ParallelError::ZeroReplicates);
-    }
-    if threads == 0 {
-        return Err(ParallelError::ZeroThreads);
-    }
-    let mut indexed = run_indexed(make_config, base_seed, replicates, threads, |_, report| {
-        report.arms.iter().map(ArmRow::of).collect::<Vec<ArmRow>>()
-    })?;
-    indexed.sort_by_key(|&(i, _)| i);
-    let mut arms: Vec<ArmSummary> = indexed[0].1.iter().map(|r| ArmSummary::new(r.name)).collect();
-    for (_, rows) in &indexed {
-        for (summary, row) in arms.iter_mut().zip(rows) {
-            summary.add_row(row);
-        }
-    }
-    Ok(arms)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        let serial = century::experiment::run_replicated(FleetConfig::paper_experiment, 900, 4);
-        let parallel =
-            run_replicated_parallel(&FleetConfig::paper_experiment, 900, 4, 4).unwrap();
-        assert_eq!(serial.replicates, parallel.replicates);
-        for (s, p) in serial.arms.iter().zip(&parallel.arms) {
-            assert_eq!(s.name, p.name);
-            assert_eq!(s.uptime.values(), p.uptime.values());
-            assert_eq!(s.spend_dollars.values(), p.spend_dollars.values());
-        }
-        assert_eq!(
-            serial.exemplar.arms[0].readings_delivered,
-            parallel.exemplar.arms[0].readings_delivered
-        );
-    }
-
-    #[test]
-    fn parallel_digests_match_serial() {
-        // The acceptance bar for the observability layer: same seed ⇒ the
-        // same run digest whether the replicate ran serial or threaded.
-        let serial: Vec<u64> = (0..4)
-            .map(|i| FleetSim::run(FleetConfig::paper_experiment(900 + i)).digest())
-            .collect();
-        let parallel: Vec<u64> = run_reports(&FleetConfig::paper_experiment, 900, 4, 4)
-            .unwrap()
-            .iter()
-            .map(FleetReport::digest)
-            .collect();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn reports_in_seed_order_regardless_of_threads() {
-        let one = run_reports(&FleetConfig::paper_experiment, 50, 6, 1).unwrap();
-        let many = run_reports(&FleetConfig::paper_experiment, 50, 6, 6).unwrap();
-        for (a, b) in one.iter().zip(&many) {
-            assert_eq!(a.arms[0].readings_delivered, b.arms[0].readings_delivered);
-            assert_eq!(a.diary.len(), b.diary.len());
-        }
-    }
-
-    #[test]
-    fn summaries_fast_path_matches_serial_bit_for_bit() {
-        let serial = century::experiment::run_replicated(FleetConfig::paper_experiment, 700, 5);
-        let fast = run_replicated_parallel_summaries(&FleetConfig::paper_experiment, 700, 5, 3)
-            .expect("nonzero replicates and threads");
-        assert_eq!(serial.arms.len(), fast.len());
-        for (s, f) in serial.arms.iter().zip(&fast) {
-            assert_eq!(s.name, f.name);
-            assert_eq!(s.replicates(), f.replicates());
-            // Samples must match in value AND order (seed order), not
-            // just as a multiset.
-            assert_eq!(s.uptime.values(), f.uptime.values());
-            assert_eq!(s.data_yield.values(), f.data_yield.values());
-            assert_eq!(s.device_failures.values(), f.device_failures.values());
-            assert_eq!(s.gateway_repairs.values(), f.gateway_repairs.values());
-            assert_eq!(s.spend_dollars.values(), f.spend_dollars.values());
-            assert_eq!(s.labor_hours.values(), f.labor_hours.values());
-        }
-    }
-
-    #[test]
-    fn summaries_fast_path_checks_preconditions() {
-        assert_eq!(
-            run_replicated_parallel_summaries(&FleetConfig::paper_experiment, 1, 0, 4)
-                .unwrap_err(),
-            ParallelError::ZeroReplicates
-        );
-        assert_eq!(
-            run_replicated_parallel_summaries(&FleetConfig::paper_experiment, 1, 4, 0)
-                .unwrap_err(),
-            ParallelError::ZeroThreads
-        );
-    }
-
-    #[test]
-    fn more_threads_than_replicates_is_fine() {
-        let out = run_reports(&FleetConfig::paper_experiment, 1, 2, 16).unwrap();
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn zero_preconditions_are_typed_errors() {
-        assert_eq!(
-            run_reports(&FleetConfig::paper_experiment, 1, 0, 4).unwrap_err(),
-            ParallelError::ZeroReplicates
-        );
-        assert_eq!(
-            run_reports(&FleetConfig::paper_experiment, 1, 4, 0).unwrap_err(),
-            ParallelError::ZeroThreads
-        );
-        match run_replicated_parallel(&FleetConfig::paper_experiment, 1, 0, 4) {
-            Err(e @ ParallelError::ZeroReplicates) => {
-                assert_eq!(e.to_string(), "need at least one replicate");
-            }
-            other => panic!("expected ZeroReplicates, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn replicate_panic_reports_the_failing_seed() {
-        // Regression: the panic message itself does NOT name the seed —
-        // the runner must thread it through the typed error.
-        let boom = |seed: u64| -> FleetConfig {
-            assert!(seed != 103, "config rejected");
-            FleetConfig::paper_experiment(seed)
-        };
-        let err = run_reports(&boom, 100, 6, 2).unwrap_err();
-        match &err {
-            ParallelError::ReplicatePanicked { seed, message } => {
-                assert_eq!(*seed, 103, "the failing replicate's seed");
-                assert!(message.contains("config rejected"), "payload survives: {message:?}");
-            }
-            other => panic!("expected ReplicatePanicked, got {other:?}"),
-        }
-        let shown = err.to_string();
-        assert!(shown.contains("seed 103"), "Display names the seed: {shown}");
-        assert!(shown.contains("config rejected"), "Display keeps the payload: {shown}");
-    }
-
-    #[test]
-    fn multiple_panics_report_the_smallest_seed_deterministically() {
-        let boom = |seed: u64| -> FleetConfig {
-            assert!(seed != 2 && seed != 4, "boom");
-            FleetConfig::paper_experiment(seed)
-        };
-        // Max parallelism so both failing seeds are usually claimed by
-        // different workers; the collector must still pick seed 2.
-        for _ in 0..4 {
-            match run_reports(&boom, 0, 6, 6).unwrap_err() {
-                ParallelError::ReplicatePanicked { seed, .. } => assert_eq!(seed, 2),
-                other => panic!("expected ReplicatePanicked, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn summaries_fast_path_reports_panics_too() {
-        let boom = |seed: u64| -> FleetConfig {
-            assert!(seed != 1, "boom");
-            FleetConfig::paper_experiment(seed)
-        };
-        match run_replicated_parallel_summaries(&boom, 0, 3, 2).unwrap_err() {
-            ParallelError::ReplicatePanicked { seed, .. } => assert_eq!(seed, 1),
-            other => panic!("expected ReplicatePanicked, got {other:?}"),
-        }
-    }
-}
+pub use century::experiment::run_reports;

@@ -74,8 +74,7 @@ pub fn render(comparisons: &[Comparison]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioBuilder;
-    use fleet::sim::ArmConfig;
+    use fleet::sim::{ArmConfig, FleetConfig};
     use simcore::time::SimDuration;
 
     fn quick(name: &str, seed: u64, replace: bool) -> Scenario {
@@ -83,11 +82,15 @@ mod tests {
         if !replace {
             arm.replace_devices = None;
         }
-        ScenarioBuilder::new(name)
-            .seed(seed)
-            .horizon(SimDuration::from_years(15))
-            .arm(arm)
-            .build()
+        Scenario {
+            name: name.to_string(),
+            fleet: FleetConfig {
+                horizon: SimDuration::from_years(15),
+                arms: vec![arm],
+                ..FleetConfig::paper_experiment(seed)
+            },
+            ..Scenario::paper_experiment(seed)
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!
 //! * [`principles`] — §3's takeaways as an executable audit.
 //! * [`presets`] — the paper's censuses, deployments and cost constants.
-//! * [`scenario`] — the top-level builder: city + posture + fleet.
+//! * [`scenario`] — the top-level bundle: city + posture + fleet config.
 //! * [`compare`] — run a scenario matrix, render the decision table.
-//! * [`experiment`] — Monte-Carlo replication of the 50-year experiment.
+//! * [`experiment`] — the replicate driver: the 50-year experiment over
+//!   many seeds on a worker pool.
 //! * [`metrics`] — cost-per-reading, labor-per-device-decade, summaries.
 //! * [`report`] — text tables / CSV for the exhibit suite.
 //!
@@ -51,4 +52,4 @@ pub mod scenario;
 
 pub use presets::{CityCensus, CostPreset, DeploymentPreset};
 pub use principles::{audit, readiness_score, DesignPosture, Principle, Violation};
-pub use scenario::{Scenario, ScenarioBuilder};
+pub use scenario::Scenario;

@@ -58,15 +58,8 @@ impl ArmSummary {
         }
     }
 
-    /// Folds one replicate's report into the summary.
-    pub fn add(&mut self, report: &ArmReport) {
-        self.add_row(&ArmRow::of(report));
-    }
-
-    /// Folds one replicate's pre-extracted scalars into the summary.
-    /// `add(report)` ≡ `add_row(&ArmRow::of(report))`; push order decides
-    /// the stored sample order, so fold rows in seed order to match the
-    /// serial harness bit-for-bit.
+    /// Folds one replicate's scalars into the summary. Push order decides
+    /// the stored sample order, so fold rows in seed order.
     pub fn add_row(&mut self, row: &ArmRow) {
         self.uptime.add(row.uptime);
         self.data_yield.add(row.data_yield);
@@ -161,8 +154,8 @@ mod tests {
     #[test]
     fn summary_aggregates() {
         let mut s = ArmSummary::new("arm");
-        s.add(&report());
-        s.add(&ArmReport { weeks_up: 50, ..report() });
+        s.add_row(&ArmRow::of(&report()));
+        s.add_row(&ArmRow::of(&ArmReport { weeks_up: 50, ..report() }));
         assert_eq!(s.replicates(), 2);
         assert!((s.uptime.mean() - 0.7).abs() < 1e-12);
         assert!((s.labor_hours.mean() - 50.0).abs() < 1e-12);

@@ -1,4 +1,4 @@
-//! Scenario composition: city + posture + fleet, in one builder.
+//! Scenario composition: city + posture + fleet, in one struct.
 //!
 //! A [`Scenario`] is the toolkit's top-level object: it couples a
 //! deployment description (how many devices, which arms, which city) with
@@ -6,9 +6,7 @@
 //! call both **audits** the design against the paper's principles and
 //! **simulates** its 50-year trajectory.
 
-use fleet::sim::{ArmConfig, FleetConfig, FleetReport, FleetSim, SamplingMode};
-use reliability::system::bom;
-use simcore::time::SimDuration;
+use fleet::sim::{FleetConfig, FleetReport, FleetSim};
 
 use crate::presets::CityCensus;
 use crate::principles::{audit, readiness_score, DesignPosture, Violation};
@@ -26,99 +24,16 @@ pub struct Scenario {
     pub fleet: FleetConfig,
 }
 
-/// Builder for [`Scenario`].
-#[derive(Clone, Debug)]
-pub struct ScenarioBuilder {
-    name: String,
-    city: CityCensus,
-    posture: DesignPosture,
-    seed: u64,
-    horizon: SimDuration,
-    arms: Vec<ArmConfig>,
-    env: bom::Environment,
-}
-
-impl ScenarioBuilder {
-    /// Starts a scenario with paper defaults: small city, compliant
-    /// posture, 50-year horizon, no arms yet.
-    pub fn new(name: impl Into<String>) -> Self {
-        ScenarioBuilder {
-            name: name.into(),
+impl Scenario {
+    /// The paper's §4 experiment as a scenario: a small city, the
+    /// compliant posture and [`FleetConfig::paper_experiment`].
+    pub fn paper_experiment(seed: u64) -> Self {
+        Scenario {
+            name: "50-year experiment".to_string(),
             city: CityCensus::small_city(),
             posture: DesignPosture::paper_experiment(),
-            seed: 42,
-            horizon: SimDuration::from_years(50),
-            arms: Vec::new(),
-            env: bom::Environment::default(),
+            fleet: FleetConfig::paper_experiment(seed),
         }
-    }
-
-    /// Sets the host city.
-    pub fn city(mut self, city: CityCensus) -> Self {
-        self.city = city;
-        self
-    }
-
-    /// Sets the design posture.
-    pub fn posture(mut self, posture: DesignPosture) -> Self {
-        self.posture = posture;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the horizon.
-    pub fn horizon(mut self, horizon: SimDuration) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Adds an experiment arm.
-    pub fn arm(mut self, arm: ArmConfig) -> Self {
-        self.arms.push(arm);
-        self
-    }
-
-    /// Sets the physical environment.
-    pub fn environment(mut self, env: bom::Environment) -> Self {
-        self.env = env;
-        self
-    }
-
-    /// Builds the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no arms were added.
-    pub fn build(self) -> Scenario {
-        assert!(!self.arms.is_empty(), "a scenario needs at least one arm");
-        Scenario {
-            name: self.name,
-            city: self.city,
-            posture: self.posture,
-            fleet: FleetConfig {
-                seed: self.seed,
-                horizon: self.horizon,
-                arms: self.arms,
-                env: self.env,
-                sampling: SamplingMode::default(),
-            },
-        }
-    }
-}
-
-impl Scenario {
-    /// The paper's §4 experiment as a scenario.
-    pub fn paper_experiment(seed: u64) -> Self {
-        ScenarioBuilder::new("50-year experiment")
-            .seed(seed)
-            .arm(ArmConfig::paper_owned_154(10, 2))
-            .arm(ArmConfig::paper_helium(10, 4))
-            .build()
     }
 
     /// Audits the posture against the paper's principles.
@@ -140,21 +55,6 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::CityCensus;
-
-    #[test]
-    fn builder_composes() {
-        let s = ScenarioBuilder::new("test")
-            .city(CityCensus::los_angeles())
-            .seed(7)
-            .horizon(SimDuration::from_years(10))
-            .arm(ArmConfig::paper_owned_154(5, 1))
-            .build();
-        assert_eq!(s.name, "test");
-        assert_eq!(s.city.name, "Los Angeles");
-        assert_eq!(s.fleet.arms.len(), 1);
-        assert_eq!(s.fleet.horizon, SimDuration::from_years(10));
-    }
 
     #[test]
     fn paper_scenario_is_compliant_and_runs() {
@@ -168,17 +68,11 @@ mod tests {
 
     #[test]
     fn vendor_posture_fails_audit() {
-        let s = ScenarioBuilder::new("vendor")
-            .posture(DesignPosture::vendor_kit())
-            .arm(ArmConfig::paper_owned_154(5, 1))
-            .build();
+        let s = Scenario {
+            posture: DesignPosture::vendor_kit(),
+            ..Scenario::paper_experiment(42)
+        };
         assert_eq!(s.audit().len(), 6);
         assert_eq!(s.readiness(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one arm")]
-    fn empty_scenario_panics() {
-        ScenarioBuilder::new("empty").build();
     }
 }

@@ -192,9 +192,7 @@ pub enum SamplingMode {
     /// A naive per-device implementation of the *aggregate* semantics —
     /// fresh participant scans, materialized rows, scalar wallet ops —
     /// kept as the exact-equality oracle the differential harness pins
-    /// [`Aggregate`](Self::Aggregate) against. Feature-gated so
-    /// production builds can strip it.
-    #[cfg(feature = "reference-mode")]
+    /// [`Aggregate`](Self::Aggregate) against.
     Reference,
 }
 
@@ -1018,7 +1016,6 @@ impl FleetSim {
         match self.cfg.sampling {
             SamplingMode::Legacy => self.weekly_eval_legacy(li, now),
             SamplingMode::Aggregate => self.weekly_eval_cohort(li, now),
-            #[cfg(feature = "reference-mode")]
             SamplingMode::Reference => self.weekly_eval_reference(li, now),
         }
     }
@@ -1309,7 +1306,6 @@ impl FleetSim {
     /// device at a time. Everything the aggregate pass does incrementally
     /// or in bulk, this pass does from first principles, so an exact
     /// digest match is a proof of the aggregate bookkeeping.
-    #[cfg(feature = "reference-mode")]
     fn weekly_eval_reference(&mut self, li: usize, now: SimTime) {
         let cloud_up = self.cloud.up_at(now);
         let arm = &mut self.arms[li];
@@ -2308,7 +2304,6 @@ mod tests {
     /// Runs the same fleet under `Aggregate` and `Reference` to several
     /// checkpoint weeks and compares every device row — including the
     /// sequence counters, which no digest covers.
-    #[cfg(feature = "reference-mode")]
     #[test]
     fn aggregate_matches_reference_on_every_device_row() {
         use crate::fault::{Fault, FaultKind, FaultPlan, FleetInjector};

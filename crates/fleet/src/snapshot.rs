@@ -92,7 +92,6 @@ pub fn config_fingerprint(cfg: &FleetConfig) -> u64 {
     w.put_u8(match cfg.sampling {
         SamplingMode::Legacy => 0,
         SamplingMode::Aggregate => 1,
-        #[cfg(feature = "reference-mode")]
         SamplingMode::Reference => 2,
     });
     w.put_u64(cfg.arms.len() as u64);

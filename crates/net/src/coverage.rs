@@ -16,9 +16,8 @@
 //! Because shadowing is keyed per unordered pair (`split("cov-pair",
 //! di).split("gw", gi)`), culling a hopeless pair cannot shift any
 //! surviving pair's draw, so the grid path is bit-identical to the
-//! pairwise oracle [`resolve_pairwise`] (kept behind the `reference-mode`
-//! feature); `tests/grid_differential.rs` proves it across seeds ×
-//! densities × radio parameter sets.
+//! pairwise oracle [`resolve_pairwise`]; `tests/grid_differential.rs`
+//! proves it across seeds × densities × radio parameter sets.
 
 use simcore::rng::Rng;
 
@@ -146,7 +145,6 @@ pub fn resolve(
 /// The pairwise reference oracle: evaluates every device×gateway pair
 /// with the same per-pair streams as [`resolve`]. Kept only so the
 /// differential harness can prove the grid path changes nothing; O(n·m).
-#[cfg(feature = "reference-mode")]
 pub fn resolve_pairwise(
     devices: &[Point],
     gateways: &[Point],
@@ -358,7 +356,6 @@ mod tests {
         assert!((cull / median - 10f64.powf(24.0 / 29.0)).abs() < 0.01);
     }
 
-    #[cfg(feature = "reference-mode")]
     #[test]
     fn grid_matches_pairwise_oracle() {
         use crate::topology::uniform_scatter;

@@ -98,7 +98,6 @@ pub fn co_sf_neighborhoods(devices: &[Point], radius_m: f64) -> Vec<Vec<u32>> {
 
 /// The exhaustive pairwise reference for [`co_sf_neighborhoods`] —
 /// differential-harness use only.
-#[cfg(feature = "reference-mode")]
 pub fn co_sf_neighborhoods_pairwise(devices: &[Point], radius_m: f64) -> Vec<Vec<u32>> {
     devices
         .iter()
@@ -229,7 +228,6 @@ mod tests {
         assert_eq!(mean_degree(&[]), 0.0);
     }
 
-    #[cfg(feature = "reference-mode")]
     #[test]
     fn neighborhoods_match_pairwise() {
         use crate::topology::uniform_scatter;

@@ -139,7 +139,6 @@ pub fn resolve_mesh(
 
 /// The exhaustive pairwise reference oracle for [`resolve_mesh`] — same
 /// per-pair streams, every pair evaluated. Differential-harness use only.
-#[cfg(feature = "reference-mode")]
 pub fn resolve_mesh_pairwise(
     devices: &[Point],
     gateways: &[Point],
@@ -417,7 +416,6 @@ mod tests {
         assert_eq!(with_outlier.hops[6], None);
     }
 
-    #[cfg(feature = "reference-mode")]
     #[test]
     fn grid_matches_pairwise_oracle() {
         use crate::topology::uniform_scatter;

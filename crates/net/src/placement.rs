@@ -101,7 +101,6 @@ pub fn greedy_placement(
 
 /// The exhaustive pairwise reference oracle for [`greedy_placement`] —
 /// same per-pair streams, every pair evaluated. Differential use only.
-#[cfg(feature = "reference-mode")]
 pub fn greedy_placement_pairwise(
     devices: &[Point],
     candidates: &[Point],
@@ -263,7 +262,6 @@ mod tests {
         greedy_placement(&[], &[], &params(), 0.0, &mut rng);
     }
 
-    #[cfg(feature = "reference-mode")]
     #[test]
     fn grid_matches_pairwise_oracle() {
         let (devices, candidates) = city_scene();

@@ -13,6 +13,10 @@
 //! `f64`, because scenario seeds are 64-bit and digests are compared
 //! bit-for-bit.
 
+// Frames are encoded with the telemetry escaper; re-exported here because
+// the benchmark (`perfbench/src/serve_mix.rs`) imports this path.
+pub use telemetry::jsonl::push_escaped;
+
 /// A parsed scalar value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -305,28 +309,6 @@ pub fn parse_object(text: &str) -> Result<Object, JsonError> {
         return p.err("trailing bytes after object");
     }
     Ok(Object { fields })
-}
-
-/// Appends `s` JSON-escaped (with quotes) to `out` — same escaping rules
-/// as `telemetry::jsonl`, re-implemented here so the protocol layer does
-/// not reach into that crate's private helpers.
-pub fn push_escaped(out: &mut String, s: &str) {
-    use core::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

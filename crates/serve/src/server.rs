@@ -24,7 +24,7 @@
 //! | `ping`     | liveness check |
 //! | `run`      | execute/serve a scenario (`cache`, `stream`, `deadline_ms` knobs) |
 //! | `replay`   | re-execute a cached scenario and re-prove its digest |
-//! | `sweep`    | replicated parallel summary over seeds ([`bench::parallel`]) |
+//! | `sweep`    | replicated summary over seeds ([`century::experiment::run_replicated`]) |
 //! | `stats`    | snapshot of the `serve.*` telemetry registry |
 //! | `shutdown` | begin graceful drain |
 //!
@@ -533,10 +533,9 @@ fn op_sweep<W: Write>(
         cfg.horizon = simcore::time::SimDuration::from_years(years);
         cfg
     };
-    let mut arms = bench::parallel::run_replicated_parallel_summaries(
-        &make, seed, replicates, threads,
-    )
-    .map_err(|e| ServeError::Internal(format!("sweep failed: {e}")))?;
+    let mut arms = century::experiment::run_replicated(&make, seed, replicates, threads)
+        .map_err(|e| ServeError::Internal(format!("sweep failed: {e}")))?
+        .arms;
     ctx.metrics.sweeps.inc();
 
     let arm_count = arms.len() as u64;

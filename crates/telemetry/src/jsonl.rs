@@ -13,8 +13,8 @@ use simcore::trace::Diary;
 use crate::registry::{MetricValue, Snapshot};
 use crate::span::Span;
 
-/// Appends `s` to `out` with JSON string escaping.
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -8,14 +8,16 @@
 //! cargo run --release --example fifty_year_experiment
 //! ```
 
-use century::experiment::paper_experiment;
+use century::experiment::{run_replicated, ParallelError};
 use century::metrics::labor_per_device_decade;
+use fleet::sim::FleetConfig;
 use simcore::trace::{Severity, Tier};
 
-fn main() {
+fn main() -> Result<(), ParallelError> {
     let replicates = 20;
     println!("=== 50-year experiment x {replicates} seeds ===\n");
-    let out = paper_experiment(2021, replicates);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let out = run_replicated(&FleetConfig::paper_experiment, 2021, replicates, threads)?;
 
     for arm in &out.arms {
         let mut uptime = arm.uptime.clone();
@@ -63,4 +65,5 @@ fn main() {
     for e in incidents.iter().rev().take(3).rev() {
         println!("  [{}] {}", e.at, e.message);
     }
+    Ok(())
 }

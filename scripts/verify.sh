@@ -26,6 +26,7 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== example smoke pass =="
 cargo run -q --release --example quickstart > /dev/null
+cargo run -q --release --example fifty_year_experiment > /dev/null
 
 echo "== lint gate (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -5,9 +5,8 @@
 //! the per-device weekly loop with population-level draws: one binomial
 //! total per path cohort, rank-ordered share division, and bulk wallet
 //! burns over the federated column. Its contract is *exact* equality with
-//! the per-device reference implementation (`SamplingMode::Reference`,
-//! behind the fleet crate's default `reference-mode` feature), which
-//! recomputes everything naively — fresh participant scans, row
+//! the per-device reference implementation (`SamplingMode::Reference`),
+//! which recomputes everything naively — fresh participant scans, row
 //! materialization, scalar wallet round-trips, per-device histogram
 //! observes. The two share only the cohort RNG splits and the binomial
 //! sampler, so digest equality proves the aggregate bookkeeping (the

@@ -2,7 +2,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
-use century::scenario::{Scenario, ScenarioBuilder};
+use century::scenario::Scenario;
 use fleet::sim::{ArmConfig, FleetConfig, FleetSim};
 use simcore::time::SimDuration;
 use simcore::trace::Tier;
@@ -49,12 +49,16 @@ fn horizon_scales_weeks_evaluated() {
 }
 
 #[test]
-fn scenario_builder_roundtrip() {
-    let scenario = ScenarioBuilder::new("integration")
-        .seed(77)
-        .horizon(SimDuration::from_years(25))
-        .arm(ArmConfig::paper_owned_154(6, 2))
-        .build();
+fn scenario_roundtrip() {
+    let scenario = Scenario {
+        name: "integration".to_string(),
+        fleet: FleetConfig {
+            horizon: SimDuration::from_years(25),
+            arms: vec![ArmConfig::paper_owned_154(6, 2)],
+            ..FleetConfig::paper_experiment(77)
+        },
+        ..Scenario::paper_experiment(77)
+    };
     let report = scenario.run();
     assert_eq!(report.arms.len(), 1);
     assert_eq!(report.arms[0].weeks_total, 25 * 365 / 7);

@@ -8,7 +8,7 @@
 //! output. This harness pins that claim across 8 seeds × 2 densities ×
 //! 2 radio parameter sets for all four rewritten hot paths (coverage,
 //! mesh, placement, interference neighborhoods), comparing full
-//! structures and their digests against the `reference-mode` oracles.
+//! structures and their digests against the pairwise oracles.
 //! Coverage is also pinned on LA-shaped Manhattan cities: a 20k-pole city
 //! in every run, and the full 320k-pole census in two ignored tests (a
 //! release-build wall-clock budget for the grid resolve, and the ~3 min

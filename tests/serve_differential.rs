@@ -7,7 +7,8 @@
 //! shard counts — plus the operational half of the story: concurrent
 //! identical requests coalesce to one execution, the cache survives a
 //! daemon restart, and a torn cache entry is refused fail-closed and
-//! transparently recomputed.
+//! transparently recomputed. A sweep streams the library replicate
+//! driver's summaries, at any thread count.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
@@ -274,4 +275,48 @@ fn torn_cache_entry_is_refused_and_recomputed() {
     let repaired = call_ok(&mut client, &req);
     assert_eq!(repaired.str_field("served"), Some("hit"));
     assert_eq!(u64_field(&repaired, "digest"), u64_field(&cold, "digest"));
+}
+
+#[test]
+fn sweep_frames_are_the_library_replicate_driver() {
+    let server = start_server("sweep", 1, 4);
+    let mut client = connect(&server);
+    let make = |seed: u64| FleetConfig {
+        horizon: SimDuration::from_years(5),
+        ..FleetConfig::paper_experiment(seed)
+    };
+    let mut want = century::experiment::run_replicated(&make, 5, 3, 1).expect("sweep runs").arms;
+
+    for threads in [1, 4] {
+        let (frames, terminal) = client
+            .call(&format!(
+                "{{\"op\":\"sweep\",\"seed\":5,\"replicates\":3,\"years\":5,\"threads\":{threads}}}"
+            ))
+            .expect("transport holds");
+        let Response::Result(obj) = terminal else { panic!("expected result, got {terminal:?}") };
+        assert_eq!(u64_field(&obj, "arms"), want.len() as u64);
+        assert_eq!(frames.len(), want.len());
+        for (frame, arm) in frames.iter().zip(&mut want) {
+            assert_eq!(frame.str_field("type"), Some("sweep_arm"));
+            assert_eq!(frame.str_field("arm"), Some(arm.name));
+            for (key, value) in [
+                ("uptime_mean", arm.uptime.mean()),
+                ("uptime_p50", arm.uptime.quantile(0.5).expect("three samples")),
+                ("spend_mean", arm.spend_dollars.mean()),
+                ("labor_mean", arm.labor_hours.mean()),
+            ] {
+                assert_eq!(
+                    frame.f64_field(key).map(f64::to_bits),
+                    Some(value.to_bits()),
+                    "{key} of {} at threads {threads}",
+                    arm.name
+                );
+            }
+        }
+    }
+
+    match client.call("{\"op\":\"sweep\",\"replicates\":0}").expect("transport holds") {
+        (_, Response::Error { code, .. }) => assert_eq!(code, "bad_request"),
+        other => panic!("expected a bad_request error frame, got {other:?}"),
+    }
 }
