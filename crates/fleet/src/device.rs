@@ -8,7 +8,7 @@
 //! unless explicitly configured vendor-locked for ablations.
 
 use net::packet::{Payload, RadioTech};
-use reliability::system::bom;
+use reliability::system::{bom, Block};
 use simcore::rng::Rng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -58,6 +58,16 @@ impl DeviceSpec {
     pub fn reports_per_week(&self) -> u64 {
         simcore::time::WEEK / self.report_interval.as_secs().max(1)
     }
+
+    /// The archetype's reliability BOM in `env`: the lifetime model every
+    /// device of this archetype samples from. A fleet builds it once per
+    /// arm and hands it to each [`DeviceState::deploy`].
+    pub fn lifetime_block(&self, env: &bom::Environment) -> Block {
+        match self.energy {
+            EnergySystem::Harvesting => bom::harvesting_node(env),
+            EnergySystem::Battery => bom::battery_node(env),
+        }
+    }
 }
 
 /// One deployed device.
@@ -81,14 +91,10 @@ pub struct DeviceState {
 }
 
 impl DeviceState {
-    /// Deploys a device at `now`, sampling its hardware lifetime from the
-    /// archetype's reliability BOM in the given environment.
-    pub fn deploy(spec: DeviceSpec, now: SimTime, env: &bom::Environment, rng: &mut Rng) -> Self {
-        let block = match spec.energy {
-            EnergySystem::Harvesting => bom::harvesting_node(env),
-            EnergySystem::Battery => bom::battery_node(env),
-        };
-        let ttf_years = block.sample_ttf(rng);
+    /// Deploys a device at `now`, sampling its hardware lifetime from
+    /// `lifetime`, the archetype's [`lifetime_block`](DeviceSpec::lifetime_block).
+    pub fn deploy(spec: DeviceSpec, lifetime: &Block, now: SimTime, rng: &mut Rng) -> Self {
+        let ttf_years = lifetime.sample_ttf(rng);
         DeviceState {
             spec,
             installed_at: now,
@@ -150,12 +156,8 @@ mod tests {
     #[test]
     fn deploy_samples_future_failure() {
         let mut rng = Rng::seed_from(1);
-        let d = DeviceState::deploy(
-            DeviceSpec::paper_sensor(RadioTech::Ieee802154),
-            SimTime::from_years(2),
-            &env(),
-            &mut rng,
-        );
+        let spec = DeviceSpec::paper_sensor(RadioTech::Ieee802154);
+        let d = DeviceState::deploy(spec, &spec.lifetime_block(&env()), SimTime::from_years(2), &mut rng);
         assert!(d.fails_at > d.installed_at);
         assert!(d.alive_at(SimTime::from_years(2)));
         assert!(!d.alive_at(SimTime::MAX));
@@ -167,9 +169,10 @@ mod tests {
         let n = 2_000;
         let mean_life = |energy: EnergySystem, rng: &mut Rng| {
             let spec = DeviceSpec { energy, ..DeviceSpec::paper_sensor(RadioTech::LoRa) };
+            let block = spec.lifetime_block(&env());
             (0..n)
                 .map(|_| {
-                    let d = DeviceState::deploy(spec, SimTime::ZERO, &env(), rng);
+                    let d = DeviceState::deploy(spec, &block, SimTime::ZERO, rng);
                     d.fails_at.as_years_f64()
                 })
                 .sum::<f64>()
@@ -183,12 +186,8 @@ mod tests {
     #[test]
     fn age_accounting() {
         let mut rng = Rng::seed_from(3);
-        let d = DeviceState::deploy(
-            DeviceSpec::paper_sensor(RadioTech::LoRa),
-            SimTime::from_years(5),
-            &env(),
-            &mut rng,
-        );
+        let spec = DeviceSpec::paper_sensor(RadioTech::LoRa);
+        let d = DeviceState::deploy(spec, &spec.lifetime_block(&env()), SimTime::from_years(5), &mut rng);
         assert_eq!(d.age_at(SimTime::from_years(4)), SimDuration::ZERO);
         assert_eq!(d.age_at(SimTime::from_years(8)), SimDuration::from_years(3));
     }
@@ -198,7 +197,7 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let mut spec = DeviceSpec::paper_sensor(RadioTech::LoRa);
         spec.energy_availability = 0.25;
-        let d = DeviceState::deploy(spec, SimTime::ZERO, &env(), &mut rng);
+        let d = DeviceState::deploy(spec, &spec.lifetime_block(&env()), SimTime::ZERO, &mut rng);
         let n = 40_000;
         let ok = (0..n).filter(|_| d.has_energy(&mut rng)).count() as f64 / n as f64;
         assert!((ok - 0.25).abs() < 0.01, "ok {ok}");

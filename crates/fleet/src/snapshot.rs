@@ -28,6 +28,7 @@
 //! Loads are fail-closed: a torn, truncated, or bit-flipped file is a
 //! typed [`SnapshotError`], never a silently wrong world.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use simcore::engine::{Engine, EngineCheckpoint};
@@ -357,13 +358,18 @@ fn encode_arm(w: &mut ByteWriter, arm: &ArmState) {
         w.put_bool(o.event);
     }
     // Diary (replaces the rebuilt arm's deployment entry on resume — the
-    // stored stream already begins with it).
+    // stored stream already begins with it). Typed messages are stored as
+    // their rendered text and come back as `Msg::Text`, which reads,
+    // digests and exports identically.
     w.put_u64(arm.diary.len() as u64);
+    let mut text = String::new();
     for entry in arm.diary.entries() {
         w.put_time(entry.at);
         w.put_u8(entry.severity.code());
         w.put_u8(entry.tier.code());
-        w.put_str(&entry.message);
+        text.clear();
+        let _ = write!(text, "{}", entry.message);
+        w.put_str(&text);
     }
     // Spans, plus the open-outage handle as an index into them.
     w.put_u64(arm.spans.len() as u64);

@@ -4,8 +4,16 @@
 //! keep the 50-year experiment alive. [`Diary`] is that artifact for
 //! simulated runs: an append-only log of tagged entries with severity,
 //! filterable and renderable as plain text.
+//!
+//! A million-device fleet writes millions of per-device lines over the
+//! paper's horizon, so those are stored typed ([`Msg::Device`]: a static
+//! arm name and a device id, no heap) and rendered only when read. Every
+//! reader — [`Display`](fmt::Display), the run digest, the JSONL export,
+//! the snapshot codec — sees exactly the text a [`Msg::Text`] holding the
+//! rendered line would give.
 
 use core::fmt;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -45,14 +53,20 @@ impl Severity {
     }
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Severity {
+    /// The display label (`INFO`, `WARN`, `INCIDENT`).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             Severity::Info => "INFO",
             Severity::Warning => "WARN",
             Severity::Incident => "INCIDENT",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -100,16 +114,152 @@ impl Tier {
     }
 }
 
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Tier {
+    /// The display label (`device`, `gateway`, …).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             Tier::Device => "device",
             Tier::Gateway => "gateway",
             Tier::Backhaul => "backhaul",
             Tier::Cloud => "cloud",
             Tier::System => "system",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Tier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// What happened to one device, for the typed per-device diary lines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeviceEvent {
+    /// `"{arm}: device {id} hardware failure (untouched policy: diagnose & replace)"`.
+    Failed,
+    /// `"{arm}: device {id} replaced"`.
+    Replaced,
+    /// `"{arm}: device {id} data-credit wallet exhausted"`.
+    WalletExhausted,
+}
+
+impl DeviceEvent {
+    /// The text after the device id.
+    const fn suffix(self) -> &'static str {
+        match self {
+            DeviceEvent::Failed => " hardware failure (untouched policy: diagnose & replace)",
+            DeviceEvent::Replaced => " replaced",
+            DeviceEvent::WalletExhausted => " data-credit wallet exhausted",
+        }
+    }
+}
+
+/// Scratch space [`decimal`] renders a number into.
+pub type DigitBuf = [u8; 20];
+
+/// `v` in decimal, rendered into `buf` without allocating.
+pub fn decimal(mut v: u64, buf: &mut DigitBuf) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    core::str::from_utf8(&buf[start..]).unwrap_or_default()
+}
+
+/// A diary message: typed for the per-device lines, free text otherwise.
+///
+/// A typed message and the [`Text`](Msg::Text) of its rendering are the
+/// same message: they display, digest, export and compare equal.
+#[derive(Clone, Debug)]
+pub enum Msg {
+    /// A per-device line, rendered as `"{arm}: device {device}"` followed
+    /// by the event's fixed wording.
+    Device {
+        /// The arm's display name.
+        arm: &'static str,
+        /// The device's index within its arm.
+        device: u32,
+        /// What happened.
+        event: DeviceEvent,
+    },
+    /// Any other line, verbatim.
+    Text(Box<str>),
+}
+
+impl Msg {
+    /// The typed line for device `device` of `arm`; an id beyond `u32`
+    /// falls back to the same text, rendered eagerly.
+    pub fn device(arm: &'static str, device: usize, event: DeviceEvent) -> Msg {
+        match u32::try_from(device) {
+            Ok(device) => Msg::Device { arm, device, event },
+            Err(_) => Msg::Text(format!("{arm}: device {device}{}", event.suffix()).into()),
+        }
+    }
+
+    /// The rendered text as consecutive pieces, without allocating; `buf`
+    /// holds the device id's digits. Only the first piece carries
+    /// caller-supplied text (the arm name, or the whole free text); the
+    /// rest are fixed ASCII wording and digits.
+    pub fn pieces<'a>(&'a self, buf: &'a mut DigitBuf) -> [&'a str; 4] {
+        match self {
+            Msg::Device { arm, device, event } => {
+                [arm, ": device ", decimal(u64::from(*device), buf), event.suffix()]
+            }
+            Msg::Text(text) => [text, "", "", ""],
+        }
+    }
+
+    /// Byte length of the rendered text.
+    pub fn len(&self) -> usize {
+        match self {
+            Msg::Device { arm, device, event } => {
+                let digits = device.checked_ilog10().map_or(1, |d| d as usize + 1);
+                arm.len() + ": device ".len() + digits + event.suffix().len()
+            }
+            Msg::Text(text) => text.len(),
+        }
+    }
+
+    /// Returns true if the rendered text is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl fmt::Display for Msg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.pieces(&mut DigitBuf::default()).iter().try_for_each(|p| f.write_str(p))
+    }
+}
+
+/// Equality of the rendered text, whatever the representation.
+impl PartialEq for Msg {
+    fn eq(&self, other: &Msg) -> bool {
+        let (mut a, mut b) = (DigitBuf::default(), DigitBuf::default());
+        self.pieces(&mut a)
+            .iter()
+            .flat_map(|p| p.bytes())
+            .eq(other.pieces(&mut b).iter().flat_map(|p| p.bytes()))
+    }
+}
+
+impl Eq for Msg {}
+
+impl From<String> for Msg {
+    fn from(text: String) -> Msg {
+        Msg::Text(text.into_boxed_str())
+    }
+}
+
+impl From<&str> for Msg {
+    fn from(text: &str) -> Msg {
+        Msg::Text(text.into())
     }
 }
 
@@ -123,7 +273,7 @@ pub struct Entry {
     /// Which tier it concerns.
     pub tier: Tier,
     /// Human-readable description.
-    pub message: String,
+    pub message: Msg,
 }
 
 /// An append-only, time-ordered log of simulation happenings.
@@ -161,7 +311,7 @@ impl Diary {
         at: SimTime,
         severity: Severity,
         tier: Tier,
-        message: impl Into<String>,
+        message: impl Into<Msg>,
     ) {
         debug_assert!(
             self.entries.last().is_none_or(|e| at >= e.at),
@@ -201,21 +351,51 @@ impl Diary {
     }
 
     /// Appends another diary's entries (e.g. merging per-arm diaries),
-    /// re-sorting by time with a stable sort so same-time entries keep their
-    /// original relative order.
+    /// in time order; same-time entries keep their original relative order.
     pub fn merge(&mut self, other: &Diary) {
-        self.entries.extend(other.entries.iter().cloned());
-        self.entries.sort_by_key(|e| e.at);
+        self.extend(other.clone());
     }
 
     /// Consuming counterpart of [`Diary::merge`]: moves `other`'s entries
-    /// in without cloning, re-sorting by time. The sort is stable, so
-    /// same-time entries keep `self`-before-`other` order and each
-    /// diary's internal order — merging per-arm diaries is reproducible
-    /// regardless of how many arms contributed.
+    /// in without cloning, in time order. Same-time entries keep
+    /// `self`-before-`other` order and each diary's internal order.
     pub fn extend(&mut self, other: Diary) {
-        self.entries.extend(other.entries);
-        self.entries.sort_by_key(|e| e.at);
+        *self = Diary::merged([core::mem::take(self), other]);
+    }
+
+    /// Merges time-ordered diaries into one, in a single pass into an
+    /// exactly sized log: by time, ties in input order, each diary's
+    /// internal order kept. Merging per-arm diaries in arm order is
+    /// therefore reproducible whichever thread or shard wrote each one.
+    ///
+    /// The merge runs from the back: the last entry overall is the latest
+    /// tail (ties to the later diary), so it is popped off its source,
+    /// and each source shrinks as it drains. The inputs' memory is handed
+    /// back while the output fills, rather than both being held at once.
+    pub fn merged(diaries: impl IntoIterator<Item = Diary>) -> Diary {
+        let mut sources: Vec<Vec<Entry>> = diaries.into_iter().map(|d| d.entries).collect();
+        let mut entries = Vec::with_capacity(sources.iter().map(Vec::len).sum());
+        let mut tails: BinaryHeap<(SimTime, usize)> = sources
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.last().map(|e| (e.at, i)))
+            .collect();
+        while let Some((_, i)) = tails.pop() {
+            // Drain source `i` while its tail stays behind every other tail.
+            let next = tails.peek().copied();
+            let src = &mut sources[i];
+            while src.last().is_some_and(|e| next.is_none_or(|tail| (e.at, i) > tail)) {
+                entries.extend(src.pop());
+            }
+            if src.len() <= src.capacity() / 2 {
+                src.shrink_to_fit();
+            }
+            if let Some(e) = src.last() {
+                tails.push((e.at, i));
+            }
+        }
+        entries.reverse();
+        Diary { entries }
     }
 
     /// Renders the diary as plain text, one line per entry.
@@ -230,8 +410,130 @@ impl Diary {
 }
 
 #[cfg(test)]
+impl Msg {
+    /// The text of a [`Msg::Text`]; tests that only log free text read
+    /// it back through this.
+    fn as_str(&self) -> &str {
+        match self {
+            Msg::Text(text) => text,
+            Msg::Device { .. } => panic!("typed message has no stored text: {self}"),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-device lines exactly as the fleet simulator `format!`ted
+    /// them before messages were typed.
+    fn legacy(m: &Msg) -> String {
+        match m {
+            Msg::Device { arm, device, event: DeviceEvent::Failed } => {
+                format!("{arm}: device {device} hardware failure (untouched policy: diagnose & replace)")
+            }
+            Msg::Device { arm, device, event: DeviceEvent::Replaced } => {
+                format!("{arm}: device {device} replaced")
+            }
+            Msg::Device { arm, device, event: DeviceEvent::WalletExhausted } => {
+                format!("{arm}: device {device} data-credit wallet exhausted")
+            }
+            Msg::Text(text) => text.to_string(),
+        }
+    }
+
+    /// The text-only render oracle: every message as its legacy `String`.
+    fn render_text(diary: &Diary) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for e in diary.entries() {
+            let message: String = legacy(&e.message);
+            let _ = writeln!(out, "[{}] {:8} {:8} {}", e.at, e.severity, e.tier, message);
+        }
+        out
+    }
+
+    const ARMS: [&str; 2] = ["owned-802.15.4", "q\"uote\\back\u{1}ctl"];
+    const EVENTS: [DeviceEvent; 3] =
+        [DeviceEvent::Failed, DeviceEvent::Replaced, DeviceEvent::WalletExhausted];
+    const IDS: [usize; 4] = [0, 9, 10, u32::MAX as usize];
+
+    /// Every typed variant × edge-case id × awkward arm name, interleaved
+    /// with free-text lines.
+    fn mixed_diary() -> Diary {
+        let mut d = Diary::new();
+        d.log(SimTime::ZERO, Severity::Info, Tier::System, "arm 'x' deployed: 3 devices");
+        for (k, (arm, (event, id))) in ARMS
+            .iter()
+            .flat_map(|a| EVENTS.iter().flat_map(move |e| IDS.iter().map(move |i| (a, (e, i)))))
+            .enumerate()
+        {
+            let at = SimTime::from_secs(k as u64 * 7);
+            d.log(at, Severity::Warning, Tier::Device, Msg::device(arm, *id, *event));
+            d.log(at, Severity::Incident, Tier::Gateway, format!("{arm}: gateway {k} failed"));
+        }
+        d
+    }
+
+    #[test]
+    fn typed_messages_render_their_legacy_text() {
+        for arm in ARMS {
+            for event in EVENTS {
+                for id in IDS {
+                    let m = Msg::device(arm, id, event);
+                    assert!(matches!(m, Msg::Device { .. }), "{id} fits the typed id");
+                    let text = legacy(&m);
+                    assert_eq!(m.to_string(), text);
+                    assert_eq!(m.len(), text.len());
+                    assert_eq!(m, Msg::from(text.as_str()), "typed ≡ its text");
+                    assert_ne!(m, Msg::from(format!("{text}.")));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ids_beyond_the_typed_range_keep_their_text() {
+        let Some(id) = (u32::MAX as usize).checked_add(1) else { return };
+        let m = Msg::device("arm", id, DeviceEvent::Replaced);
+        assert!(matches!(m, Msg::Text(_)));
+        assert_eq!(m.to_string(), format!("arm: device {id} replaced"));
+    }
+
+    #[test]
+    fn mixed_diary_renders_like_the_text_oracle() {
+        let d = mixed_diary();
+        assert_eq!(d.render(), render_text(&d));
+        assert!(d.render().contains(&format!("device {} replaced", u32::MAX)));
+    }
+
+    #[test]
+    fn entries_stay_compact() {
+        assert!(core::mem::size_of::<Entry>() <= 40, "{}", core::mem::size_of::<Entry>());
+    }
+
+    #[test]
+    fn merged_matches_a_stable_sort_of_the_concatenation() {
+        // Eight diaries with heavy same-second collisions, merged in one
+        // pass, against the stable sort the merge replaced.
+        let diaries: Vec<Diary> = (0..8u64)
+            .map(|arm| {
+                let mut d = Diary::new();
+                for k in 0..40u64 {
+                    let at = SimTime::from_secs((k * (arm + 3)) / 5);
+                    d.log(at, Severity::Info, Tier::Device, format!("arm{arm}-{k}"));
+                }
+                d
+            })
+            .collect();
+        let mut oracle: Vec<Entry> = diaries.iter().flat_map(|d| d.entries().to_vec()).collect();
+        oracle.sort_by_key(|e| e.at);
+        let merged = Diary::merged(diaries);
+        assert_eq!(merged.entries.capacity(), oracle.len());
+        let text = |es: &[Entry]| es.iter().map(|e| (e.at, e.message.to_string())).collect::<Vec<_>>();
+        assert_eq!(text(merged.entries()), text(&oracle));
+        assert!(Diary::merged([]).is_empty());
+    }
 
     #[test]
     fn log_and_count() {

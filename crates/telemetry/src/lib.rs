@@ -34,6 +34,8 @@
 
 pub mod digest;
 pub mod jsonl;
+#[cfg(test)]
+mod oracle;
 pub mod registry;
 pub mod span;
 

@@ -46,6 +46,10 @@ echo "== LA-scale grid budget (320k poles; grid resolve must finish within its w
 cargo test -q --release --test grid_differential \
   coverage_grid_resolves_the_320k_pole_city_within_budget -- --ignored
 
+echo "== century horizon (100k devices x 50 years, aggregate; streamed export and digest equal the text oracles) =="
+cargo test -q --release -p fleet --lib \
+  -- --ignored century_horizon_export_and_digest_match_the_text_oracles
+
 echo "== serve smoke (daemon up; miss -> hit with equal digests; replay re-proof; streamed hit; stats histograms; graceful shutdown) =="
 rm -rf target/verify-serve-cache
 ./target/release/century-serve --cache-dir target/verify-serve-cache \

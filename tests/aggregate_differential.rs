@@ -74,8 +74,8 @@ fn assert_equivalent(agg: &FleetReport, reference: &FleetReport, ctx: &str) {
             .diary
             .entries()
             .iter()
-            .filter(|e| e.message.contains("wallet exhausted"))
-            .map(|e| (e.at.as_secs(), e.message.clone()))
+            .map(|e| (e.at.as_secs(), e.message.to_string()))
+            .filter(|(_, message)| message.contains("wallet exhausted"))
             .collect()
     };
     assert_eq!(

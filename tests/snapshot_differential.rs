@@ -130,6 +130,7 @@ fn aggregate_mode_resume_matches_uninterrupted_across_seeds_weeks_and_k() {
     for seed in [1_u64, 7, 42, 1001] {
         let agg = |s: u64| cfg(s).with_sampling(SamplingMode::Aggregate);
         let baseline = FleetSim::run(agg(seed));
+        let baseline_export = baseline.export_jsonl();
         for w in CHECKPOINT_WEEKS {
             let mut engine = FleetSim::build(agg(seed));
             engine.run_until(week(w));
@@ -149,6 +150,13 @@ fn aggregate_mode_resume_matches_uninterrupted_across_seeds_weeks_and_k() {
                 assert_eq!(
                     report.events_processed, baseline.events_processed,
                     "seed {seed}, checkpoint week {w}, k={k} (aggregate)"
+                );
+                // The resumed diary's prefix comes back from the snapshot
+                // as text and its suffix is typed: the export must not
+                // tell them apart.
+                assert!(
+                    report.export_jsonl() == baseline_export,
+                    "seed {seed}, checkpoint week {w}, k={k}: aggregate resume export drifted"
                 );
             }
         }
