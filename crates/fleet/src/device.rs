@@ -81,8 +81,6 @@ pub struct DeviceState {
     pub fails_at: SimTime,
     /// Whether it has been marked failed.
     pub failed: bool,
-    /// Lifetime sequence number of transmitted reports.
-    pub seq: u64,
     /// Chaos: firmware wedged (transmitting nothing) until this time.
     pub stuck_until: SimTime,
     /// Chaos: emitting garbage readings (transmit, but worthless) until
@@ -100,7 +98,6 @@ impl DeviceState {
             installed_at: now,
             fails_at: now.saturating_add(SimDuration::from_years_f64(ttf_years)),
             failed: false,
-            seq: 0,
             stuck_until: SimTime::ZERO,
             byzantine_until: SimTime::ZERO,
         }

@@ -1170,7 +1170,6 @@ impl FleetSim {
             arm.weekly_acc.observe(delivered as f64);
             if delivered > 0 {
                 any_delivered = true;
-                arm.store.seq_add(di, delivered);
                 arm.report.readings_delivered += delivered;
             }
         }
@@ -1287,11 +1286,10 @@ impl FleetSim {
         let (base, rem) = Self::cohort_totals(arm, now, cloud_up, &participants, reports);
 
         // Owned arms with nobody stuck or byzantine: every participant's
-        // delivered count *is* its share, so the histogram counts follow
-        // arithmetically from (participants, base, rem) and the only
-        // per-device work left is the sequence-counter update (snapshot
-        // state). The general scan below stays the oracle-checked path
-        // for federated wallets and active chaos.
+        // delivered count *is* its share, so the histogram counts and the
+        // ledger follow arithmetically from (participants, base, rem) with
+        // no per-device work. The general scan below stays the
+        // oracle-checked path for federated wallets and active chaos.
         if stuck_present == 0
             && matches!(arm.infra, ArmInfra::Owned { .. })
             && !arm.store.any_byzantine_at(now)
@@ -1306,7 +1304,6 @@ impl FleetSim {
                 delivered_total += base[c] * participants[c] + rem[c];
             }
             if delivered_total > 0 {
-                arm.store.seq_add_shares(&base, &rem);
                 arm.report.readings_delivered += delivered_total;
                 arm.report.weeks_up += 1;
             }
@@ -1357,7 +1354,6 @@ impl FleetSim {
             value_counts[delivered as usize] += 1;
             if delivered > 0 {
                 any_delivered = true;
-                arm.store.seq_add(di, delivered);
                 arm.report.readings_delivered += delivered;
             }
         }
@@ -1445,7 +1441,6 @@ impl FleetSim {
             arm.weekly_acc.observe(delivered as f64);
             if delivered > 0 {
                 any_delivered = true;
-                arm.store.seq_add(di, delivered);
                 arm.report.readings_delivered += delivered;
             }
         }
@@ -2471,14 +2466,15 @@ mod tests {
     }
 
     /// Runs the same fleet under `Aggregate` and `Reference` to several
-    /// checkpoint weeks and compares every device row — including the
-    /// sequence counters, which no digest covers.
+    /// checkpoint weeks and compares every device row, every federated
+    /// wallet and each arm's delivery ledger. Wallets burn exactly each
+    /// device's share, so they pin the id-order share rule per device.
     #[test]
     fn aggregate_matches_reference_on_every_device_row() {
         use crate::fault::{Fault, FaultKind, FaultPlan, FleetInjector};
 
         let row_key = |d: &DeviceState| {
-            (d.installed_at, d.fails_at, d.failed, d.seq, d.stuck_until, d.byzantine_until)
+            (d.installed_at, d.fails_at, d.failed, d.stuck_until, d.byzantine_until)
         };
         let weeks = [2u64, 9, 30, 53, 130, 209];
         for seed in 1..=4u64 {
@@ -2520,19 +2516,42 @@ mod tests {
                     agg.run_until_hooked(at, &mut agg_hook);
                     refr.run_until_hooked(at, &mut ref_hook);
                     let mut delivered = 0u64;
+                    let mut burned = 0u64;
                     for (a, r) in agg.world().arms.iter().zip(&refr.world().arms) {
+                        let what = format!("seed {seed} chaos {chaos} week {w} arm {}", a.id);
                         assert_eq!(a.store.len(), r.store.len());
                         for di in 0..a.store.len() {
                             assert_eq!(
                                 row_key(&a.store.row(di)),
                                 row_key(&r.store.row(di)),
-                                "seed {seed} chaos {chaos} week {w} arm {} device {di}",
-                                a.id
+                                "{what} device {di}"
                             );
-                            delivered = delivered.wrapping_add(a.store.seq(di));
                         }
+                        if let (
+                            ArmInfra::Federated { wallets: wa, .. },
+                            ArmInfra::Federated { wallets: wr, .. },
+                        ) = (&a.infra, &r.infra)
+                        {
+                            assert_eq!(wa.len(), wr.len());
+                            for di in 0..wa.len() {
+                                let state = wa.get(di).map(|x| x.raw_state());
+                                assert_eq!(
+                                    state,
+                                    wr.get(di).map(|x| x.raw_state()),
+                                    "{what} wallet {di}"
+                                );
+                                burned += state.map_or(0, |(_, b, _, _)| b);
+                            }
+                        }
+                        assert_eq!(
+                            a.report.readings_delivered, r.report.readings_delivered,
+                            "{what} readings delivered"
+                        );
+                        assert_eq!(a.report.weeks_up, r.report.weeks_up, "{what} weeks up");
+                        delivered += a.report.readings_delivered;
                     }
-                    assert!(delivered > 0, "seed {seed} week {w}: counters never moved");
+                    assert!(delivered > 0, "seed {seed} week {w}: nothing delivered");
+                    assert!(burned > 0, "seed {seed} week {w}: no wallet burned");
                 }
                 assert_eq!(agg_hook.applied(), ref_hook.applied());
                 if chaos {

@@ -53,7 +53,10 @@ use crate::sim::{ArmInfra, ArmKind, ArmState, Ev, FleetConfig, FleetSim, Samplin
 /// layout, encoded via materialized rows), federated wallets became a
 /// [`WalletColumn`](econ::credits::WalletColumn), and the config
 /// fingerprint gained the sampling mode.
-pub const FLEET_SNAPSHOT_VERSION: u8 = 2;
+///
+/// v3: the per-device row dropped its 8-byte report sequence counter
+/// (33 bytes: four times and the failed flag).
+pub const FLEET_SNAPSHOT_VERSION: u8 = 3;
 
 /// Chaos replay progress at the checkpoint: how far through its
 /// [`FaultPlan`](crate::fault::FaultPlan)-ordered schedule the injector
@@ -300,7 +303,6 @@ fn encode_arm(w: &mut ByteWriter, arm: &ArmState) {
         w.put_time(dev.installed_at);
         w.put_time(dev.fails_at);
         w.put_bool(dev.failed);
-        w.put_u64(dev.seq);
         w.put_time(dev.stuck_until);
         w.put_time(dev.byzantine_until);
     }
@@ -404,7 +406,7 @@ fn decode_arm_into(r: &mut ByteReader<'_>, arm: &mut ArmState) -> Result<(), Sna
         *s = r.take_u64()?;
     }
     arm.rng = Rng::from_state(state);
-    let n_devices = r.take_count(34)?;
+    let n_devices = r.take_count(33)?;
     if n_devices != arm.store.len() {
         return Err(SnapshotError::Corrupt { what: "device count differs from config" });
     }
@@ -413,7 +415,6 @@ fn decode_arm_into(r: &mut ByteReader<'_>, arm: &mut ArmState) -> Result<(), Sna
         dev.installed_at = r.take_time()?;
         dev.fails_at = r.take_time()?;
         dev.failed = r.take_bool()?;
-        dev.seq = r.take_u64()?;
         dev.stuck_until = r.take_time()?;
         dev.byzantine_until = r.take_time()?;
         arm.store.set_row(di, &dev);
@@ -653,6 +654,42 @@ mod tests {
             resume_from_bytes(&flipped, cfg(15)),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn older_snapshot_versions_are_refused() {
+        let mut engine = FleetSim::build(cfg(16));
+        engine.run_until(week(8));
+        let bytes = checkpoint_bytes(&mut engine, ChaosProgress::default());
+        let (_, payload) = snapshot::open(&bytes, FLEET_SNAPSHOT_VERSION).expect("sealed image");
+        let stale = snapshot::seal(2, payload);
+        let Err(err) = resume_from_bytes(&stale, cfg(16)) else {
+            panic!("a version-2 image must be refused");
+        };
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion { found: 2, supported: 3 }),
+            "{err}"
+        );
+    }
+
+    /// A large arm early in the run: the device rows dominate the payload,
+    /// so the device-count floor must not exceed the row size.
+    #[test]
+    fn large_single_arm_resumes_from_an_early_checkpoint() {
+        let one_arm = || FleetConfig {
+            horizon: SimDuration::from_years(1),
+            arms: vec![crate::sim::ArmConfig::paper_owned_154(10_000, 2)],
+            ..cfg(17)
+        };
+        let baseline = FleetSim::run(one_arm());
+        let mut engine = FleetSim::build(one_arm());
+        engine.run_until(week(1));
+        let bytes = checkpoint_bytes(&mut engine, ChaosProgress::default());
+        drop(engine);
+        let resumed = resume_from_bytes(&bytes, one_arm()).expect("early checkpoint resumes");
+        let start = Start::Resumed(Box::new(resumed));
+        let report = Run { start, faults: FaultPlan::empty(), shards: Shards::SERIAL }.execute();
+        assert_eq!(report.digest(), baseline.digest());
     }
 
     #[test]

@@ -470,16 +470,6 @@ impl<W: World> Engine<W> {
         self.run_supervised(horizon, &mut NoFaults, Some(watchdog))
     }
 
-    /// [`Engine::run_until_checked`] with a [`FaultHook`] interleaved.
-    pub fn run_until_checked_hooked(
-        &mut self,
-        horizon: SimTime,
-        hook: &mut dyn FaultHook<W>,
-        watchdog: &Watchdog,
-    ) -> Result<RunOutcome, SimError> {
-        self.run_supervised(horizon, hook, Some(watchdog))
-    }
-
     fn run_supervised(
         &mut self,
         horizon: SimTime,
@@ -729,21 +719,6 @@ where
             hook_fires: self.profile.hook_fires,
             events,
         }
-    }
-
-    /// Runs to the checkpoint boundary `at` (events exactly at `at` stay
-    /// pending, per the horizon-exclusive contract — the natural weekly
-    /// boundary semantics) and captures a checkpoint there.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ScheduledInPast`] if `at` is before the current clock.
-    pub fn checkpoint_at(&mut self, at: SimTime) -> Result<EngineCheckpoint<W::Event>, SimError> {
-        if at < self.now {
-            return Err(SimError::ScheduledInPast { at, now: self.now });
-        }
-        self.run_until(at);
-        Ok(self.checkpoint())
     }
 }
 
