@@ -118,28 +118,25 @@ mod tests {
     use econ::labor::PersonHours;
 
     fn report() -> ArmReport {
-        ArmReport {
-            name: "test",
-            weeks_up: 90,
-            weeks_total: 100,
-            readings_delivered: 1_000,
-            readings_expected: 1_200,
-            device_failures: 3,
-            device_replacements: 3,
-            gateway_repairs: 2,
-            backhaul_migrations: 0,
-            labor: PersonHours::from_hours(50.0),
-            spend: Usd::from_dollars(2_000),
-            wallets_exhausted: 0,
-            faults_injected: 0,
-            lifetime_observations: Vec::new(),
-        }
+        let mut r = ArmReport::default();
+        r.name = "test";
+        r.weeks_up = 90;
+        r.weeks_total = 100;
+        r.readings_delivered = 1_000;
+        r.readings_expected = 1_200;
+        r.device_failures = 3;
+        r.device_replacements = 3;
+        r.gateway_repairs = 2;
+        r.labor = PersonHours::from_hours(50.0);
+        r.spend = Usd::from_dollars(2_000);
+        r
     }
 
     #[test]
     fn cost_per_reading_division() {
         assert_eq!(cost_per_reading(&report()), Usd::from_dollars(2));
-        let empty = ArmReport { readings_delivered: 0, ..report() };
+        let mut empty = report();
+        empty.readings_delivered = 0;
         assert_eq!(cost_per_reading(&empty), Usd::ZERO);
     }
 
@@ -155,7 +152,9 @@ mod tests {
     fn summary_aggregates() {
         let mut s = ArmSummary::new("arm");
         s.add_row(&ArmRow::of(&report()));
-        s.add_row(&ArmRow::of(&ArmReport { weeks_up: 50, ..report() }));
+        let mut half = report();
+        half.weeks_up = 50;
+        s.add_row(&ArmRow::of(&half));
         assert_eq!(s.replicates(), 2);
         assert!((s.uptime.mean() - 0.7).abs() < 1e-12);
         assert!((s.labor_hours.mean() - 50.0).abs() < 1e-12);

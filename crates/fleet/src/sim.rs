@@ -350,10 +350,23 @@ pub struct ArmReport {
     pub wallets_exhausted: u64,
     /// Chaos faults injected into this arm (zero outside chaos runs).
     pub faults_injected: u64,
-    /// Per-incarnation device lifetimes in years: failures observed during
-    /// the run plus right-censored survivors at the horizon — ready for
-    /// [`simcore::survival::KaplanMeier`] or `reliability::fit`.
-    pub lifetime_observations: Vec<Observation>,
+    /// Device age in years at each observed failure, in event order.
+    pub(crate) failure_ages: Vec<f64>,
+    /// The devices at the horizon, from which the censored tail of
+    /// [`lifetime_observations`](Self::lifetime_observations) is derived.
+    /// Empty until finalize hands over the device store's columns.
+    pub(crate) census: Census,
+}
+
+/// An arm's device population at the horizon: the device store's
+/// install-time and failed-flag columns (moved out of the store at
+/// finalize, not copied) and the horizon itself. Each device still
+/// present is a right-censored lifetime observation.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Census {
+    pub(crate) installed_at: Vec<SimTime>,
+    pub(crate) failed: Vec<bool>,
+    pub(crate) horizon: SimTime,
 }
 
 impl ArmReport {
@@ -371,6 +384,26 @@ impl ArmReport {
             return 0.0;
         }
         self.readings_delivered as f64 / self.readings_expected as f64
+    }
+
+    /// Per-incarnation device lifetimes in years, ready for
+    /// [`simcore::survival::KaplanMeier`] or `reliability::fit`: every
+    /// failure observed during the run, in event order, then every device
+    /// present at the horizon, right-censored at its age there, in
+    /// device-id order.
+    pub fn lifetime_observations(&self) -> impl Iterator<Item = Observation> + '_ {
+        let Census { installed_at, failed, horizon } = &self.census;
+        let survivors = installed_at.iter().zip(failed).filter(|(_, &failed)| !failed).map(
+            move |(&installed, _)| {
+                let age = if *horizon <= installed {
+                    SimDuration::ZERO
+                } else {
+                    horizon.since(installed)
+                };
+                Observation::censored(age.as_years_f64())
+            },
+        );
+        self.failure_ages.iter().map(|&age| Observation::failed(age)).chain(survivors)
     }
 }
 
@@ -423,8 +456,8 @@ impl FleetReport {
             }
             d.write_f64(arm.labor.hours());
             d.write_i128(arm.spend.micros());
-            d.write_u64(arm.lifetime_observations.len() as u64);
-            for o in &arm.lifetime_observations {
+            d.write_u64(arm.lifetime_observations().count() as u64);
+            for o in arm.lifetime_observations() {
                 d.write_f64(o.time);
                 d.write_u8(u8::from(o.event));
             }
@@ -878,9 +911,9 @@ impl FleetSim {
         Self::into_report_recycling(engine, horizon)
     }
 
-    /// Finalizes a finished engine into a [`FleetReport`]: right-censors
-    /// the survivors and collects the per-arm ledgers. Shared by [`run`],
-    /// [`Run::execute`](crate::run::Run::execute) and external callers
+    /// Finalizes a finished engine into a [`FleetReport`]: takes each
+    /// arm's survivor census and collects the per-arm ledgers. Shared by
+    /// [`run`], [`Run::execute`](crate::run::Run::execute) and external callers
     /// that step an engine themselves, so reports stay structurally
     /// identical.
     ///
@@ -904,12 +937,12 @@ impl FleetSim {
     }
 
     /// The one finalize path every runner — serial, hooked, sharded —
-    /// funnels through: right-censors survivors, settles the deferred
-    /// per-arm metrics, and performs the canonical merge of the per-arm
-    /// diaries and span logs (stable by time, ties in ascending global
-    /// arm id). Because the merge order is a pure function of per-arm
-    /// streams, a sharded run that reproduced each arm's stream exactly
-    /// produces a bit-identical report here.
+    /// funnels through: hands each report its survivor census, settles
+    /// the deferred per-arm metrics, and performs the canonical merge of
+    /// the per-arm diaries and span logs (stable by time, ties in
+    /// ascending global arm id). Because the merge order is a pure
+    /// function of per-arm streams, a sharded run that reproduced each
+    /// arm's stream exactly produces a bit-identical report here.
     pub(crate) fn finalize(
         mut self,
         events: u64,
@@ -919,18 +952,6 @@ impl FleetSim {
         // Arms in ascending global id: the identity for serial worlds,
         // and the merge order for arms regrouped from shards.
         self.arms.sort_by_key(|a| a.id);
-        // Right-censor every incarnation whose failure event never ran —
-        // including one failing exactly at the horizon, which is never
-        // scheduled (`fails_at < horizon`) and so is never observed failed.
-        for arm in &mut self.arms {
-            for di in 0..arm.store.len() {
-                if arm.store.present(di) {
-                    arm.report
-                        .lifetime_observations
-                        .push(Observation::censored(arm.store.age_at(di, horizon).as_years_f64()));
-                }
-            }
-        }
         // Settle the per-arm delivery metrics the hot loop deferred: the
         // counter from the report ledger, the histogram from its local
         // accumulator. Local f64 accumulation starting from 0.0 matches
@@ -942,13 +963,18 @@ impl FleetSim {
             debug_assert!(flushed, "accumulator layout matches by construction");
         }
         let metrics = self.metrics.snapshot();
-        // Keep only what the report needs from each arm, so the device
-        // stores are freed before the diary merge allocates its output.
+        // Keep only what the report needs from each arm, so the rest of
+        // each device store is freed before the diary merge allocates its
+        // output. The census right-censors every incarnation whose failure
+        // event never ran — including one failing exactly at the horizon,
+        // which is never scheduled (`fails_at < horizon`) and so is never
+        // observed failed.
         let mut arms = Vec::with_capacity(self.arms.len());
         let mut diaries = Vec::with_capacity(self.arms.len());
         let mut spans: Vec<Span> = Vec::new();
         for arm in self.arms {
-            arms.push(arm.report);
+            let (installed_at, failed) = arm.store.into_census();
+            arms.push(ArmReport { census: Census { installed_at, failed, horizon }, ..arm.report });
             diaries.push(arm.diary);
             spans.extend(arm.spans.spans().iter().cloned());
         }
@@ -1822,9 +1848,7 @@ impl World for FleetSim {
                 let Some(arm) = self.local_arm(ai) else { return };
                 arm.store.mark_failed(di);
                 arm.report.device_failures += 1;
-                arm.report.lifetime_observations.push(Observation::failed(
-                    arm.store.age_at(di, now).as_years_f64(),
-                ));
+                arm.report.failure_ages.push(arm.store.age_at(di, now).as_years_f64());
                 arm.diary.log(
                     now,
                     Severity::Warning,
@@ -2047,19 +2071,24 @@ mod tests {
 
     #[test]
     fn lifetime_observations_cover_every_incarnation() {
-        let report = FleetSim::run(FleetConfig::paper_experiment(21));
-        for arm in &report.arms {
-            let failures = arm
-                .lifetime_observations
-                .iter()
-                .filter(|o| o.event)
-                .count() as u64;
+        let cfg = FleetConfig::paper_experiment(21);
+        let report = FleetSim::run(cfg.clone());
+        for (arm, arm_cfg) in report.arms.iter().zip(&cfg.arms) {
+            let obs: Vec<Observation> = arm.lifetime_observations().collect();
+            let failures = obs.iter().filter(|o| o.event).count() as u64;
             assert_eq!(failures, arm.device_failures, "{}", arm.name);
-            let censored = arm.lifetime_observations.len() as u64 - failures;
+            assert!(
+                obs[failures as usize..].iter().all(|o| !o.event),
+                "{}: failures come first, then the censored tail",
+                arm.name
+            );
+            let censored = obs.len() as u64 - failures;
             // Every mount's final incarnation that is still alive at the
             // horizon is censored; unreplaced dead mounts contribute none.
+            let present = arm_cfg.devices as u64 + arm.device_replacements - arm.device_failures;
+            assert_eq!(censored, present, "{}: censored != devices present", arm.name);
             assert!(censored <= 10, "{}: censored {censored}", arm.name);
-            for o in &arm.lifetime_observations {
+            for o in &obs {
                 assert!(o.time >= 0.0 && o.time <= 50.0);
             }
         }
@@ -2159,6 +2188,30 @@ mod tests {
         );
         let text = report.diary.render();
         assert!(text.contains("wallet exhausted"));
+    }
+
+    #[test]
+    fn plain_runs_leave_the_chaos_columns_unallocated() {
+        let cfg = FleetConfig {
+            horizon: SimDuration::from_years(20),
+            ..FleetConfig::scaled(5, 1_600).with_sampling(SamplingMode::Aggregate)
+        };
+        let horizon = SimTime::ZERO + cfg.horizon;
+        let mut engine = FleetSim::build(cfg);
+        engine.run_until(horizon);
+        let w = engine.world_mut();
+        assert!(
+            w.arms.iter().all(|a| a.report.device_replacements > 0),
+            "every arm replaced a device that was never stuck"
+        );
+        for arm in &w.arms {
+            assert_eq!(arm.store.chaos_columns_allocated(), [false, false], "arm {}", arm.id);
+        }
+        assert!(w.inject_device_stuck(0, horizon, 3, SimDuration::from_weeks(2)));
+        assert_eq!(w.arms[0].store.chaos_columns_allocated(), [true, false]);
+        assert!(w.inject_device_byzantine(1, horizon, 3, SimDuration::from_weeks(2)));
+        assert_eq!(w.arms[1].store.chaos_columns_allocated(), [false, true]);
+        assert_eq!(w.arms[2].store.chaos_columns_allocated(), [false, false]);
     }
 
     #[test]
@@ -2345,16 +2398,17 @@ mod tests {
         engine.run_until(horizon);
         let report = FleetSim::into_report(engine, horizon);
         for (arm, cfg) in report.arms.iter().zip(&FleetConfig::paper_experiment(3).arms) {
+            let obs: Vec<Observation> = arm.lifetime_observations().collect();
             assert_eq!(
-                arm.lifetime_observations.len() as u64,
+                obs.len() as u64,
                 cfg.devices as u64 + arm.device_replacements,
                 "{}",
                 arm.name
             );
-            let censored = arm.lifetime_observations.iter().filter(|o| !o.event).count();
-            assert_eq!(arm.device_failures as usize + censored, arm.lifetime_observations.len());
+            let censored = obs.iter().filter(|o| !o.event).count();
+            assert_eq!(arm.device_failures as usize + censored, obs.len());
             // Device 0 is censored at its full two-year age.
-            assert!(arm.lifetime_observations.iter().any(|o| !o.event && o.time == 2.0));
+            assert!(obs.iter().any(|o| !o.event && o.time == 2.0));
         }
     }
 

@@ -34,7 +34,6 @@ use std::path::Path;
 use simcore::engine::{Engine, EngineCheckpoint};
 use simcore::rng::Rng;
 use simcore::snapshot::{self, ByteReader, ByteWriter, SnapshotError};
-use simcore::survival::Observation;
 use simcore::time::SimTime;
 use simcore::trace::{Diary, Severity, Tier};
 use telemetry::span::{Span, SpanLog};
@@ -354,10 +353,13 @@ fn encode_arm(w: &mut ByteWriter, arm: &ArmState) {
     }
     w.put_f64(arm.report.labor.hours());
     w.put_i128(arm.report.spend.micros());
-    w.put_u64(arm.report.lifetime_observations.len() as u64);
-    for o in &arm.report.lifetime_observations {
-        w.put_f64(o.time);
-        w.put_bool(o.event);
+    // Lifetime observations: mid-run, only the failures so far. The
+    // censored tail is derived at finalize and never stored; the event
+    // flag stays in the layout and is always set.
+    w.put_u64(arm.report.failure_ages.len() as u64);
+    for &age in &arm.report.failure_ages {
+        w.put_f64(age);
+        w.put_bool(true);
     }
     // Diary (replaces the rebuilt arm's deployment entry on resume — the
     // stored stream already begins with it). Typed messages are stored as
@@ -474,13 +476,15 @@ fn decode_arm_into(r: &mut ByteReader<'_>, arm: &mut ArmState) -> Result<(), Sna
     arm.report.labor = PersonHours::from_hours(restore_finite(r.take_f64()?, "labor hours")?);
     arm.report.spend = Usd::from_micros(r.take_i128()?);
     let n_obs = r.take_count(9)?;
-    let mut observations = Vec::with_capacity(n_obs);
+    let mut failure_ages = Vec::with_capacity(n_obs);
     for _ in 0..n_obs {
-        let time = restore_finite(r.take_f64()?, "lifetime observation")?;
-        let event = r.take_bool()?;
-        observations.push(Observation { time, event });
+        let age = restore_finite(r.take_f64()?, "lifetime observation")?;
+        if !r.take_bool()? {
+            return Err(SnapshotError::Corrupt { what: "censored lifetime observation mid-run" });
+        }
+        failure_ages.push(age);
     }
-    arm.report.lifetime_observations = observations;
+    arm.report.failure_ages = failure_ages;
     // Diary: rebuilt wholesale in stored (time-ordered) sequence.
     let n_diary = r.take_count(18)?;
     let mut diary = Diary::new();
@@ -690,6 +694,29 @@ mod tests {
         let start = Start::Resumed(Box::new(resumed));
         let report = Run { start, faults: FaultPlan::empty(), shards: Shards::SERIAL }.execute();
         assert_eq!(report.digest(), baseline.digest());
+    }
+
+    #[test]
+    fn a_censored_lifetime_observation_is_refused() {
+        let mut engine = FleetSim::build(cfg(18));
+        engine.run_until(week(1300));
+        let bytes = checkpoint_bytes(&mut engine, ChaosProgress::default());
+        let age = engine.world().arms[0].report.failure_ages[0];
+        let (_, payload) = snapshot::open(&bytes, FLEET_SNAPSHOT_VERSION).expect("sealed image");
+        // The first stored observation: its age, then its event flag.
+        let mut needle = age.to_bits().to_le_bytes().to_vec();
+        needle.push(1);
+        let at = payload
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("the first failure is stored");
+        let mut censored = payload.to_vec();
+        censored[at + 8] = 0;
+        let image = snapshot::seal(FLEET_SNAPSHOT_VERSION, &censored);
+        let Err(err) = resume_from_bytes(&image, cfg(18)) else {
+            panic!("a censored observation must be refused");
+        };
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 
     #[test]

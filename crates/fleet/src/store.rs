@@ -1,10 +1,16 @@
 //! Struct-of-arrays device population store.
 //!
 //! [`DeviceStore`] holds one arm's whole device population as parallel
-//! columns (install and death times, failed flag, chaos timers, cohort id)
-//! instead of a `Vec<DeviceState>`-of-structs. The weekly hot loop at
-//! million-device scale touches one or two columns per device; the row
-//! layout made every pass stride over whole structs.
+//! columns (install and death times, failed flag, cohort id) instead of a
+//! `Vec<DeviceState>`-of-structs. The weekly hot loop at million-device
+//! scale touches one or two columns per device; the row layout made every
+//! pass stride over whole structs.
+//!
+//! The two chaos timers (`stuck_until`, `byzantine_until`) are *sparse*:
+//! each column stays unallocated until the first injection (or restored
+//! row) that needs a non-zero value, and an absent column reads as
+//! `SimTime::ZERO` for every device. A plain run therefore stores 21 B per
+//! device (two times, the failed flag and the cohort id), not 37.
 //!
 //! The store also owns the *cohort* decomposition that aggregate sampling
 //! (DESIGN.md §13) is built on: devices with the same canonical (sorted)
@@ -45,7 +51,10 @@ pub struct DeviceStore {
     installed_at: Vec<SimTime>,
     fails_at: Vec<SimTime>,
     failed: Vec<bool>,
+    /// Chaos wedge timers: empty until a device first needs a non-zero
+    /// value, then one entry per device (see [`sparse_get`]).
     stuck_until: Vec<SimTime>,
+    /// Chaos garbage-reading timers, sparse like `stuck_until`.
     byzantine_until: Vec<SimTime>,
     /// Each device's cohort id (index into `cohorts`).
     cohort: Vec<u32>,
@@ -56,6 +65,9 @@ pub struct DeviceStore {
     /// corrects participant counts by scanning this short list instead of
     /// the whole population.
     stuck_ids: Vec<usize>,
+    /// Membership flags for `stuck_ids`, so an injection dedupes in O(1).
+    /// Allocated with the first stuck injection, like `stuck_until`.
+    stuck_listed: Vec<bool>,
     /// Upper bound on every device's `byzantine_until` (max-merged by the
     /// setters, never lowered). `any_byzantine_at` tests against it so the
     /// weekly aggregate pass can skip the per-device byzantine column
@@ -87,11 +99,12 @@ impl DeviceStore {
             installed_at: vec![SimTime::ZERO; n],
             fails_at,
             failed: vec![false; n],
-            stuck_until: vec![SimTime::ZERO; n],
-            byzantine_until: vec![SimTime::ZERO; n],
+            stuck_until: Vec::new(),
+            byzantine_until: Vec::new(),
             cohort,
             cohorts,
             stuck_ids: Vec::new(),
+            stuck_listed: Vec::new(),
             byzantine_max_until: SimTime::ZERO,
         }
     }
@@ -130,13 +143,13 @@ impl DeviceStore {
     /// Whether device `di`'s firmware is chaos-wedged at `t`.
     #[inline]
     pub fn stuck_at(&self, di: usize, t: SimTime) -> bool {
-        t < self.stuck_until[di]
+        t < sparse_get(&self.stuck_until, di)
     }
 
     /// Whether device `di` emits garbage readings at `t`.
     #[inline]
     pub fn byzantine_at(&self, di: usize, t: SimTime) -> bool {
-        t < self.byzantine_until[di]
+        t < sparse_get(&self.byzantine_until, di)
     }
 
     /// Whether *any* device could be byzantine at `t` (watermark check —
@@ -211,11 +224,12 @@ impl DeviceStore {
                 *alive += 1;
             }
         }
+        let n = self.len();
         self.installed_at[di] = dev.installed_at;
         self.fails_at[di] = dev.fails_at;
         self.failed[di] = dev.failed;
-        self.stuck_until[di] = dev.stuck_until;
-        self.byzantine_until[di] = dev.byzantine_until;
+        sparse_set(&mut self.stuck_until, n, di, dev.stuck_until);
+        sparse_set(&mut self.byzantine_until, n, di, dev.byzantine_until);
         self.byzantine_max_until = self.byzantine_max_until.max(dev.byzantine_until);
     }
 
@@ -227,9 +241,23 @@ impl DeviceStore {
             installed_at: self.installed_at[di],
             fails_at: self.fails_at[di],
             failed: self.failed[di],
-            stuck_until: self.stuck_until[di],
-            byzantine_until: self.byzantine_until[di],
+            stuck_until: sparse_get(&self.stuck_until, di),
+            byzantine_until: sparse_get(&self.byzantine_until, di),
         }
+    }
+
+    /// Hands the census columns a report keeps over to it — each
+    /// device's install time and failed flag, moved, not copied — and
+    /// frees the rest of the store.
+    pub(crate) fn into_census(self) -> (Vec<SimTime>, Vec<bool>) {
+        (self.installed_at, self.failed)
+    }
+
+    /// Whether the `stuck_until` and `byzantine_until` columns are
+    /// allocated.
+    #[cfg(test)]
+    pub(crate) fn chaos_columns_allocated(&self) -> [bool; 2] {
+        [!self.stuck_until.is_empty(), !self.byzantine_until.is_empty()]
     }
 
     /// Chaos: wedges device `di` until at least `until` (overlapping
@@ -237,11 +265,16 @@ impl DeviceStore {
     /// aggregate participant correction. Returns `false` (and changes
     /// nothing) if `di` is out of bounds.
     pub fn set_stuck_until(&mut self, di: usize, until: SimTime) -> bool {
-        let Some(slot) = self.stuck_until.get_mut(di) else {
+        let n = self.len();
+        if di >= n {
             return false;
-        };
-        *slot = (*slot).max(until);
-        if !self.stuck_ids.contains(&di) {
+        }
+        let merged = sparse_get(&self.stuck_until, di).max(until);
+        sparse_set(&mut self.stuck_until, n, di, merged);
+        if self.stuck_listed.is_empty() {
+            self.stuck_listed = vec![false; n];
+        }
+        if !std::mem::replace(&mut self.stuck_listed[di], true) {
             self.stuck_ids.push(di);
         }
         true
@@ -250,10 +283,12 @@ impl DeviceStore {
     /// Chaos: marks device `di` byzantine until at least `until`
     /// (max-merge). Returns `false` if `di` is out of bounds.
     pub fn set_byzantine_until(&mut self, di: usize, until: SimTime) -> bool {
-        let Some(slot) = self.byzantine_until.get_mut(di) else {
+        let n = self.len();
+        if di >= n {
             return false;
-        };
-        *slot = (*slot).max(until);
+        }
+        let merged = sparse_get(&self.byzantine_until, di).max(until);
+        sparse_set(&mut self.byzantine_until, n, di, merged);
         self.byzantine_max_until = self.byzantine_max_until.max(until);
         true
     }
@@ -264,13 +299,28 @@ impl DeviceStore {
     /// only counts over it, so ordering differences against the
     /// injection-order list of an uninterrupted run are unobservable.
     pub fn rebuild_stuck_ids(&mut self) {
-        self.stuck_ids.clear();
-        for (di, &until) in self.stuck_until.iter().enumerate() {
-            if until > SimTime::ZERO {
-                self.stuck_ids.push(di);
-            }
-        }
+        self.stuck_listed = self.stuck_until.iter().map(|&until| until > SimTime::ZERO).collect();
+        self.stuck_ids = (0..self.stuck_listed.len()).filter(|&di| self.stuck_listed[di]).collect();
     }
+}
+
+/// Device `di`'s entry in a sparse chaos column: an unallocated column
+/// reads as `SimTime::ZERO`.
+#[inline]
+fn sparse_get(col: &[SimTime], di: usize) -> SimTime {
+    col.get(di).copied().unwrap_or(SimTime::ZERO)
+}
+
+/// Writes device `di`'s entry in a sparse chaos column of `n` devices,
+/// allocating it only when the value is non-zero.
+fn sparse_set(col: &mut Vec<SimTime>, n: usize, di: usize, v: SimTime) {
+    if col.is_empty() {
+        if v == SimTime::ZERO {
+            return;
+        }
+        *col = vec![SimTime::ZERO; n];
+    }
+    col[di] = v;
 }
 
 #[cfg(test)]
@@ -371,6 +421,67 @@ mod tests {
         assert_eq!(s.stuck_ids(), &[0], "re-injection must not duplicate the index");
         assert!(!s.set_stuck_until(99, SimTime::from_years(1)));
         assert!(!s.set_byzantine_until(99, SimTime::from_years(1)));
+    }
+
+    #[test]
+    fn overlapping_storms_list_each_stuck_device_once() {
+        // Storms that knock out overlapping windows of devices, over and
+        // over, with a replacement clearing one device's timer in between.
+        let n = 64;
+        let mut s = DeviceStore::build(
+            spec(),
+            vec![SimTime::from_years(50); n],
+            vec![0; n],
+            vec![Vec::new()],
+        );
+        let mut want = Vec::new();
+        for storm in 0..20u64 {
+            let first = (storm as usize * 3) % n;
+            for di in (first..first + 16).map(|d| d % n) {
+                assert!(s.set_stuck_until(di, SimTime::ZERO + SimDuration::from_weeks(storm + 1)));
+                if !want.contains(&di) {
+                    want.push(di);
+                }
+            }
+            if storm == 10 {
+                // The next storm knocks this replacement out again.
+                let replaced = first + 15;
+                let mut fresh = s.row(replaced);
+                fresh.stuck_until = SimTime::ZERO;
+                s.set_row(replaced, &fresh);
+            }
+        }
+        assert_eq!(s.stuck_ids(), want.as_slice(), "one entry per device, in injection order");
+        let mut sorted = want.clone();
+        sorted.sort_unstable();
+        s.rebuild_stuck_ids();
+        assert_eq!(s.stuck_ids(), sorted.as_slice(), "rebuild keeps the same id set");
+    }
+
+    #[test]
+    fn chaos_columns_are_allocated_by_the_first_injection_only() {
+        let mut s = store();
+        assert_eq!(s.chaos_columns_allocated(), [false, false], "a fresh store has none");
+        // Replacing a device that was never stuck writes no chaos column.
+        s.mark_failed(1);
+        let mut fresh = s.row(1);
+        fresh.failed = false;
+        fresh.installed_at = SimTime::from_years(5);
+        s.set_row(1, &fresh);
+        assert_eq!(s.chaos_columns_allocated(), [false, false], "unstuck replacement");
+        assert!(!s.stuck_at(1, SimTime::ZERO) && !s.byzantine_at(1, SimTime::ZERO));
+        assert!(s.set_stuck_until(2, SimTime::from_years(1)));
+        assert_eq!(s.chaos_columns_allocated(), [true, false], "first stuck injection");
+        assert!(!s.stuck_at(1, SimTime::ZERO), "other devices read zero");
+        assert!(s.set_byzantine_until(0, SimTime::from_years(1)));
+        assert_eq!(s.chaos_columns_allocated(), [true, true], "first byzantine injection");
+        // A restored row with a non-zero timer allocates its column too.
+        let mut restored = store();
+        let mut row = restored.row(3);
+        row.byzantine_until = SimTime::from_years(3);
+        restored.set_row(3, &row);
+        assert_eq!(restored.chaos_columns_allocated(), [false, true]);
+        assert_eq!(restored.row(3).byzantine_until, SimTime::from_years(3));
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn simulated_diary_supports_field_analysis() {
     let mut obs = Vec::new();
     for seed in 0..6 {
         let report = FleetSim::run(FleetConfig::paper_experiment(seed));
-        obs.extend(report.arms[0].lifetime_observations.iter().copied());
+        obs.extend(report.arms[0].lifetime_observations());
     }
     assert!(obs.len() > 100, "pooled observations: {}", obs.len());
     let fit = reliability::fit::fit_weibull(&obs).expect("enough failures to fit");
