@@ -882,7 +882,6 @@ impl FleetSim {
         // Batch-schedule the priming events in the exact order the serial
         // schedule_at calls used — FIFO sequence numbers are assigned in
         // iteration order, so run digests are unchanged.
-        let mut ids = Vec::new();
         engine.schedule_many(
             [
                 (SimTime::ZERO + SimDuration::from_weeks(1), Ev::WeeklyCheck),
@@ -890,7 +889,6 @@ impl FleetSim {
             ]
             .into_iter()
             .chain(initial_failures),
-            &mut ids,
         );
         engine
     }
@@ -1054,7 +1052,6 @@ impl FleetSim {
             }
         }
         let mut engines = Vec::with_capacity(groups.len());
-        let mut ids = Vec::new();
         for (si, arms) in shard_arms.into_iter().enumerate() {
             let world = FleetSim {
                 cfg: cfg.clone(),
@@ -1065,8 +1062,7 @@ impl FleetSim {
                 chaos_skipped: chaos_skipped.clone(),
             };
             let mut engine = Engine::new(world);
-            ids.clear();
-            engine.schedule_many(shard_events[si].drain(..), &mut ids);
+            engine.schedule_many(shard_events[si].drain(..));
             engines.push(engine);
         }
         engines

@@ -544,6 +544,31 @@ fn restore_finite(v: f64, what: &'static str) -> Result<f64, SnapshotError> {
     }
 }
 
+/// Refuses a pending event the resumed run could not dispatch: one timed
+/// before the checkpoint clock (the engine would report a time
+/// regression), or one naming an arm, device or gateway the rebuilt world
+/// does not have (its handler would index past the end).
+fn check_pending(cp: &EngineCheckpoint<Ev>, world: &FleetSim) -> Result<(), SnapshotError> {
+    for &(at, ev) in &cp.events {
+        if at < cp.now {
+            return Err(SnapshotError::Corrupt { what: "pending event before the clock" });
+        }
+        let Some(ai) = ev.arm() else { continue };
+        let known = world.arms.get(ai).is_some_and(|arm| match (ev, &arm.infra) {
+            (Ev::DeviceFail(_, di) | Ev::DeviceReplace(_, di), _) => di < arm.store.len(),
+            (Ev::GatewayFail(_, gi) | Ev::GatewayRepair(_, gi), infra) => match infra {
+                ArmInfra::Owned { gateways, .. } => gi < gateways.len(),
+                ArmInfra::Federated { .. } => false,
+            },
+            _ => true,
+        });
+        if !known {
+            return Err(SnapshotError::Corrupt { what: "pending event names an unknown target" });
+        }
+    }
+    Ok(())
+}
+
 fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, SnapshotError> {
     let mut r = ByteReader::new(payload);
     let stored_fp = r.take_u64()?;
@@ -575,6 +600,7 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
         decode_arm_into(&mut r, arm)?;
     }
     r.finish()?;
+    check_pending(&cp, &world)?;
     world.chaos_applied.add(applied_counter);
     world.chaos_skipped.add(skipped_counter);
     let engine = Engine::resume(world, cp, crate::sim::resolve_event_kind)
@@ -717,6 +743,50 @@ mod tests {
             panic!("a censored observation must be refused");
         };
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+    }
+
+    /// Pending events a resumed run could not dispatch — timed before the
+    /// checkpoint clock, or naming a device, gateway or arm past the
+    /// rebuilt world's — are refused as `Corrupt` instead of panicking
+    /// mid-run.
+    #[test]
+    fn undispatchable_pending_events_are_refused() {
+        let mut engine = FleetSim::build(cfg(19));
+        engine.run_until(week(10));
+        let bytes = checkpoint_bytes(&mut engine, ChaosProgress::default());
+        let cp = engine.checkpoint();
+        let (_, payload) = snapshot::open(&bytes, FLEET_SNAPSHOT_VERSION).expect("sealed image");
+        // The engine section follows the fingerprint, seed and horizon.
+        let mut section = ByteWriter::new();
+        encode_engine(&mut section, &cp);
+        let engine_end = 24 + section.as_bytes().len();
+        let with_event = |at: SimTime, ev: Ev| {
+            let mut edited = cp.clone();
+            edited.events.push((at, ev));
+            let mut section = ByteWriter::new();
+            encode_engine(&mut section, &edited);
+            let mut spliced = payload[..24].to_vec();
+            spliced.extend_from_slice(section.as_bytes());
+            spliced.extend_from_slice(&payload[engine_end..]);
+            snapshot::seal(FLEET_SNAPSHOT_VERSION, &spliced)
+        };
+        let later = cp.now + SimDuration::from_weeks(1);
+        let devices = engine.world().arms[0].store.len();
+        assert!(resume_from_bytes(&with_event(later, Ev::DeviceFail(0, 0)), cfg(19)).is_ok());
+        for (at, ev) in [
+            (SimTime::ZERO, Ev::WeeklyCheck),
+            (later, Ev::DeviceFail(0, devices)),
+            (later, Ev::DeviceReplace(1, usize::MAX)),
+            (later, Ev::GatewayFail(0, 2)),
+            (later, Ev::GatewayRepair(0, 7)),
+            (later, Ev::GatewayFail(1, 0)),
+            (later, Ev::ProviderExit(2)),
+        ] {
+            let Err(err) = resume_from_bytes(&with_event(at, ev), cfg(19)) else {
+                panic!("{ev:?} at {at:?} must be refused");
+            };
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{ev:?}: {err}");
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A simulation is a [`World`] — user state plus an event handler — driven by
 //! an [`Engine`] that owns the clock and the [`EventQueue`]. The handler
-//! receives a [`Ctx`] through which it schedules follow-up events, cancels
-//! pending ones, and requests a stop. This inversion (engine owns the queue,
-//! world owns the model) keeps borrows simple and the loop allocation-free.
+//! receives a [`Ctx`] through which it schedules follow-up events and
+//! requests a stop. This inversion (engine owns the queue, world owns the
+//! model) keeps borrows simple and the loop allocation-free.
 //!
 //! # Examples
 //!
@@ -32,7 +32,7 @@
 //! assert_eq!(engine.world().ticks, 10);
 //! ```
 
-use crate::event::{EventId, EventQueue};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// User-provided simulation state and event handler.
@@ -189,29 +189,25 @@ impl<E> Ctx<'_, E> {
     ///
     /// Panics if `at` is in the past (before `now`). Scheduling *at* `now`
     /// is allowed and fires after the current event (FIFO).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
     /// Schedules an event `delay` after the current time, saturating at the
     /// end of representable time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.queue.schedule(self.now.saturating_add(delay), event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.queue.schedule(self.now.saturating_add(delay), event);
     }
 
     /// Fallible version of [`Ctx::schedule_at`]: returns
     /// [`SimError::ScheduledInPast`] instead of panicking.
-    pub fn try_schedule_at(&mut self, at: SimTime, event: E) -> Result<EventId, SimError> {
+    pub fn try_schedule_at(&mut self, at: SimTime, event: E) -> Result<(), SimError> {
         if at < self.now {
             return Err(SimError::ScheduledInPast { at, now: self.now });
         }
-        Ok(self.queue.schedule(at, event))
-    }
-
-    /// Cancels a pending event. Returns `true` if it had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+        self.queue.schedule(at, event);
+        Ok(())
     }
 
     /// Requests that the engine stop after the current event completes.
@@ -373,17 +369,10 @@ impl<W: World> Engine<W> {
         Self::new_with_queue(world, EventQueue::new())
     }
 
-    /// Creates an engine at time zero with queue capacity for `capacity`
-    /// pending events, avoiding queue reallocation below that mark.
-    pub fn with_event_capacity(world: W, capacity: usize) -> Self {
-        Self::new_with_queue(world, EventQueue::with_capacity(capacity))
-    }
-
     /// Creates an engine at time zero reusing `queue`'s allocations — the
     /// replicate-worker fast path, which recycles one queue across seeds
     /// instead of reallocating per run. The queue is [`reset`]
-    /// (`EventQueue::reset`), so any event ids issued before the handoff
-    /// are invalidated and must be dropped.
+    /// (`EventQueue::reset`), so events pending in it are dropped.
     pub fn new_with_queue(world: W, mut queue: EventQueue<W::Event>) -> Self {
         queue.reset();
         Engine {
@@ -401,37 +390,36 @@ impl<W: World> Engine<W> {
     /// # Panics
     ///
     /// Panics if `at` is before the current clock.
-    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
-    /// Batch version of [`Engine::schedule_at`]: reserves queue space up
-    /// front and appends the handles to `ids` in schedule order.
+    /// Batch version of [`Engine::schedule_at`]: reserves queue space for
+    /// the iterator's lower size bound up front, then schedules in
+    /// iteration order.
     ///
     /// # Panics
     ///
     /// Panics if any event time is before the current clock.
-    pub fn schedule_many<I>(&mut self, events: I, ids: &mut Vec<EventId>)
+    pub fn schedule_many<I>(&mut self, events: I)
     where
         I: IntoIterator<Item = (SimTime, W::Event)>,
     {
         let now = self.now;
-        self.queue.schedule_many(
-            events.into_iter().inspect(move |&(at, _)| {
-                assert!(at >= now, "cannot schedule into the past");
-            }),
-            ids,
-        );
+        self.queue.schedule_many(events.into_iter().inspect(move |&(at, _)| {
+            assert!(at >= now, "cannot schedule into the past");
+        }));
     }
 
     /// Fallible version of [`Engine::schedule_at`]: returns
     /// [`SimError::ScheduledInPast`] instead of panicking.
-    pub fn try_schedule_at(&mut self, at: SimTime, event: W::Event) -> Result<EventId, SimError> {
+    pub fn try_schedule_at(&mut self, at: SimTime, event: W::Event) -> Result<(), SimError> {
         if at < self.now {
             return Err(SimError::ScheduledInPast { at, now: self.now });
         }
-        Ok(self.queue.schedule(at, event))
+        self.queue.schedule(at, event);
+        Ok(())
     }
 
     /// Runs until the clock would pass `horizon`, the queue empties, or a
@@ -674,9 +662,8 @@ impl<W: World> Engine<W> {
         }
         profile.queue_high_water = checkpoint.queue_high_water;
         profile.hook_fires = checkpoint.hook_fires;
-        let mut queue = EventQueue::with_capacity(checkpoint.events.len());
-        let mut ids = Vec::with_capacity(checkpoint.events.len());
-        queue.schedule_many(checkpoint.events, &mut ids);
+        let mut queue = EventQueue::new();
+        queue.schedule_many(checkpoint.events);
         Ok(Engine {
             world,
             queue,
@@ -700,17 +687,14 @@ where
     /// fresh sequence numbers assigned in drain order preserve the
     /// relative order of every same-time tie, and events scheduled later
     /// still sort after them, so continuing the run after a checkpoint is
-    /// bit-identical to never having checkpointed. Event ids issued
-    /// before the capture are invalidated; worlds that retain ids across
-    /// handler calls must not be checkpointed mid-flight.
+    /// bit-identical to never having checkpointed.
     pub fn checkpoint(&mut self) -> EngineCheckpoint<W::Event> {
         let mut events = Vec::with_capacity(self.queue.len());
         while let Some((at, ev)) = self.queue.pop() {
             events.push((at, ev));
         }
         self.queue.reset();
-        let mut ids = Vec::with_capacity(events.len());
-        self.queue.schedule_many(events.iter().map(|(at, ev)| (*at, ev.clone())), &mut ids);
+        self.queue.schedule_many(events.iter().cloned());
         EngineCheckpoint {
             now: self.now,
             processed: self.processed,
@@ -1071,14 +1055,14 @@ mod tests {
 
     #[test]
     fn recycled_queue_behaves_like_fresh_engine() {
-        let mut e = Engine::with_event_capacity(Recorder::default(), 32);
-        let mut ids = Vec::new();
-        e.schedule_many((0..10u64).map(|i| (SimTime::from_secs(i + 1), i as u32)), &mut ids);
-        assert_eq!(ids.len(), 10);
+        let mut e = Engine::new(Recorder::default());
+        e.schedule_many((0..10u64).map(|i| (SimTime::from_secs(i + 1), i as u32)));
+        assert_eq!(e.pending_events(), 10);
         assert!(e.world_mut().seen.is_empty());
         e.run_until(SimTime::from_secs(100));
         let (world, queue) = e.into_parts();
-        assert_eq!(world.seen.len(), 10);
+        let order: Vec<u32> = world.seen.iter().map(|&(_, v)| v).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
         let cap = queue.capacity();
         assert!(cap >= 10);
 
@@ -1099,8 +1083,7 @@ mod tests {
         let mut e = Engine::new(Recorder::default());
         e.schedule_at(SimTime::from_secs(10), 1);
         e.run_until(SimTime::from_secs(100));
-        let mut ids = Vec::new();
-        e.schedule_many([(SimTime::from_secs(5), 2)], &mut ids);
+        e.schedule_many([(SimTime::from_secs(5), 2)]);
     }
 
     #[test]

@@ -1,42 +1,26 @@
-//! Time-ordered event queue: a hierarchical timing wheel with stable FIFO
-//! tie-breaking and O(1) cancellation.
+//! Time-ordered event queue: an append-only hierarchical timing wheel.
 //!
-//! The queue is the heart of the discrete-event engine. Two properties are
-//! load-bearing for reproducibility:
+//! Run digests hang off one property: events pop earliest time first, and
+//! equal timestamps pop in schedule (FIFO) order, enforced by a
+//! monotonically increasing sequence number. A scheduled event always fires.
 //!
-//! 1. **Deterministic ordering** — events at equal timestamps pop in the
-//!    order they were scheduled (FIFO), enforced with a monotonically
-//!    increasing sequence number, so iteration order never depends on
-//!    container internals.
-//! 2. **O(1) cancellation** — cancelling unlinks the entry from its bucket
-//!    immediately. Nothing is tombstoned in the wheel, so pop cost stays
-//!    flat even after mass cancellation ("schedule a failure, then
-//!    supersede it after maintenance" at fleet scale).
+//! Entries live in a slab with an intrusive free list of `u32` indices.
+//! Pending events hang off [`LEVELS`] levels of [`SLOTS`] buckets, each a
+//! singly-linked list with head and tail indices. Level `l` buckets are
+//! `64^l` seconds wide (level 0: one timestamp per bucket; the top level
+//! reaches `SimTime::MAX`). An event hangs at the highest 6-bit digit in
+//! which its time differs from the cursor (`drained_until`). Popping
+//! drains the earliest occupied bucket, found per level with one
+//! `trailing_zeros` on an occupancy bitmap, and cascades coarse buckets
+//! down until a level-0 bucket empties into the `ready` staging vector.
 //!
-//! # Layout
-//!
-//! Entries live in a slab (`Vec<Slot<E>>` plus an intrusive free list);
-//! handles are generation-stamped `{index, generation}` pairs so stale ids
-//! can never cancel a recycled slot. Pending events hang off a hashed
-//! hierarchical timing wheel: [`LEVELS`] levels of [`SLOTS`] buckets, each
-//! level covering [`SLOT_BITS`] bits of the 64-bit second timestamp
-//! (level 0 buckets are 1 s wide — exactly one timestamp per bucket; the
-//! top level spans the entire remaining range, so "decades out" and even
-//! `SimTime::MAX` need no special overflow path). An event's level is the
-//! highest bit in which its time differs from the wheel cursor
-//! (`drained_until`); popping drains the earliest occupied bucket,
-//! cascading multi-timestamp buckets down one or more levels until a
-//! level-0 bucket empties into the `ready` staging vector. Cascades visit
-//! each event at most [`LEVELS`]&nbsp;−&nbsp;1 times over its whole life, so
-//! amortised cost per event is O(1) with tiny constants (one 64-bit
-//! occupancy scan per level, no hashing, no comparisons against a heap).
-//!
-//! Events scheduled at or before the cursor (a handler scheduling "now",
-//! or callers rewinding behind the last pop) insert into `ready` by binary
-//! search on `(time, seq)`, which preserves the exact global order a
-//! binary heap with FIFO tie-break would produce. `tests/queue_model.rs`
-//! pins that equivalence with a differential test against a reference
-//! heap model.
+//! Two rules keep same-second events in FIFO order. When bucket starts
+//! tie, the higher level drains first, so every event at a second reaches
+//! level 0 before that second drains. A cascade can still append an older
+//! event behind a direct insert, so each level-0 bucket enters `ready`
+//! sorted by seq. Events scheduled behind the cursor insert into `ready`
+//! by binary search on `(time, seq)`. `tests/queue_model.rs` pins the
+//! resulting order against a reference binary heap.
 
 use crate::time::SimTime;
 
@@ -49,70 +33,30 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Sentinel slab index ("null pointer") for list links and the free list.
 const NONE: u32 = u32::MAX;
 
-/// Opaque handle identifying a scheduled event, used for cancellation.
-///
-/// Generation-stamped: the handle stores the slab slot it was issued from
-/// plus that slot's generation at issue time. Once the event fires or is
-/// cancelled the generation advances, so a stale handle can never cancel
-/// an unrelated event that later reuses the slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId {
-    index: u32,
-    generation: u32,
-}
-
-/// Lifecycle of a slab slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum State {
-    /// On the free list.
-    Free,
-    /// Linked into a wheel bucket.
-    Linked,
-    /// Staged in the `ready` vector, not yet popped.
-    Ready,
-    /// Cancelled while staged in `ready`; swept (and freed) on the next
-    /// pass over its position. Bounded: each dead entry is visited once.
-    Dead,
-}
-
 struct Slot<E> {
     at: SimTime,
     seq: u64,
-    /// Bucket neighbours when `Linked` (circular list, `head.prev` is the
-    /// tail); free-list successor when `Free`.
-    prev: u32,
+    /// Bucket successor while linked (`NONE` at the tail); free-list
+    /// successor while free.
     next: u32,
-    generation: u32,
-    /// Wheel position when `Linked` (needed for O(1) unlink).
-    level: u8,
-    bucket: u8,
-    state: State,
     payload: Option<E>,
 }
 
 #[derive(Clone, Copy)]
 struct Level {
-    /// Head slab index per bucket, `NONE` when empty.
+    /// Head and tail slab index per bucket, valid where `occupied` is set.
     heads: [u32; SLOTS],
-    /// Bit `b` set iff `heads[b] != NONE`. Next-occupied is one
-    /// `trailing_zeros` — no slot scan.
+    tails: [u32; SLOTS],
+    /// Bit `b` set iff bucket `b` holds events.
     occupied: u64,
 }
 
-impl Level {
-    const EMPTY: Level = Level { heads: [NONE; SLOTS], occupied: 0 };
-}
-
 /// Level an event at `at` hangs from while the cursor sits at `current`:
-/// the highest 6-bit digit in which the two times differ.
+/// the highest 6-bit digit in which the two times differ (`| 1` maps equal
+/// times to level 0 without moving any higher bit).
 #[inline]
 fn level_for(current: u64, at: u64) -> usize {
-    let x = current ^ at;
-    if x == 0 {
-        0
-    } else {
-        ((63 - x.leading_zeros()) / SLOT_BITS) as usize
-    }
+    ((63 - ((current ^ at) | 1).leading_zeros()) / SLOT_BITS) as usize
 }
 
 /// Bucket index of `at` within `level`.
@@ -151,15 +95,13 @@ pub struct EventQueue<E> {
     /// Head of the intrusive free list threaded through `Slot::next`.
     free_head: u32,
     levels: Box<[Level; LEVELS]>,
-    /// Staging area for the bucket currently being drained, in pop order.
-    /// Indices before `ready_pos` have already been consumed.
+    /// The drained level-0 bucket plus behind-the-cursor arrivals, in pop
+    /// order. Indices before `ready_pos` have already been popped.
     ready: Vec<u32>,
     ready_pos: usize,
-    /// Wheel cursor: every event in the wheel has `at >= drained_until`;
-    /// later arrivals behind the cursor go straight into `ready`.
+    /// Wheel cursor: every event in the wheel has `at >= drained_until`.
     drained_until: u64,
-    /// Live (non-cancelled, not yet fired) event count.
-    live: usize,
+    len: usize,
     next_seq: u64,
 }
 
@@ -172,112 +114,64 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with slab capacity for `capacity` events,
-    /// avoiding reallocation while the pending count stays below it.
-    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slab: Vec::with_capacity(capacity),
+            slab: Vec::new(),
             free_head: NONE,
-            levels: Box::new([Level::EMPTY; LEVELS]),
+            levels: Box::new([Level { heads: [0; SLOTS], tails: [0; SLOTS], occupied: 0 }; LEVELS]),
             ready: Vec::new(),
             ready_pos: 0,
             drained_until: 0,
-            live: 0,
+            len: 0,
             next_seq: 0,
         }
     }
 
-    /// Reserves slab capacity for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slab.reserve(additional);
-    }
-
-    /// Clears the queue for reuse, keeping allocated capacity (slab and
-    /// staging vectors). Sequence numbers and the wheel cursor restart
-    /// from zero, so a reset queue is indistinguishable from a fresh one —
-    /// replicate workers lean on this to reuse allocations across seeds.
-    ///
-    /// All previously issued [`EventId`]s are invalidated and must be
-    /// dropped: generation stamps restart too, so a stale handle held
-    /// across `reset` could alias a new event.
+    /// Clears the queue for reuse, keeping allocated capacity. Sequence
+    /// numbers and the wheel cursor restart from zero, so a reset queue is
+    /// indistinguishable from a fresh one — replicate workers lean on this
+    /// to reuse allocations across seeds.
     pub fn reset(&mut self) {
         self.slab.clear();
         self.free_head = NONE;
         for level in self.levels.iter_mut() {
-            *level = Level::EMPTY;
+            level.occupied = 0;
         }
         self.ready.clear();
         self.ready_pos = 0;
         self.drained_until = 0;
-        self.live = 0;
+        self.len = 0;
         self.next_seq = 0;
     }
 
-    /// Schedules `payload` to fire at `at`, returning a cancellation handle.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let seq = self.next_seq;
+    /// Schedules `payload` to fire at `at`.
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
+        let slot = Slot { at, seq: self.next_seq, next: NONE, payload: Some(payload) };
         self.next_seq += 1;
-        let index = self.alloc(at, seq, payload);
-        let generation = self.slab[index as usize].generation;
-        self.live += 1;
-        self.place(index);
-        EventId { index, generation }
-    }
-
-    /// Schedules a batch, reserving slab space up front and appending the
-    /// handles to `ids` in schedule order. Equivalent to calling
-    /// [`schedule`](Self::schedule) per event.
-    pub fn schedule_many<I>(&mut self, events: I, ids: &mut Vec<EventId>)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        self.slab.reserve(lower);
-        ids.reserve(lower);
-        for (at, payload) in events {
-            ids.push(self.schedule(at, payload));
-        }
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was pending (it will now never fire);
-    /// `false` if it already fired or was already cancelled. O(1): the
-    /// entry is unlinked from its bucket immediately, leaving no
-    /// tombstone for pop to skip.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.slab.get(id.index as usize) else {
-            return false;
+        let index = if self.free_head == NONE {
+            let index = self.slab.len();
+            assert!(index < NONE as usize, "event queue slab exhausted u32 index space");
+            self.slab.push(slot);
+            index as u32
+        } else {
+            let index = self.free_head;
+            self.free_head = std::mem::replace(&mut self.slab[index as usize], slot).next;
+            index
         };
-        if slot.generation != id.generation {
-            return false;
-        }
-        match slot.state {
-            State::Linked => {
-                self.unlink(id.index);
-                self.free_slot(id.index);
-                self.live -= 1;
-                true
-            }
-            State::Ready => {
-                // Mid-`ready` removal would shift the staging vector;
-                // mark dead instead and let the sweep free it.
-                let slot = &mut self.slab[id.index as usize];
-                slot.state = State::Dead;
-                slot.payload = None;
-                slot.generation = slot.generation.wrapping_add(1);
-                self.live -= 1;
-                true
-            }
-            State::Free | State::Dead => false,
+        self.len += 1;
+        self.place(index);
+    }
+
+    /// Schedules a batch in iteration order, reserving slab space for the
+    /// iterator's lower size bound up front.
+    pub fn schedule_many<I: IntoIterator<Item = (SimTime, E)>>(&mut self, events: I) {
+        let events = events.into_iter();
+        self.slab.reserve(events.size_hint().0);
+        for (at, payload) in events {
+            self.schedule(at, payload);
         }
     }
 
-    /// Removes and returns the earliest live event. Ties on time pop in
+    /// Removes and returns the earliest event. Ties on time pop in
     /// schedule (FIFO) order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if !self.fill_ready() {
@@ -285,44 +179,26 @@ impl<E> EventQueue<E> {
         }
         let index = self.ready[self.ready_pos];
         self.ready_pos += 1;
-        self.live -= 1;
+        self.len -= 1;
         let slot = &mut self.slab[index as usize];
-        let at = slot.at;
-        // The ready list only ever holds occupied slots (differential-
-        // tested against the heap model in tests/queue_model.rs); stay
-        // panic-free in release if that invariant is ever broken.
-        let Some(payload) = slot.payload.take() else {
-            debug_assert!(false, "ready slot holds a payload");
-            self.free_slot(index);
-            return None;
-        };
-        self.free_slot(index);
-        Some((at, payload))
+        slot.next = self.free_head;
+        self.free_head = index;
+        slot.payload.take().map(|payload| (slot.at, payload))
     }
 
-    /// Returns the timestamp of the earliest live event without removing it.
+    /// Returns the timestamp of the earliest event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.fill_ready() {
-            return None;
-        }
-        Some(self.slab[self.ready[self.ready_pos] as usize].at)
+        self.fill_ready().then(|| self.slab[self.ready[self.ready_pos] as usize].at)
     }
 
-    /// Number of live (non-cancelled, not yet fired) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
-    /// Returns true if no live events remain.
+    /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of occupied wheel buckets — a diagnostic for tests asserting
-    /// that cancellation physically shrinks the wheel rather than leaving
-    /// tombstones behind.
-    pub fn occupied_buckets(&self) -> usize {
-        self.levels.iter().map(|l| l.occupied.count_ones() as usize).sum()
+        self.len == 0
     }
 
     /// Slab capacity in events, for tests asserting allocation reuse.
@@ -330,204 +206,94 @@ impl<E> EventQueue<E> {
         self.slab.capacity()
     }
 
-    /// Takes a slot off the free list (or grows the slab) and stamps it
-    /// with the event data. State/links are set by `place`.
-    fn alloc(&mut self, at: SimTime, seq: u64, payload: E) -> u32 {
-        if self.free_head != NONE {
-            let index = self.free_head;
-            let slot = &mut self.slab[index as usize];
-            self.free_head = slot.next;
-            slot.at = at;
-            slot.seq = seq;
-            slot.payload = Some(payload);
-            index
-        } else {
-            let index = self.slab.len();
-            assert!(index < NONE as usize, "event queue slab exhausted u32 index space");
-            self.slab.push(Slot {
-                at,
-                seq,
-                prev: NONE,
-                next: NONE,
-                generation: 0,
-                level: 0,
-                bucket: 0,
-                state: State::Free,
-                payload: Some(payload),
-            });
-            index as u32
-        }
-    }
-
-    /// Routes an allocated slot to the wheel, or to the `ready` staging
-    /// vector (sorted by `(time, seq)`) when it lands behind the cursor.
+    /// Appends a slot to its wheel bucket, or inserts it into `ready` by
+    /// `(time, seq)` when it lands behind the cursor.
     fn place(&mut self, index: u32) {
-        let (at, seq) = {
-            let slot = &self.slab[index as usize];
-            (slot.at, slot.seq)
-        };
-        let t = at.as_secs();
+        let slot = &mut self.slab[index as usize];
+        slot.next = NONE;
+        let (at, seq, t) = (slot.at, slot.seq, slot.at.as_secs());
         if t < self.drained_until {
-            self.slab[index as usize].state = State::Ready;
             let slab = &self.slab;
             let pos = self.ready[self.ready_pos..].partition_point(|&i| {
                 let s = &slab[i as usize];
                 (s.at, s.seq) < (at, seq)
             });
             self.ready.insert(self.ready_pos + pos, index);
-        } else {
-            let level = level_for(self.drained_until, t);
-            let bucket = slot_of(t, level);
-            {
-                let slot = &mut self.slab[index as usize];
-                slot.state = State::Linked;
-                slot.level = level as u8;
-                slot.bucket = bucket as u8;
-            }
-            self.link_tail(index, level, bucket);
+            return;
         }
-    }
-
-    /// Appends `index` at the tail of bucket `(level, bucket)`.
-    fn link_tail(&mut self, index: u32, level: usize, bucket: usize) {
-        let head = self.levels[level].heads[bucket];
-        if head == NONE {
-            self.levels[level].heads[bucket] = index;
-            self.levels[level].occupied |= 1u64 << bucket;
-            let slot = &mut self.slab[index as usize];
-            slot.prev = index;
-            slot.next = index;
+        let level = level_for(self.drained_until, t);
+        let bucket = slot_of(t, level);
+        let lv = &mut self.levels[level];
+        if lv.occupied & (1 << bucket) == 0 {
+            lv.occupied |= 1 << bucket;
+            lv.heads[bucket] = index;
         } else {
-            let tail = self.slab[head as usize].prev;
-            {
-                let slot = &mut self.slab[index as usize];
-                slot.prev = tail;
-                slot.next = head;
-            }
-            self.slab[tail as usize].next = index;
-            self.slab[head as usize].prev = index;
+            self.slab[lv.tails[bucket] as usize].next = index;
         }
+        lv.tails[bucket] = index;
     }
 
-    /// Unlinks a `Linked` slot from its bucket, clearing the occupancy bit
-    /// when the bucket empties.
-    fn unlink(&mut self, index: u32) {
-        let (level, bucket, prev, next) = {
-            let slot = &self.slab[index as usize];
-            (slot.level as usize, slot.bucket as usize, slot.prev, slot.next)
-        };
-        if next == index {
-            self.levels[level].heads[bucket] = NONE;
-            self.levels[level].occupied &= !(1u64 << bucket);
-        } else {
-            self.slab[prev as usize].next = next;
-            self.slab[next as usize].prev = prev;
-            if self.levels[level].heads[bucket] == index {
-                self.levels[level].heads[bucket] = next;
-            }
-        }
-    }
-
-    /// Returns the slot to the free list and advances its generation so
-    /// outstanding handles for it go stale.
-    fn free_slot(&mut self, index: u32) {
-        let slot = &mut self.slab[index as usize];
-        slot.state = State::Free;
-        slot.payload = None;
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.prev = NONE;
-        slot.next = self.free_head;
-        self.free_head = index;
-    }
-
-    /// Ensures `ready[ready_pos]` is a live entry, sweeping dead ones and
-    /// advancing the wheel as needed. Returns false when the queue is empty.
+    /// Advances the wheel until `ready[ready_pos]` is pending. Returns
+    /// false when the queue is empty.
     fn fill_ready(&mut self) -> bool {
-        loop {
-            while self.ready_pos < self.ready.len() {
-                let index = self.ready[self.ready_pos];
-                match self.slab[index as usize].state {
-                    State::Ready => return true,
-                    _ => {
-                        debug_assert_eq!(self.slab[index as usize].state, State::Dead);
-                        self.free_slot(index);
-                        self.ready_pos += 1;
-                    }
-                }
-            }
+        while self.ready_pos == self.ready.len() {
             self.ready.clear();
             self.ready_pos = 0;
-            if self.live == 0 {
+            if !self.advance_wheel() {
                 return false;
             }
-            self.advance_wheel();
         }
+        true
     }
 
-    /// Drains the earliest occupied bucket: a level-0 bucket (exactly one
-    /// timestamp, list order = seq order) empties into `ready`; a
-    /// higher-level bucket cascades its entries down — each lands at a
-    /// strictly lower level, so the loop in `fill_ready` terminates.
+    /// Drains the earliest occupied bucket, returning false when the wheel
+    /// is empty. A level-0 bucket empties into `ready` in seq order; a
+    /// higher one cascades each entry to a strictly lower level.
     ///
-    /// Invariant relied on throughout: an occupied bucket always lies
-    /// inside the cursor's current window at the parent level, and at or
-    /// after the cursor. (Insertion guarantees the former by construction;
-    /// the latter holds because the cursor only ever advances to the
-    /// minimum occupied bucket chosen here.) Hence `trailing_zeros` finds
-    /// the earliest bucket per level with no rotation wrap-around, and
-    /// `bucket_start` can rebuild high timestamp bits from the cursor.
-    fn advance_wheel(&mut self) {
-        let mut best: Option<(u64, usize, usize)> = None;
-        for (level, lv) in self.levels.iter().enumerate() {
-            if lv.occupied == 0 {
-                continue;
-            }
-            let slot = lv.occupied.trailing_zeros() as usize;
-            let start = bucket_start(self.drained_until, level, slot);
-            match best {
-                Some((earliest, _, _)) if earliest <= start => {}
-                _ => best = Some((start, level, slot)),
-            }
-        }
+    /// Invariant: every occupied bucket lies at or after the cursor, inside
+    /// its window at the parent level, because the cursor only advances to
+    /// the earliest bucket and a level-0 drain takes every event at its
+    /// second. So `trailing_zeros` needs no wrap-around and `bucket_start`
+    /// can rebuild the high bits from the cursor.
+    fn advance_wheel(&mut self) -> bool {
+        let cursor = self.drained_until;
+        // The scan runs from the top level down and `min_by_key` keeps the
+        // first of equal starts: on a tie the higher level's events at that
+        // second cascade into level 0 before the second drains.
+        let levels = self.levels.iter().enumerate().rev();
+        let best = levels
+            .filter(|(_, lv)| lv.occupied != 0)
+            .map(|(level, lv)| {
+                let slot = lv.occupied.trailing_zeros() as usize;
+                (bucket_start(cursor, level, slot), level, slot)
+            })
+            .min_by_key(|&(start, _, _)| start);
         let Some((start, level, slot)) = best else {
-            debug_assert_eq!(self.live, 0, "live events but empty wheel and ready");
-            return;
+            return false;
         };
-        debug_assert!(
-            start >= self.drained_until,
-            "wheel invariant violated: occupied bucket behind the cursor"
-        );
-        let head = self.levels[level].heads[slot];
-        self.levels[level].heads[slot] = NONE;
-        self.levels[level].occupied &= !(1u64 << slot);
+        debug_assert!(start >= cursor, "wheel invariant violated: bucket behind the cursor");
+        let lv = &mut self.levels[level];
+        lv.occupied &= !(1 << slot);
+        let mut cur = lv.heads[slot];
         if level == 0 {
-            // One timestamp per level-0 bucket; `ready` receives it in
-            // list order, which is FIFO sequence order.
             self.drained_until = start.saturating_add(1);
-            let mut cur = head;
-            loop {
-                let next = self.slab[cur as usize].next;
-                debug_assert_eq!(self.slab[cur as usize].at.as_secs(), start);
-                self.slab[cur as usize].state = State::Ready;
+            while cur != NONE {
                 self.ready.push(cur);
-                if next == head {
-                    break;
-                }
-                cur = next;
+                cur = self.slab[cur as usize].next;
             }
+            // A cascade may have appended older events behind direct
+            // inserts at this second; seq order restores FIFO.
+            let slab = &self.slab;
+            self.ready.sort_unstable_by_key(|&i| slab[i as usize].seq);
         } else {
             self.drained_until = start;
-            let mut cur = head;
-            loop {
+            while cur != NONE {
                 let next = self.slab[cur as usize].next;
                 self.place(cur);
-                debug_assert!((self.slab[cur as usize].level as usize) < level);
-                if next == head {
-                    break;
-                }
                 cur = next;
             }
         }
+        true
     }
 }
 
@@ -564,74 +330,17 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_prevents_fire() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        let _b = q.schedule(t(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn double_cancel_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_foreign_id_is_false() {
-        // Handles are only meaningful in the queue that issued them; a
-        // foreign id must not alias a slot here (empty slab: index out of
-        // range).
-        let mut other = EventQueue::new();
-        let foreign = other.schedule(t(1), ());
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(foreign));
-    }
-
-    #[test]
-    fn stale_id_cannot_cancel_reused_slot() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        assert_eq!(q.pop(), Some((t(1), "a")));
-        // Reuses slot 0 with a bumped generation.
-        let _b = q.schedule(t(2), "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop(), Some((t(2), "b")));
-    }
-
-    #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        q.schedule(t(2), ());
+        q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        assert_eq!(q.pop(), Some((t(1), "a")));
         assert_eq!(q.len(), 1);
-        q.pop();
+        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.pop(), Some((t(2), "b")));
         assert_eq!(q.len(), 0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.pop(), Some((t(5), "b")));
         assert_eq!(q.peek_time(), None);
     }
 
@@ -646,21 +355,6 @@ mod tests {
         q.schedule(t(6), 4);
         assert_eq!(q.pop(), Some((t(6), 4)));
         assert_eq!(q.pop(), Some((t(7), 3)));
-    }
-
-    #[test]
-    fn cancel_event_already_staged_for_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(t(5), "a");
-        let b = q.schedule(t(5), "b");
-        q.schedule(t(9), "c");
-        // Popping "a" drains the whole t=5 bucket into the staging area,
-        // so "b" is cancelled in the Ready state (dead-sweep path).
-        assert_eq!(q.pop(), Some((t(5), "a")));
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b));
-        assert_eq!(q.pop(), Some((t(9), "c")));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -694,11 +388,10 @@ mod tests {
     #[test]
     fn schedule_many_matches_serial_schedules() {
         let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        q.schedule_many([(t(3), "c"), (t(1), "a"), (t(3), "d"), (t(2), "b")], &mut ids);
-        assert_eq!(ids.len(), 4);
-        assert!(q.cancel(ids[3]));
+        q.schedule_many([(t(3), "c"), (t(1), "a"), (t(3), "d"), (t(2), "b")]);
+        assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((t(1), "a")));
+        assert_eq!(q.pop(), Some((t(2), "b")));
         assert_eq!(q.pop(), Some((t(3), "c")));
         assert_eq!(q.pop(), Some((t(3), "d")));
         assert_eq!(q.pop(), None);
@@ -706,36 +399,22 @@ mod tests {
 
     #[test]
     fn reset_keeps_capacity_and_restarts_clean() {
-        let mut q = EventQueue::with_capacity(64);
-        let cap = q.capacity();
+        let mut q = EventQueue::new();
         for i in 0..50 {
             q.schedule(t(i), i);
         }
+        let cap = q.capacity();
         for _ in 0..20 {
             q.pop();
         }
         q.reset();
         assert!(q.is_empty());
-        assert_eq!(q.occupied_buckets(), 0);
         assert_eq!(q.capacity(), cap);
         // Behaves exactly like a fresh queue.
         q.schedule(t(2), 20);
         q.schedule(t(1), 10);
         assert_eq!(q.pop(), Some((t(1), 10)));
         assert_eq!(q.pop(), Some((t(2), 20)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancellation_shrinks_the_wheel() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..256).map(|i| q.schedule(t(1_000 + i), i)).collect();
-        let before = q.occupied_buckets();
-        assert!(before > 1);
-        for id in ids {
-            assert!(q.cancel(id));
-        }
-        assert_eq!(q.occupied_buckets(), 0);
         assert_eq!(q.pop(), None);
     }
 }

@@ -12,6 +12,9 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== property tests (feature-gated proptest suite, tests/properties.rs) =="
+cargo test -q --release --features proptest --test properties
+
 echo "== golden digests (regression; drift fails, bless via scripts/bless.sh) =="
 # CI note: in a perf-only PR a digest change here is a CORRECTNESS failure,
 # not a baseline to re-bless — the scheduler/profiling contract is that

@@ -381,26 +381,19 @@ proptest! {
         }
     }
 
-    /// Timing-wheel round-trip: draining a queue (any schedule/cancel
-    /// mix) and re-scheduling the survivors into a fresh wheel preserves
-    /// pop order exactly — the invariant behind `Engine::checkpoint`'s
-    /// drain-and-reseed of the pending event set.
+    /// Timing-wheel round-trip: draining a queue and re-scheduling its
+    /// events into a fresh wheel preserves pop order exactly — the
+    /// invariant behind `Engine::checkpoint`'s drain-and-reseed of the
+    /// pending event set.
     #[test]
     fn event_queue_drain_reschedule_roundtrip(
         times in proptest::collection::vec(0u64..2_000, 1..150),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..150),
     ) {
         let mut q = EventQueue::new();
-        let mut ids = Vec::with_capacity(times.len());
         for (i, &t) in times.iter().enumerate() {
-            ids.push(q.schedule(SimTime::from_secs(t), i));
+            q.schedule(SimTime::from_secs(t), i);
         }
-        for (id, &cancel) in ids.iter().zip(cancel_mask.iter()) {
-            if cancel {
-                q.cancel(*id);
-            }
-        }
-        // Drain: the checkpoint capture. Survivors come out in pop order.
+        // Drain: the checkpoint capture. Events come out in pop order.
         let mut drained = Vec::new();
         while let Some((t, payload)) = q.pop() {
             drained.push((t, payload));
