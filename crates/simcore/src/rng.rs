@@ -107,6 +107,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn next_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "next_below(0) is meaningless");
         let mut x = self.next_u64();
@@ -138,6 +139,7 @@ impl Rng {
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false

@@ -198,7 +198,15 @@ impl SimDuration {
         if secs >= u64::MAX as f64 {
             return SimDuration::MAX;
         }
-        SimDuration(secs.round() as u64)
+        // Round half away from zero, as `f64::round` does, without its
+        // libm call. Below 2^53 both the truncation and the fractional
+        // part `secs - whole` are exact; at or above it every f64 is
+        // already a whole number.
+        if secs < (1u64 << 53) as f64 {
+            let whole = secs as u64;
+            return SimDuration(whole + u64::from(secs - whole as f64 >= 0.5));
+        }
+        SimDuration(secs as u64)
     }
 
     /// Returns the duration in whole seconds.
@@ -383,6 +391,37 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
         assert_eq!(SimDuration::from_secs_f64(1.6), SimDuration::from_secs(2));
         assert_eq!(SimDuration::from_secs_f64(1e30), SimDuration::MAX);
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let rounded = |secs: f64| SimDuration::from_secs_f64(secs).as_secs();
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let mut edges = vec![
+            0.49999999999999994,
+            0.5,
+            p52 - 0.5,
+            p52 + 0.5,
+            p52 - 1.5,
+            p52 + 1.0,
+            p53 - 1.0,
+            p53,
+            p53 + 2.0,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ];
+        edges.extend((0..64).map(|k| k as f64 + 0.5));
+        edges.extend((0..64).map(|k| (1u64 << (k % 53)) as f64 + 0.5));
+        let mut rng = crate::rng::Rng::seed_from(53);
+        // Random mantissas in every binade from 2^-4 to 2^63.
+        edges.extend((0..40_000).map(|_| {
+            let binade = rng.next_below(67) as i32 - 4;
+            (1.0 + rng.next_f64()) * 2f64.powi(binade)
+        }));
+        for secs in edges {
+            assert_eq!(rounded(secs), secs.round() as u64, "secs {secs:e}");
+        }
     }
 
     #[test]
