@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use simcore::engine::{Engine, EngineCheckpoint};
+use simcore::engine::{Engine, EngineCheckpoint, ResumeError};
 use simcore::rng::Rng;
 use simcore::snapshot::{self, ByteReader, ByteWriter, SnapshotError};
 use simcore::time::SimTime;
@@ -544,15 +544,11 @@ fn restore_finite(v: f64, what: &'static str) -> Result<f64, SnapshotError> {
     }
 }
 
-/// Refuses a pending event the resumed run could not dispatch: one timed
-/// before the checkpoint clock (the engine would report a time
-/// regression), or one naming an arm, device or gateway the rebuilt world
-/// does not have (its handler would index past the end).
+/// Refuses a pending event naming an arm, device or gateway the rebuilt
+/// world does not have (its handler would index past the end). Events
+/// timed before the checkpoint clock are [`Engine::resume`]'s to refuse.
 fn check_pending(cp: &EngineCheckpoint<Ev>, world: &FleetSim) -> Result<(), SnapshotError> {
-    for &(at, ev) in &cp.events {
-        if at < cp.now {
-            return Err(SnapshotError::Corrupt { what: "pending event before the clock" });
-        }
+    for &(_, ev) in &cp.events {
         let Some(ai) = ev.arm() else { continue };
         let known = world.arms.get(ai).is_some_and(|arm| match (ev, &arm.infra) {
             (Ev::DeviceFail(_, di) | Ev::DeviceReplace(_, di), _) => di < arm.store.len(),
@@ -603,8 +599,14 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
     check_pending(&cp, &world)?;
     world.chaos_applied.add(applied_counter);
     world.chaos_skipped.add(skipped_counter);
-    let engine = Engine::resume(world, cp, crate::sim::resolve_event_kind)
-        .map_err(|_| SnapshotError::Corrupt { what: "checkpoint names unknown event kind" })?;
+    let engine = Engine::resume(world, cp, crate::sim::resolve_event_kind).map_err(|e| {
+        SnapshotError::Corrupt {
+            what: match e {
+                ResumeError::UnknownEventKind { .. } => "checkpoint names unknown event kind",
+                ResumeError::EventBeforeClock { .. } => "pending event before the clock",
+            },
+        }
+    })?;
     Ok(ResumedFleet { engine, chaos })
 }
 

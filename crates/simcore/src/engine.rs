@@ -643,22 +643,28 @@ impl<W: World> Engine<W> {
     ///
     /// # Errors
     ///
-    /// [`UnknownEventKind`] if a dispatch name fails to resolve — the
-    /// checkpoint belongs to a different world shape.
+    /// [`ResumeError::UnknownEventKind`] if a dispatch name fails to
+    /// resolve — the checkpoint belongs to a different world shape — and
+    /// [`ResumeError::EventBeforeClock`] if a pending event is timed
+    /// before the checkpoint clock, which the resumed run could never
+    /// dispatch.
     pub fn resume<F>(
         world: W,
         checkpoint: EngineCheckpoint<W::Event>,
         resolve_kind: F,
-    ) -> Result<Self, UnknownEventKind>
+    ) -> Result<Self, ResumeError>
     where
         F: Fn(&str) -> Option<&'static str>,
     {
         let mut profile = EngineProfile::default();
         for (name, n) in &checkpoint.dispatches {
             let Some(kind) = resolve_kind(name) else {
-                return Err(UnknownEventKind { name: name.clone() });
+                return Err(ResumeError::UnknownEventKind { name: name.clone() });
             };
             profile.record_n(kind, *n);
+        }
+        if let Some(&(at, _)) = checkpoint.events.iter().find(|(at, _)| *at < checkpoint.now) {
+            return Err(ResumeError::EventBeforeClock { at, now: checkpoint.now });
         }
         profile.queue_high_water = checkpoint.queue_high_water;
         profile.hook_fires = checkpoint.hook_fires;
@@ -727,21 +733,39 @@ pub struct EngineCheckpoint<E> {
     pub events: Vec<(SimTime, E)>,
 }
 
-/// A checkpointed dispatch-count name that the resuming world does not
-/// recognise — the checkpoint belongs to a different world shape.
+/// Why [`Engine::resume`] refused a checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownEventKind {
-    /// The unresolvable event-kind name.
-    pub name: String,
+pub enum ResumeError {
+    /// A checkpointed dispatch-count name that the resuming world does
+    /// not recognise — the checkpoint belongs to a different world shape.
+    UnknownEventKind {
+        /// The unresolvable event-kind name.
+        name: String,
+    },
+    /// A pending event timed before the checkpoint clock: dispatching it
+    /// would move simulated time backwards.
+    EventBeforeClock {
+        /// When the event is timed.
+        at: SimTime,
+        /// The checkpoint clock.
+        now: SimTime,
+    },
 }
 
-impl core::fmt::Display for UnknownEventKind {
+impl core::fmt::Display for ResumeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "checkpoint names unknown event kind '{}'", self.name)
+        match self {
+            ResumeError::UnknownEventKind { name } => {
+                write!(f, "checkpoint names unknown event kind '{name}'")
+            }
+            ResumeError::EventBeforeClock { at, now } => {
+                write!(f, "checkpoint holds an event at {at} before its clock {now}")
+            }
+        }
     }
 }
 
-impl std::error::Error for UnknownEventKind {}
+impl std::error::Error for ResumeError {}
 
 #[cfg(test)]
 mod tests {
@@ -792,6 +816,39 @@ mod tests {
         let out = e.run_until(SimTime::from_secs(51));
         assert_eq!(out, RunOutcome::QueueEmpty);
         assert_eq!(e.world().seen, vec![(50, 1)]);
+    }
+
+    #[test]
+    fn resume_refuses_an_event_before_the_checkpoint_clock() {
+        let mut e = Engine::new(Recorder::default());
+        e.schedule_at(SimTime::from_secs(60), 2);
+        e.run_until(SimTime::from_secs(50));
+        let mut cp = e.checkpoint();
+        assert_eq!(cp.now, SimTime::from_secs(50));
+        cp.events.push((SimTime::from_secs(10), 1));
+        let refused = Engine::resume(Recorder::default(), cp, |_| Some("event"));
+        assert_eq!(
+            refused.err(),
+            Some(ResumeError::EventBeforeClock {
+                at: SimTime::from_secs(10),
+                now: SimTime::from_secs(50),
+            })
+        );
+    }
+
+    #[test]
+    fn resume_refuses_an_unknown_event_kind_and_accepts_a_clean_checkpoint() {
+        let mut e = Engine::new(Recorder::default());
+        e.schedule_at(SimTime::from_secs(10), 1);
+        e.schedule_at(SimTime::from_secs(60), 2);
+        e.run_until(SimTime::from_secs(50));
+        let cp = e.checkpoint();
+        let unknown = Engine::resume(Recorder::default(), cp.clone(), |_| None);
+        assert_eq!(unknown.err(), Some(ResumeError::UnknownEventKind { name: "event".into() }));
+        let mut resumed = Engine::resume(Recorder::default(), cp, |_| Some("event")).unwrap();
+        assert_eq!(resumed.run_until(SimTime::from_secs(100)), RunOutcome::QueueEmpty);
+        assert_eq!(resumed.world().seen, vec![(60, 2)]);
+        assert_eq!(resumed.events_processed(), 2);
     }
 
     #[test]

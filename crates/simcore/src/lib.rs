@@ -80,8 +80,8 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{
-    Ctx, Engine, EngineCheckpoint, EngineProfile, FaultHook, RunOutcome, SimError,
-    UnknownEventKind, Watchdog, World,
+    Ctx, Engine, EngineCheckpoint, EngineProfile, FaultHook, ResumeError, RunOutcome, SimError,
+    Watchdog, World,
 };
 pub use error::ModelError;
 pub use rng::Rng;
