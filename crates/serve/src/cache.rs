@@ -23,9 +23,13 @@ use simcore::snapshot::{self, ByteReader, ByteWriter, SnapshotError};
 
 use crate::scenario::RunArtifact;
 
-/// Version byte of the cache entry payload. Bump on layout change; old
-/// entries then read as damaged and are recomputed.
-pub const CACHE_ENTRY_VERSION: u8 = 1;
+/// Version byte of the cache entry payload. Bump on a layout change, or
+/// when a simulator change moves the digests of runs the request key
+/// cannot tell apart; old entries then read as damaged and are
+/// recomputed, never served. Version 2: cohort-mode replacements draw
+/// their lifetimes from the arm's tabulated law, so a v1 `scaled` entry
+/// holds a result the current simulator no longer produces.
+pub const CACHE_ENTRY_VERSION: u8 = 2;
 
 /// What a lookup found.
 pub enum Lookup {
@@ -118,14 +122,18 @@ impl ResultCache {
     /// [`SnapshotError::Io`] on filesystem failure — the caller serves
     /// the fresh result regardless; only memoization is lost.
     pub fn store(&self, key: u64, artifact: &RunArtifact) -> Result<(), SnapshotError> {
+        let sealed = snapshot::seal(CACHE_ENTRY_VERSION, &Self::encode(key, artifact));
+        snapshot::write_atomic(&self.entry_path(key), &sealed)
+    }
+
+    fn encode(key: u64, artifact: &RunArtifact) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(64 + artifact.body.len());
         w.put_u64(key);
         w.put_u64(artifact.digest);
         w.put_u64(artifact.events);
         w.put_u64(snapshot::fnv1a(artifact.body.as_bytes()));
         w.put_str(&artifact.body);
-        let sealed = snapshot::seal(CACHE_ENTRY_VERSION, w.as_bytes());
-        snapshot::write_atomic(&self.entry_path(key), &sealed)
+        w.into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Result<CachedRun, SnapshotError> {
@@ -200,6 +208,26 @@ mod tests {
         // Recompute path: an atomic store over the damage restores service.
         cache.store(7, &artifact()).unwrap();
         assert!(matches!(cache.lookup(7), Lookup::Hit(_)));
+    }
+
+    /// An entry sealed under an earlier version may hold a result the
+    /// current simulator no longer produces: it is refused, recomputed
+    /// and overwritten, never served.
+    #[test]
+    fn entries_of_an_earlier_version_are_refused_then_overwritten() {
+        let cache = ResultCache::open(&tmp("stale-version")).unwrap();
+        let stale = RunArtifact { digest: 0x0bad, ..artifact() };
+        let v1 = snapshot::seal(1, &ResultCache::encode(5, &stale));
+        std::fs::write(cache.entry_path(5), v1).unwrap();
+        match cache.lookup(5) {
+            Lookup::Damaged { reason } => assert!(reason.contains("version"), "{reason}"),
+            _ => panic!("a version-1 entry must not be served"),
+        }
+        cache.store(5, &artifact()).unwrap();
+        match cache.lookup(5) {
+            Lookup::Hit(hit) => assert_eq!(hit.digest, artifact().digest),
+            _ => panic!("the recomputed entry must be served"),
+        }
     }
 
     #[test]
