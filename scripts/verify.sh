@@ -18,8 +18,15 @@ cargo test -q --release --features proptest --test properties
 echo "== golden digests (regression; drift fails, bless via scripts/bless.sh) =="
 # CI note: in a perf-only PR a digest change here is a CORRECTNESS failure,
 # not a baseline to re-bless — the scheduler/profiling contract is that
-# optimizations never reorder events or touch digested state.
+# optimizations never reorder events or touch digested state. The one
+# exception: a perf change that swaps a sampler for one equal in
+# distribution may re-bless, only in its own labelled commit, only behind
+# an equivalence test that passes (such as the KS step below), and never
+# touching a Legacy (paper_experiment) line.
 cargo test -q --release --test golden_digests
+
+echo "== lifetime law (KS test, 400k draws per side: tabulated cohort-mode lifetimes equal the BOM in distribution) =="
+cargo test -q --release --test lifetime_law -- --ignored
 
 echo "== golden snapshot format (layout pin; intentional changes bump FLEET_SNAPSHOT_VERSION) =="
 cargo test -q --release --test golden_snapshot
