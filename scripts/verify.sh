@@ -60,6 +60,9 @@ echo "== century horizon (100k devices x 50 years, aggregate; streamed export an
 cargo test -q --release -p fleet --lib \
   -- --ignored century_horizon_export_and_digest_match_the_text_oracles
 
+echo "== century-horizon pins (100k and 1M devices x 50 years, aggregate; digest, export FNV, events and queue high-water fixed) =="
+cargo test -q --release --test golden_digests -- --ignored century_horizon_runs_match_their_pins
+
 echo "== serve smoke (daemon up; miss -> hit with equal digests; replay re-proof; streamed hit; stats histograms; graceful shutdown) =="
 rm -rf target/verify-serve-cache
 ./target/release/century-serve --cache-dir target/verify-serve-cache \

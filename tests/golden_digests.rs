@@ -120,6 +120,52 @@ fn run_digests_match_golden() {
     );
 }
 
+/// An `io::Write` sink folding every byte into an FNV-1a digest, so a
+/// century-horizon export is hashed without being held in memory.
+struct FnvSink(Digest);
+
+impl std::io::Write for FnvSink {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.write_bytes(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The aggregate scaled fleet at the paper's 50-year horizon, seed 1,
+/// pinned absolutely: run digest, export FNV-1a, events dispatched and
+/// the logical queue high-water mark. The golden lines stop at two years;
+/// these cover the century-horizon path the 1-year benchmark never
+/// reaches (replacements of replacements, deep re-failure queues). About
+/// 15 s in a release build; `scripts/verify.sh` runs it.
+#[test]
+#[ignore = "release-build scale check (1M devices x 50 years); scripts/verify.sh runs it"]
+fn century_horizon_runs_match_their_pins() {
+    let pins = [
+        (100_000, 0x7520_ed4c_4ecf_1226, 0x2e29_66c9_9c90_f003, 590_541, 100_029),
+        (1_000_000, 0x51b4_de2c_b967_383b, 0xd631_fd9f_7b45_f81f, 5_875_067, 999_950),
+    ];
+    for (devices, digest, export, events, high_water) in pins {
+        let cfg = FleetConfig {
+            horizon: SimDuration::from_years(50),
+            ..FleetConfig::scaled(1, devices).with_sampling(SamplingMode::Aggregate)
+        };
+        let report = FleetSim::run(cfg);
+        let mut sink = FnvSink(Digest::new());
+        report.write_jsonl(&mut sink).unwrap();
+        let got = (
+            report.digest(),
+            sink.0.finish(),
+            report.events_processed,
+            report.profile.queue_high_water,
+        );
+        assert_eq!(got, (digest, export, events, high_water), "{devices} devices x 50 years");
+    }
+}
+
 #[test]
 fn digest_ignores_wall_clock_profile() {
     // Two runs of one seed differ in wall-clock nanos but must share a
