@@ -22,7 +22,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fleet::sim::{FleetConfig, FleetReport, FleetSim};
-use simcore::event::EventQueue;
 use simcore::trace::Severity;
 
 use crate::metrics::{ArmRow, ArmSummary};
@@ -146,14 +145,13 @@ pub fn run_reports(
 }
 
 /// Worker pool shared by both drivers: claims seed indices from an
-/// atomic counter, recycles one event queue per worker across all the
-/// seeds it claims (see [`FleetSim::run_with_queue`]), and maps each
+/// atomic counter, runs each seed with [`FleetSim::run`], and maps each
 /// finished report through `extract` so callers choose how much of it
 /// outlives the run. Results are unordered; callers sort by index.
 ///
 /// Panics are caught at the replicate boundary
 /// (`catch_unwind(AssertUnwindSafe(..))` — safe because the replicate's
-/// world, queue and report are abandoned on failure, never reused) and
+/// world and report are abandoned on failure, never reused) and
 /// the worker stops claiming seeds. The collector still joins every
 /// worker, then reports the panicking replicate with the **smallest
 /// seed**, so the error is independent of which worker happened to claim
@@ -182,7 +180,6 @@ fn run_indexed<T: Send>(
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
-                    let mut queue = EventQueue::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= replicates {
@@ -190,17 +187,10 @@ fn run_indexed<T: Send>(
                         }
                         let seed = base_seed + i as u64;
                         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || {
-                                let (report, queue) =
-                                    FleetSim::run_with_queue(make_config(seed), queue);
-                                ((i, extract(i, report)), queue)
-                            },
+                            || (i, extract(i, FleetSim::run(make_config(seed)))),
                         ));
                         match attempt {
-                            Ok((item, recycled)) => {
-                                queue = recycled;
-                                local.push(item);
-                            }
+                            Ok(item) => local.push(item),
                             Err(payload) => {
                                 return (
                                     local,

@@ -37,6 +37,7 @@
 pub mod cloud;
 pub mod commissioning;
 pub mod device;
+mod due;
 pub mod fault;
 pub mod gateway;
 pub mod geometry;

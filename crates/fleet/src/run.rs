@@ -21,8 +21,7 @@
 //!
 //! [`FleetSim::run`], [`shard::run_sharded`]
 //! and `chaos::run_with_plan` remain as one-line conveniences over this
-//! module; [`FleetSim::run_with_queue`] is the queue-recycling primitive
-//! the replicate runners loop.
+//! module.
 
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -89,9 +88,11 @@ pub struct Run {
 impl Run {
     /// Runs to the configured horizon and finalizes the report.
     ///
-    /// A fresh run's per-arm build fans out over worker threads exactly
-    /// when the run splits into two or more shards; the build is
-    /// bit-identical either way.
+    /// A fresh run's per-arm build fans out over worker threads for
+    /// fleets of at least
+    /// [`SERIAL_FALLBACK_DEVICES`](crate::shard::SERIAL_FALLBACK_DEVICES)
+    /// devices ([`FleetSim::build`]); the build is bit-identical either
+    /// way.
     ///
     /// # Panics
     ///

@@ -220,9 +220,10 @@ fn injector_for(si: usize, plan: &ShardPlan, faults: &FaultPlan, fired: u64) -> 
 /// The one runner behind every [`Run`]: fresh and resumed, serial and
 /// sharded, plain and injected, under the run's effective `plan`.
 ///
-/// A fresh world is built first — its per-arm planning fanned out over
-/// threads exactly when the plan has two or more non-empty groups. The
-/// engine is then split by those groups, each shard runs under its own
+/// A fresh world is built first (its per-arm planning fans out over
+/// threads for fleets of at least [`SERIAL_FALLBACK_DEVICES`] devices,
+/// whatever the shard count). The engine is then split by the plan's
+/// groups, each shard runs under its own
 /// injector on a scoped worker thread, and the shards merge through the
 /// canonical finalize path; with one group of work (or an arm-less
 /// config) the split would be the identity, so the engine runs serially
@@ -234,19 +235,11 @@ fn injector_for(si: usize, plan: &ShardPlan, faults: &FaultPlan, fired: u64) -> 
 /// dispatch counts, so `events_processed` matches the uninterrupted
 /// serial run either way.
 pub(crate) fn drive(run: Run, plan: &ShardPlan) -> FleetReport {
-    let Run { start, faults, shards } = run;
+    let Run { start, faults, .. } = run;
     let faults = &faults;
     let groups: Vec<Vec<usize>> =
         plan.groups().iter().filter(|g| !g.is_empty()).cloned().collect();
     let (engine, fired) = match start {
-        Start::Fresh(cfg) if groups.len() > 1 => {
-            // Fan the build out as wide as the run phase will: the caller
-            // asked for this many threads, even where the cgroup quota
-            // reports fewer cores.
-            let (Shards::Auto(k) | Shards::Forced(k)) = shards;
-            let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-            (FleetSim::build_parallel_with(cfg, k.get().max(host)), 0)
-        }
         Start::Fresh(cfg) => (FleetSim::build(cfg), 0),
         Start::Resumed(resumed) => (resumed.engine, resumed.chaos.next),
     };

@@ -35,7 +35,6 @@ use econ::money::Usd;
 use reliability::system::bom;
 use simcore::dist::{sorted_uniforms, Binomial, InverseCdf};
 use simcore::engine::{Ctx, Engine, EngineProfile, World};
-use simcore::event::EventQueue;
 use simcore::rng::Rng;
 use simcore::survival::Observation;
 use simcore::time::{SimDuration, SimTime, WEEK};
@@ -46,7 +45,9 @@ use telemetry::{Buckets, Counter, Digest, Histogram, LocalHistogram, Registry, S
 
 use crate::cloud::CloudEndpoint;
 use crate::device::{DeviceSpec, DeviceState, EnergySystem, LifetimeLaw};
+use crate::due::DueList;
 use crate::gateway::{GatewaySpec, GatewayState};
+use crate::shard;
 use crate::store::DeviceStore;
 
 /// Infrastructure flavour of an experiment arm.
@@ -522,6 +523,11 @@ pub(crate) struct ArmState {
     /// The device population as struct-of-arrays columns, including the
     /// home-gateway lottery and the path-cohort decomposition.
     pub(crate) store: DeviceStore,
+    /// The arm's own pending device events under Aggregate sampling
+    /// (`None` in the other modes, whose device events go straight into
+    /// the engine queue). Its earliest event sits in the engine queue,
+    /// the rest here (see [`crate::due`]).
+    pub(crate) due: Option<DueList>,
     pub(crate) infra: ArmInfra,
     pub(crate) report: ArmReport,
     /// The arm's private runtime stream: weekly draws, replacements and
@@ -577,18 +583,25 @@ pub struct FleetSim {
     pub(crate) metrics: Arc<Registry>,
     pub(crate) chaos_applied: Counter,
     pub(crate) chaos_skipped: Counter,
+    /// Device events the arms' due lists hold outside the engine queue,
+    /// summed over arms: [`World::held_events`].
+    pub(crate) held: usize,
 }
 
 /// The registry-free output of build phase 1 for one arm: a pure function
 /// of `(config, arm index)`, computable on any thread
-/// (see [`FleetSim::build_parallel_with`]).
+/// (see [`FleetSim::build`]).
 struct ArmPlan {
     lifetime: LifetimeLaw,
     store: DeviceStore,
     infra: ArmInfra,
     report: ArmReport,
-    /// The arm's primed events in canonical serial order:
-    /// device failures (ascending id), provider exit, gateway failures.
+    /// Under Aggregate, how many build-time deaths the arm's due list
+    /// holds: devices `0..n`, the ones dying before the horizon.
+    held_deaths: Option<usize>,
+    /// The arm's other primed events in canonical serial order: device
+    /// failures (ascending id, unless held), provider exit, gateway
+    /// failures.
     initial: Vec<(SimTime, Ev)>,
     rng: Rng,
     agg_root: Rng,
@@ -616,48 +629,33 @@ impl LifetimeTables {
 
 impl FleetSim {
     /// Builds the world and returns an engine primed with initial events.
-    pub fn build(cfg: FleetConfig) -> Engine<FleetSim> {
-        Self::build_with_queue(cfg, EventQueue::new())
-    }
-
-    /// [`build`](Self::build) reusing the allocations of a queue from a
-    /// previous run (see [`Engine::new_with_queue`]) — the replicate-worker
-    /// fast path. Event order, and therefore the run digest, is identical
-    /// to a fresh build.
-    pub(crate) fn build_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> Engine<FleetSim> {
-        let tables = Self::lifetime_tables(&cfg);
-        let plans = (0..cfg.arms.len()).map(|ai| Self::plan_arm(&cfg, &tables, ai)).collect();
-        Self::assemble(cfg, plans, queue)
-    }
-
-    /// [`build`](Self::build) with the per-arm deployment planning —
-    /// lifetime sampling, gateway deploys, the coverage lottery — fanned
-    /// out over scoped worker threads. The shared lifetime tables are
-    /// computed once, before the fan-out.
     ///
-    /// Bit-identical to the serial build: phase 1 ([`plan_arm`]) is a
-    /// pure function of `(seed, arm index, config)` with no shared state,
-    /// so computing plans concurrently changes nothing; phase 2
-    /// ([`assemble`]) runs serially on the calling thread and registers
-    /// metrics, merges the priming events, and primes the queue in exactly
-    /// the serial order. At 1M devices the plan phase (order-statistic
-    /// lifetimes per arm) dominates build time, which is what was
-    /// Amdahl-capping the sharded sweep.
-    ///
-    /// The shard runner calls this for a fresh run that splits into two or
-    /// more shards, with at least its shard count as `workers`: a
-    /// container whose cgroup quota reports one core still runs `k`
-    /// shard threads, so the plan phase should fan out just as wide.
+    /// The build runs in two phases. Phase 1 ([`plan_arm`]) plans each
+    /// arm — lifetime sampling, gateway deploys, the coverage lottery — as
+    /// a pure function of `(seed, arm index, config)` with no shared
+    /// state. A fleet of at least
+    /// [`SERIAL_FALLBACK_DEVICES`](crate::shard::SERIAL_FALLBACK_DEVICES)
+    /// devices plans its arms on `min(arms, available_parallelism)` scoped
+    /// threads; smaller fleets plan serially, where a thread would cost
+    /// more than it saves. Phase 2 ([`assemble`]) runs on the calling
+    /// thread: it registers metrics and primes the queue in the canonical
+    /// serial order, so the engine is bit-identical however phase 1 ran.
+    /// The shared lifetime tables are computed once, before phase 1.
     ///
     /// [`plan_arm`]: Self::plan_arm
     /// [`assemble`]: Self::assemble
-    pub(crate) fn build_parallel_with(cfg: FleetConfig, workers: usize) -> Engine<FleetSim> {
-        let n = cfg.arms.len();
-        let workers = workers.min(n.max(1));
-        if workers <= 1 {
-            return Self::build(cfg);
-        }
+    pub fn build(cfg: FleetConfig) -> Engine<FleetSim> {
         let tables = Self::lifetime_tables(&cfg);
+        let n = cfg.arms.len();
+        let workers = if shard::fleet_devices(&cfg) >= shard::SERIAL_FALLBACK_DEVICES {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(n)
+        } else {
+            1
+        };
+        if workers <= 1 {
+            let plans = (0..n).map(|ai| Self::plan_arm(&cfg, &tables, ai)).collect();
+            return Self::assemble(cfg, plans);
+        }
         let mut plans: Vec<Option<ArmPlan>> = (0..n).map(|_| None).collect();
         let chunk = n.div_ceil(workers);
         std::thread::scope(|s| {
@@ -671,7 +669,7 @@ impl FleetSim {
             }
         });
         let plans = plans.into_iter().flatten().collect();
-        Self::assemble(cfg, plans, EventQueue::new())
+        Self::assemble(cfg, plans)
     }
 
     /// Phase 1 of the build: everything about arm `ai` that is a pure
@@ -679,8 +677,7 @@ impl FleetSim {
     /// deploys, the coverage lottery, initial spend, and the arm's primed
     /// events (in the canonical device → provider → gateway order). No
     /// registry or queue access, so arms can be planned concurrently
-    /// ([`build_parallel_with`](Self::build_parallel_with)) with a bit-identical
-    /// result.
+    /// ([`build`](Self::build)) with a bit-identical result.
     fn plan_arm(cfg: &FleetConfig, tables: &LifetimeTables, ai: usize) -> ArmPlan {
         let arm_cfg = &cfg.arms[ai];
         let root = Rng::seed_from(cfg.seed);
@@ -704,9 +701,18 @@ impl FleetSim {
                 Self::cohort_death_times(table, arm_cfg.devices, &arm_rng)
             }
         };
-        for (di, &at) in fails.iter().enumerate() {
-            if at.as_secs() < cfg.horizon.as_secs() {
-                initial.push((at, Ev::DeviceFail(ai, di)));
+        // Aggregate arms hold their own device events: order-statistic
+        // deaths ascend with the device id, so the ones before the horizon
+        // are a prefix.
+        let held_deaths = (cfg.sampling == SamplingMode::Aggregate).then(|| {
+            debug_assert!(fails.windows(2).all(|w| w[0] <= w[1]), "deaths ascend");
+            fails.partition_point(|at| at.as_secs() < cfg.horizon.as_secs())
+        });
+        if held_deaths.is_none() {
+            for (di, &at) in fails.iter().enumerate() {
+                if at.as_secs() < cfg.horizon.as_secs() {
+                    initial.push((at, Ev::DeviceFail(ai, di)));
+                }
             }
         }
         // Infrastructure.
@@ -771,6 +777,7 @@ impl FleetSim {
             store,
             infra,
             report,
+            held_deaths,
             initial,
             rng: arm_rng.split("runtime", 0),
             agg_root: arm_rng.split("aggregate", 0),
@@ -825,7 +832,7 @@ impl FleetSim {
     /// world — metric registration (in arm order, so the registry is
     /// identical to the serial build's), diary creation, and queue
     /// priming in the canonical serial order.
-    fn assemble(cfg: FleetConfig, plans: Vec<ArmPlan>, queue: EventQueue<Ev>) -> Engine<FleetSim> {
+    fn assemble(cfg: FleetConfig, plans: Vec<ArmPlan>) -> Engine<FleetSim> {
         let root = Rng::seed_from(cfg.seed);
         let metrics = Arc::new(Registry::new());
         // Chaos counters are pre-registered (at zero) in *every* run, so a
@@ -839,10 +846,10 @@ impl FleetSim {
         let chaos_skipped = metrics.counter("chaos.skipped").expect("fresh registry");
 
         let mut arms = Vec::with_capacity(plans.len());
-        let mut initial_failures: Vec<(SimTime, Ev)> = Vec::new();
+        let mut primed = Vec::with_capacity(plans.len());
         for (ai, plan) in plans.into_iter().enumerate() {
             let arm_cfg = &cfg.arms[ai];
-            initial_failures.extend(plan.initial);
+            primed.push((plan.held_deaths, plan.initial));
             let mut arm_diary = Diary::new();
             arm_diary.log(
                 SimTime::ZERO,
@@ -874,6 +881,7 @@ impl FleetSim {
                 cfg: arm_cfg.clone(),
                 lifetime: plan.lifetime,
                 store: plan.store,
+                due: None,
                 infra: plan.infra,
                 report: plan.report,
                 rng: plan.rng,
@@ -891,36 +899,103 @@ impl FleetSim {
         let mut cloud_rng = root.split("cloud", 0);
         let cloud = CloudEndpoint::paper_default(cfg.horizon, &mut cloud_rng);
 
-        let world = FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped };
-        let mut engine = Engine::new_with_queue(world, queue);
-        // Batch-schedule the priming events in the exact order the serial
-        // schedule_at calls used — FIFO sequence numbers are assigned in
-        // iteration order, so run digests are unchanged.
-        engine.schedule_many(
-            [
-                (SimTime::ZERO + SimDuration::from_weeks(1), Ev::WeeklyCheck),
-                (SimTime::ZERO + SimDuration::from_years(1), Ev::YearlyTick),
-            ]
-            .into_iter()
-            .chain(initial_failures),
-        );
+        let world = FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped, held: 0 };
+        let mut engine = Engine::new(world);
+        // Prime in the canonical order — the fleet ticks, then per arm its
+        // deaths (ascending device id), provider exit and gateway failures
+        // — so sequence numbers, and every same-second tie, follow it. An
+        // Aggregate arm reserves its deaths' seqs as one block in their
+        // slot and holds the deaths itself.
+        engine.schedule_at(SimTime::ZERO + SimDuration::from_weeks(1), Ev::WeeklyCheck);
+        engine.schedule_at(SimTime::ZERO + SimDuration::from_years(1), Ev::YearlyTick);
+        for (ai, (held_deaths, initial)) in primed.into_iter().enumerate() {
+            if let Some(deaths) = held_deaths {
+                let seq0 = engine.reserve_seqs(deaths as u64);
+                engine.world_mut().arms[ai].due = Some(DueList::primed(deaths, seq0));
+            }
+            engine.schedule_many(initial);
+        }
+        Self::queue_arm_heads(&mut engine);
         engine
+    }
+
+    /// Hands each due list's earliest event to the engine queue under its
+    /// reserved seq, then recounts the held events. Run once the due lists
+    /// are primed (build) or refilled (resume); afterwards the device
+    /// handlers hand over each arm's next event as its last one fires.
+    pub(crate) fn queue_arm_heads(engine: &mut Engine<FleetSim>) {
+        let world = engine.world_mut();
+        let heads: Vec<(SimTime, u64, Ev)> = world
+            .arms
+            .iter_mut()
+            .filter_map(|arm| arm.due.as_mut()?.pop(arm.id, &arm.store))
+            .collect();
+        world.recount_held();
+        for (at, seq, ev) in heads {
+            engine.schedule_reserved(at, seq, ev);
+        }
+    }
+
+    /// Recomputes [`held`](Self::held) from the arms this world owns.
+    pub(crate) fn recount_held(&mut self) {
+        self.held = self.arms.iter().filter_map(|arm| arm.due.as_ref()).map(DueList::len).sum();
+    }
+
+    /// Every device event the arms' due lists hold, with its reserved seq,
+    /// unordered: what a checkpoint merges into the engine's pending set.
+    pub(crate) fn held_device_events(&self) -> impl Iterator<Item = (SimTime, u64, Ev)> + '_ {
+        self.arms.iter().filter_map(|arm| Some(arm.due.as_ref()?.events(arm.id, &arm.store))).flatten()
+    }
+
+    /// Moves the device events of `events` whose arm keeps a due list
+    /// into that list, emptied first, under their seqs; the rest stay.
+    /// The resume path: a checkpoint stores every pending event in one
+    /// `(time, seq)` order, held or queued. Call
+    /// [`queue_arm_heads`](Self::queue_arm_heads) once the engine exists.
+    pub(crate) fn hold_device_events(&mut self, events: &mut Vec<(SimTime, u64, Ev)>) {
+        for arm in &mut self.arms {
+            if let Some(due) = &mut arm.due {
+                *due = DueList::default();
+            }
+        }
+        events.retain(|&(at, seq, ev)| {
+            let li = ev.arm().and_then(|ai| self.local_slot(ai));
+            let due = li.and_then(|li| self.arms[li].due.as_mut());
+            !due.is_some_and(|due| due.push(at, seq, ev))
+        });
+    }
+
+    /// Schedules arm slot `li`'s device event `ev` at `at`: held in the
+    /// arm's due list under a seq reserved now, or straight into the
+    /// engine queue for an arm without one.
+    fn schedule_device_event(&mut self, li: usize, at: SimTime, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+        match &mut self.arms[li].due {
+            Some(due) => {
+                due.push(at, ctx.reserve_seq(), ev);
+                self.held += 1;
+            }
+            None => ctx.schedule_at(at, ev),
+        }
+    }
+
+    /// After one of arm slot `li`'s device events fired: hands the arm's
+    /// next held device event to the engine queue. The arm's earliest
+    /// event is always the only one queued, so this keeps it there.
+    fn queue_next_device_event(&mut self, li: usize, ctx: &mut Ctx<'_, Ev>) {
+        let arm = &mut self.arms[li];
+        let Some(due) = &mut arm.due else { return };
+        if let Some((at, seq, ev)) = due.pop(arm.id, &arm.store) {
+            self.held -= 1;
+            ctx.schedule_reserved(at, seq, ev);
+        }
     }
 
     /// Runs the configured experiment to its horizon and returns the report.
     pub fn run(cfg: FleetConfig) -> FleetReport {
-        Self::run_with_queue(cfg, EventQueue::new()).0
-    }
-
-    /// [`run`](Self::run) reusing a queue from a previous replicate and
-    /// handing the queue back for the next one. Replicate drivers loop
-    /// this to amortise queue allocations across seeds; the report is
-    /// bit-identical to [`run`](Self::run).
-    pub fn run_with_queue(cfg: FleetConfig, queue: EventQueue<Ev>) -> (FleetReport, EventQueue<Ev>) {
         let horizon = SimTime::ZERO + cfg.horizon;
-        let mut engine = Self::build_with_queue(cfg, queue);
+        let mut engine = Self::build(cfg);
         engine.run_until(horizon);
-        Self::into_report_recycling(engine, horizon)
+        Self::into_report(engine, horizon)
     }
 
     /// Finalizes a finished engine into a [`FleetReport`]: takes each
@@ -931,21 +1006,9 @@ impl FleetSim {
     ///
     /// [`run`]: FleetSim::run
     pub fn into_report(engine: Engine<FleetSim>, horizon: SimTime) -> FleetReport {
-        Self::into_report_recycling(engine, horizon).0
-    }
-
-    /// [`into_report`](Self::into_report), additionally returning the
-    /// engine's event queue so the caller can recycle its allocations
-    /// into the next replicate via
-    /// [`build_with_queue`](Self::build_with_queue).
-    pub(crate) fn into_report_recycling(
-        engine: Engine<FleetSim>,
-        horizon: SimTime,
-    ) -> (FleetReport, EventQueue<Ev>) {
         let events = engine.events_processed();
         let profile = engine.profile().clone();
-        let (world, queue) = engine.into_parts();
-        (world.finalize(events, profile, horizon), queue)
+        engine.into_world().finalize(events, profile, horizon)
     }
 
     /// The one finalize path every runner — serial, hooked, sharded —
@@ -1024,12 +1087,12 @@ impl FleetSim {
     /// 1. **Arms** move whole (with their private rng/diary/spans) into
     ///    their owner shard, keeping ascending-id order within the shard,
     ///    so each arm's random stream is untouched.
-    /// 2. **Primed events** are drained from the serial queue in its
-    ///    (time, FIFO) pop order and re-scheduled into the owner shard's
-    ///    queue in that same order — relative order among a shard's events
-    ///    is exactly the serial order. Tick-chain events ([`Ev::arm`] =
-    ///    `None`) are cloned into every shard so each shard evaluates its
-    ///    own arms weekly.
+    /// 2. **Queued events** move into the owner shard's queue under their
+    ///    serial sequence numbers, and every shard's counter resumes at the
+    ///    serial one, so relative order among a shard's events — queued,
+    ///    held in its arms' due lists, or scheduled later — is exactly the
+    ///    serial order. Tick-chain events ([`Ev::arm`] = `None`) are cloned
+    ///    into every shard so each shard evaluates its own arms weekly.
     /// 3. **Shared telemetry**: all shards keep handles to the same
     ///    [`Registry`] through the `Arc`; counter increments are atomic
     ///    adds, which commute, and histogram flushes happen per-arm at
@@ -1038,8 +1101,9 @@ impl FleetSim {
         engine: Engine<FleetSim>,
         groups: &[Vec<usize>],
     ) -> Vec<Engine<FleetSim>> {
-        let (world, mut queue) = engine.into_parts();
-        let FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped } = world;
+        let pending = engine.checkpoint();
+        let FleetSim { cfg, arms, cloud, metrics, chaos_applied, chaos_skipped, .. } =
+            engine.into_world();
         // Owner map: global arm id -> shard slot.
         let mut owner = vec![0usize; arms.len()];
         for (si, group) in groups.iter().enumerate() {
@@ -1052,15 +1116,15 @@ impl FleetSim {
         for arm in arms {
             shard_arms[owner[arm.id]].push(arm);
         }
-        // Route the primed events in serial (time, FIFO) pop order.
-        let mut shard_events: Vec<Vec<(SimTime, Ev)>> =
+        // Route the queued events to their owners, seqs kept.
+        let mut shard_events: Vec<Vec<(SimTime, u64, Ev)>> =
             (0..groups.len()).map(|_| Vec::new()).collect();
-        while let Some((at, ev)) = queue.pop() {
+        for (at, seq, ev) in pending.events {
             match ev.arm() {
-                Some(ai) => shard_events[owner[ai]].push((at, ev)),
+                Some(ai) => shard_events[owner[ai]].push((at, seq, ev)),
                 None => {
                     for events in &mut shard_events {
-                        events.push((at, ev));
+                        events.push((at, seq, ev));
                     }
                 }
             }
@@ -1074,9 +1138,14 @@ impl FleetSim {
                 metrics: Arc::clone(&metrics),
                 chaos_applied: chaos_applied.clone(),
                 chaos_skipped: chaos_skipped.clone(),
+                held: 0,
             };
             let mut engine = Engine::new(world);
-            engine.schedule_many(shard_events[si].drain(..));
+            engine.world_mut().recount_held();
+            engine.reserve_seqs(pending.next_seq);
+            for (at, seq, ev) in shard_events[si].drain(..) {
+                engine.schedule_reserved(at, seq, ev);
+            }
             engines.push(engine);
         }
         engines
@@ -1112,11 +1181,10 @@ impl FleetSim {
         // The first shard absorbs with nothing deduplicated: its tick
         // chains are the canonical copies.
         profile.absorb_shard(first.profile(), &[]);
-        let (mut world, _queue) = first.into_parts();
+        let mut world = first.into_world();
         for engine in engines {
             profile.absorb_shard(engine.profile(), Self::DUPLICATED_KINDS);
-            let (shard_world, _queue) = engine.into_parts();
-            world.arms.extend(shard_world.arms);
+            world.arms.extend(engine.into_world().arms);
         }
         let events = profile.total_dispatched();
         Some(world.finalize(events, profile, horizon))
@@ -1832,6 +1900,10 @@ pub(crate) fn resolve_event_kind(name: &str) -> Option<&'static str> {
 impl World for FleetSim {
     type Event = Ev;
 
+    fn held_events(&self) -> usize {
+        self.held
+    }
+
     fn event_kind(event: &Ev) -> &'static str {
         match event {
             Ev::WeeklyCheck => "weekly-check",
@@ -1908,7 +1980,8 @@ impl World for FleetSim {
                 ctx.schedule_in(SimDuration::from_years(1), Ev::YearlyTick);
             }
             Ev::DeviceFail(ai, di) => {
-                let Some(arm) = self.local_arm(ai) else { return };
+                let Some(li) = self.local_slot(ai) else { return };
+                let arm = &mut self.arms[li];
                 arm.store.mark_failed(di);
                 arm.report.device_failures += 1;
                 arm.report.failure_ages.push(arm.store.age_at(di, now).as_years_f64());
@@ -1919,12 +1992,14 @@ impl World for FleetSim {
                     Msg::device(arm.cfg.name, di, DeviceEvent::Failed),
                 );
                 if let Some(delay) = arm.cfg.replace_devices {
-                    ctx.schedule_in(delay, Ev::DeviceReplace(ai, di));
+                    self.schedule_device_event(li, now.saturating_add(delay), Ev::DeviceReplace(ai, di), ctx);
                 }
+                self.queue_next_device_event(li, ctx);
             }
             Ev::DeviceReplace(ai, di) => {
                 let horizon = self.cfg.horizon;
-                let Some(arm) = self.local_arm(ai) else { return };
+                let Some(li) = self.local_slot(ai) else { return };
+                let arm = &mut self.arms[li];
                 // Keyed by (device, time), never by visit order. The arm's
                 // law samples the BOM under Legacy and inverts one open
                 // uniform through the build's table in the cohort modes.
@@ -1933,9 +2008,7 @@ impl World for FleetSim {
                     .split("replace", di as u64)
                     .split("at", now.as_secs());
                 let dev = DeviceState::deploy(arm.cfg.device_spec, &arm.lifetime, now, &mut drng);
-                if dev.fails_at.as_secs() < horizon.as_secs() {
-                    ctx.schedule_at(dev.fails_at, Ev::DeviceFail(ai, di));
-                }
+                let refails = dev.fails_at.as_secs() < horizon.as_secs();
                 arm.store.set_row(di, &dev);
                 arm.report.device_replacements += 1;
                 arm.report.labor = arm.report.labor.plus(PersonHours::from_hours(20.0 / 60.0));
@@ -1951,6 +2024,10 @@ impl World for FleetSim {
                     Tier::Device,
                     Msg::device(arm.cfg.name, di, DeviceEvent::Replaced),
                 );
+                if refails {
+                    self.schedule_device_event(li, dev.fails_at, Ev::DeviceFail(ai, di), ctx);
+                }
+                self.queue_next_device_event(li, ctx);
             }
             Ev::GatewayFail(ai, gi) => {
                 let Some(arm) = self.local_arm(ai) else { return };

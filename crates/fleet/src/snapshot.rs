@@ -130,13 +130,16 @@ pub fn config_fingerprint(cfg: &FleetConfig) -> u64 {
 /// Captures the engine mid-run into a complete sealed snapshot image
 /// (framing, version byte and checksum trailer included).
 ///
-/// Takes `&mut` because the engine's queue is drained and rebuilt to
-/// observe its (time, FIFO) order — continuing the run afterwards is
-/// bit-identical to never having snapshotted. Pass
-/// [`ChaosProgress::default`] for plain runs.
+/// The pending events are the engine queue's and the arms' due lists'
+/// together, merged into one `(time, seq)` order and stored without
+/// their seqs: the same bytes whichever side held an event. Capturing
+/// leaves the run untouched, so continuing it is bit-identical to never
+/// having snapshotted. Pass [`ChaosProgress::default`] for plain runs.
 pub fn checkpoint_bytes(engine: &mut Engine<FleetSim>, chaos: ChaosProgress) -> Vec<u8> {
-    let cp = engine.checkpoint();
+    let mut cp = engine.checkpoint();
     let world = engine.world();
+    cp.events.extend(world.held_device_events());
+    cp.events.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
     let mut w = ByteWriter::with_capacity(4096);
     w.put_u64(config_fingerprint(&world.cfg));
     w.put_u64(world.cfg.seed);
@@ -208,12 +211,15 @@ fn encode_engine(w: &mut ByteWriter, cp: &EngineCheckpoint<Ev>) {
     w.put_u64(cp.queue_high_water as u64);
     w.put_u64(cp.hook_fires);
     w.put_u64(cp.events.len() as u64);
-    for (at, ev) in &cp.events {
+    for (at, _, ev) in &cp.events {
         w.put_time(*at);
         encode_ev(w, *ev);
     }
 }
 
+/// Decodes the engine section. The stored events are in pop order without
+/// seqs, so each takes its position as its seq; resuming under those
+/// numbers reproduces every tie of the uninterrupted run.
 fn decode_engine(r: &mut ByteReader<'_>) -> Result<EngineCheckpoint<Ev>, SnapshotError> {
     let now = r.take_time()?;
     let processed = r.take_u64()?;
@@ -229,12 +235,13 @@ fn decode_engine(r: &mut ByteReader<'_>) -> Result<EngineCheckpoint<Ev>, Snapsho
     let hook_fires = r.take_u64()?;
     let n_events = r.take_count(9)?;
     let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
+    for seq in 0..n_events as u64 {
         let at = r.take_time()?;
         let ev = decode_ev(r)?;
-        events.push((at, ev));
+        events.push((at, seq, ev));
     }
-    Ok(EngineCheckpoint { now, processed, dispatches, queue_high_water, hook_fires, events })
+    let next_seq = n_events as u64;
+    Ok(EngineCheckpoint { now, processed, dispatches, queue_high_water, hook_fires, events, next_seq })
 }
 
 fn encode_ev(w: &mut ByteWriter, ev: Ev) {
@@ -544,11 +551,16 @@ fn restore_finite(v: f64, what: &'static str) -> Result<f64, SnapshotError> {
     }
 }
 
-/// Refuses a pending event naming an arm, device or gateway the rebuilt
-/// world does not have (its handler would index past the end). Events
-/// timed before the checkpoint clock are [`Engine::resume`]'s to refuse.
+/// Refuses a pending event timed before the checkpoint clock (the
+/// resumed run could never dispatch it) or naming an arm, device or
+/// gateway the rebuilt world does not have (its handler would index past
+/// the end). Checked before any event moves into an arm's due list, out
+/// of [`Engine::resume`]'s sight.
 fn check_pending(cp: &EngineCheckpoint<Ev>, world: &FleetSim) -> Result<(), SnapshotError> {
-    for &(_, ev) in &cp.events {
+    for &(at, _, ev) in &cp.events {
+        if at < cp.now {
+            return Err(SnapshotError::Corrupt { what: "pending event before the clock" });
+        }
         let Some(ai) = ev.arm() else { continue };
         let known = world.arms.get(ai).is_some_and(|arm| match (ev, &arm.infra) {
             (Ev::DeviceFail(_, di) | Ev::DeviceReplace(_, di), _) => di < arm.store.len(),
@@ -575,7 +587,7 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
     if r.take_u64()? != cfg.seed || r.take_u64()? != cfg.horizon.as_secs() {
         return Err(SnapshotError::ConfigMismatch { stored: stored_fp, current: current_fp });
     }
-    let cp = decode_engine(&mut r)?;
+    let mut cp = decode_engine(&mut r)?;
     let horizon = SimTime::ZERO + cfg.horizon;
     if cp.now > horizon {
         return Err(SnapshotError::Corrupt { what: "checkpoint clock past the horizon" });
@@ -587,7 +599,7 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
     // Rebuild the world skeleton deterministically from the config, then
     // discard the freshly primed queue: the stored checkpoint carries the
     // authoritative pending events.
-    let (mut world, _primed) = FleetSim::build(cfg).into_parts();
+    let mut world = FleetSim::build(cfg).into_world();
     let n_arms = r.take_count(64)?;
     if n_arms != world.arms.len() {
         return Err(SnapshotError::Corrupt { what: "arm count differs from config" });
@@ -597,16 +609,19 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
     }
     r.finish()?;
     check_pending(&cp, &world)?;
+    world.hold_device_events(&mut cp.events);
     world.chaos_applied.add(applied_counter);
     world.chaos_skipped.add(skipped_counter);
-    let engine = Engine::resume(world, cp, crate::sim::resolve_event_kind).map_err(|e| {
+    let mut engine = Engine::resume(world, cp, crate::sim::resolve_event_kind).map_err(|e| {
         SnapshotError::Corrupt {
             what: match e {
                 ResumeError::UnknownEventKind { .. } => "checkpoint names unknown event kind",
                 ResumeError::EventBeforeClock { .. } => "pending event before the clock",
+                ResumeError::SeqNotReserved { .. } => "pending event above the seq counter",
             },
         }
     })?;
+    FleetSim::queue_arm_heads(&mut engine);
     Ok(ResumedFleet { engine, chaos })
 }
 
@@ -764,7 +779,7 @@ mod tests {
         let engine_end = 24 + section.as_bytes().len();
         let with_event = |at: SimTime, ev: Ev| {
             let mut edited = cp.clone();
-            edited.events.push((at, ev));
+            edited.events.push((at, 0, ev));
             let mut section = ByteWriter::new();
             encode_engine(&mut section, &edited);
             let mut spliced = payload[..24].to_vec();

@@ -50,6 +50,15 @@ pub trait World {
     fn event_kind(_event: &Self::Event) -> &'static str {
         "event"
     }
+
+    /// Pending events the world holds itself, outside the engine queue,
+    /// under sequence numbers it reserved ([`Ctx::reserve_seq`]). They
+    /// count toward [`Engine::pending_events`] and the profile's
+    /// `queue_high_water`, which are logical: the same whichever side holds
+    /// an event. Zero for worlds that hold none.
+    fn held_events(&self) -> usize {
+        0
+    }
 }
 
 /// Every how many dispatches the engine wraps `World::handle` in an
@@ -60,8 +69,9 @@ const PROFILE_SAMPLE_EVERY: u64 = 1024;
 /// half-century went.
 ///
 /// Dispatch counts and the queue high-water mark are deterministic for a
-/// deterministic world. [`handler_nanos`](Self::handler_nanos) and
-/// `run_nanos` are wall-clock and vary run to run — they are **excluded
+/// deterministic world. The high-water mark is logical: it counts the
+/// events a world holds outside the queue ([`World::held_events`]) too.
+/// [`handler_nanos`](Self::handler_nanos) and `run_nanos` are wall-clock and vary run to run — they are **excluded
 /// from run digests** by contract (DESIGN.md §6). Handler time is
 /// *sampled* (every [`PROFILE_SAMPLE_EVERY`]th dispatch) so profiling
 /// costs two clock reads per ~thousand events instead of per event; see
@@ -70,7 +80,8 @@ const PROFILE_SAMPLE_EVERY: u64 = 1024;
 pub struct EngineProfile {
     /// Dispatch counts per event kind, in first-dispatch order.
     kinds: Vec<(&'static str, u64)>,
-    /// Highest pending-event count observed at a dispatch point.
+    /// Highest pending-event count observed at a dispatch point, queued
+    /// and world-held together.
     pub queue_high_water: usize,
     /// Wall-clock nanoseconds measured across sampled handler dispatches.
     handler_sampled_nanos: u64,
@@ -208,6 +219,24 @@ impl<E> Ctx<'_, E> {
         }
         self.queue.schedule(at, event);
         Ok(())
+    }
+
+    /// Reserves the sequence number an event scheduled now would get, for
+    /// a world that holds the event itself and schedules it later with
+    /// [`Ctx::schedule_reserved`]. Same-time ties then resolve as if it
+    /// had been scheduled at this call.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve(1)
+    }
+
+    /// Schedules an event under a sequence number reserved earlier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past (before `now`).
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(at >= self.now, "cannot schedule into the past");
+        self.queue.schedule_reserved(at, seq, event);
     }
 
     /// Requests that the engine stop after the current event completes.
@@ -366,18 +395,9 @@ pub struct Engine<W: World> {
 impl<W: World> Engine<W> {
     /// Creates an engine at time zero wrapping `world`.
     pub fn new(world: W) -> Self {
-        Self::new_with_queue(world, EventQueue::new())
-    }
-
-    /// Creates an engine at time zero reusing `queue`'s allocations — the
-    /// replicate-worker fast path, which recycles one queue across seeds
-    /// instead of reallocating per run. The queue is [`reset`]
-    /// (`EventQueue::reset`), so events pending in it are dropped.
-    pub fn new_with_queue(world: W, mut queue: EventQueue<W::Event>) -> Self {
-        queue.reset();
         Engine {
             world,
-            queue,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             stop: false,
             processed: 0,
@@ -406,10 +426,26 @@ impl<W: World> Engine<W> {
     where
         I: IntoIterator<Item = (SimTime, W::Event)>,
     {
-        let now = self.now;
-        self.queue.schedule_many(events.into_iter().inspect(move |&(at, _)| {
-            assert!(at >= now, "cannot schedule into the past");
-        }));
+        for (at, event) in events {
+            self.schedule_at(at, event);
+        }
+    }
+
+    /// Reserves `n` consecutive sequence numbers and returns the first —
+    /// the numbers `n` [`schedule_at`](Self::schedule_at) calls made now
+    /// would draw (see [`Ctx::reserve_seq`]).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        self.queue.reserve(n)
+    }
+
+    /// Schedules an event under a sequence number reserved earlier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current clock.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: W::Event) {
+        assert!(at >= self.now, "cannot schedule into the past");
+        self.queue.schedule_reserved(at, seq, event);
     }
 
     /// Fallible version of [`Engine::schedule_at`]: returns
@@ -548,7 +584,7 @@ impl<W: World> Engine<W> {
                     day_events = 1;
                 }
             }
-            let pending = self.queue.len();
+            let pending = self.queue.len() + self.world.held_events();
             if pending > self.profile.queue_high_water {
                 self.profile.queue_high_water = pending;
             }
@@ -594,9 +630,9 @@ impl<W: World> Engine<W> {
         self.processed
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, queued and world-held together.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.world.held_events()
     }
 
     /// Profiling collected so far (cumulative across run calls).
@@ -619,13 +655,6 @@ impl<W: World> Engine<W> {
         self.world
     }
 
-    /// Consumes the engine, returning the world and the queue so a
-    /// follow-up run (next replicate seed) can reuse its allocations via
-    /// [`Engine::new_with_queue`].
-    pub fn into_parts(self) -> (W, EventQueue<W::Event>) {
-        (self.world, self.queue)
-    }
-
     /// Rebuilds an engine mid-run from a [`checkpoint`](Engine::checkpoint)
     /// capture and a freshly reconstructed world.
     ///
@@ -635,19 +664,20 @@ impl<W: World> Engine<W> {
     /// a silently dropped counter — sharded merges recompute
     /// `events_processed` from these counts, so they must be exact.
     ///
-    /// Pending events are re-scheduled in checkpoint order, which is the
-    /// original (time, FIFO) pop order: fresh sequence numbers assigned in
-    /// that order reproduce every tie-break of the uninterrupted run.
-    /// Wall-clock profiling fields restart from zero; they are excluded
-    /// from run digests by contract (DESIGN.md §6).
+    /// Pending events are re-scheduled under their checkpointed sequence
+    /// numbers, and the sequence counter resumes at `next_seq`, so every
+    /// tie-break of the uninterrupted run is reproduced. Wall-clock
+    /// profiling fields restart from zero; they are excluded from run
+    /// digests by contract (DESIGN.md §6).
     ///
     /// # Errors
     ///
     /// [`ResumeError::UnknownEventKind`] if a dispatch name fails to
-    /// resolve — the checkpoint belongs to a different world shape — and
+    /// resolve — the checkpoint belongs to a different world shape —
     /// [`ResumeError::EventBeforeClock`] if a pending event is timed
     /// before the checkpoint clock, which the resumed run could never
-    /// dispatch.
+    /// dispatch, and [`ResumeError::SeqNotReserved`] if a pending event's
+    /// sequence number is not below `next_seq`.
     pub fn resume<F>(
         world: W,
         checkpoint: EngineCheckpoint<W::Event>,
@@ -663,13 +693,21 @@ impl<W: World> Engine<W> {
             };
             profile.record_n(kind, *n);
         }
-        if let Some(&(at, _)) = checkpoint.events.iter().find(|(at, _)| *at < checkpoint.now) {
-            return Err(ResumeError::EventBeforeClock { at, now: checkpoint.now });
+        let now = checkpoint.now;
+        if let Some(&(at, _, _)) = checkpoint.events.iter().find(|(at, _, _)| *at < now) {
+            return Err(ResumeError::EventBeforeClock { at, now });
+        }
+        let next_seq = checkpoint.next_seq;
+        if let Some(&(_, seq, _)) = checkpoint.events.iter().find(|(_, seq, _)| *seq >= next_seq) {
+            return Err(ResumeError::SeqNotReserved { seq, next_seq });
         }
         profile.queue_high_water = checkpoint.queue_high_water;
         profile.hook_fires = checkpoint.hook_fires;
         let mut queue = EventQueue::new();
-        queue.schedule_many(checkpoint.events);
+        queue.reserve(next_seq);
+        for (at, seq, event) in checkpoint.events {
+            queue.schedule_reserved(at, seq, event);
+        }
         Ok(Engine {
             world,
             queue,
@@ -686,28 +724,18 @@ where
     W::Event: Clone,
 {
     /// Captures the engine's execution state — clock, dispatch counts,
-    /// and every pending event in (time, FIFO) pop order — without
-    /// stopping the run.
-    ///
-    /// The queue is drained to observe its order, then rebuilt in place:
-    /// fresh sequence numbers assigned in drain order preserve the
-    /// relative order of every same-time tie, and events scheduled later
-    /// still sort after them, so continuing the run after a checkpoint is
-    /// bit-identical to never having checkpointed.
-    pub fn checkpoint(&mut self) -> EngineCheckpoint<W::Event> {
-        let mut events = Vec::with_capacity(self.queue.len());
-        while let Some((at, ev)) = self.queue.pop() {
-            events.push((at, ev));
-        }
-        self.queue.reset();
-        self.queue.schedule_many(events.iter().cloned());
+    /// the sequence counter and every queued event in (time, seq) pop
+    /// order — without touching the run. Events the world holds itself
+    /// ([`World::held_events`]) are the world's to capture.
+    pub fn checkpoint(&self) -> EngineCheckpoint<W::Event> {
         EngineCheckpoint {
             now: self.now,
             processed: self.processed,
             dispatches: self.profile.kinds.iter().map(|&(k, n)| (k.to_string(), n)).collect(),
             queue_high_water: self.profile.queue_high_water,
             hook_fires: self.profile.hook_fires,
-            events,
+            events: self.queue.pending().into_iter().map(|(at, seq, e)| (at, seq, e.clone())).collect(),
+            next_seq: self.queue.next_seq(),
         }
     }
 }
@@ -729,8 +757,11 @@ pub struct EngineCheckpoint<E> {
     pub queue_high_water: usize,
     /// Fault-hook fires so far.
     pub hook_fires: u64,
-    /// Every pending event, in (time, FIFO) pop order.
-    pub events: Vec<(SimTime, E)>,
+    /// Every pending event with its sequence number, in (time, seq) pop
+    /// order.
+    pub events: Vec<(SimTime, u64, E)>,
+    /// The sequence counter: above every number issued before capture.
+    pub next_seq: u64,
 }
 
 /// Why [`Engine::resume`] refused a checkpoint.
@@ -750,6 +781,15 @@ pub enum ResumeError {
         /// The checkpoint clock.
         now: SimTime,
     },
+    /// A pending event's sequence number is not below the checkpoint's
+    /// sequence counter, so a later event could tie with it in no defined
+    /// order.
+    SeqNotReserved {
+        /// The event's sequence number.
+        seq: u64,
+        /// The checkpoint's sequence counter.
+        next_seq: u64,
+    },
 }
 
 impl core::fmt::Display for ResumeError {
@@ -760,6 +800,9 @@ impl core::fmt::Display for ResumeError {
             }
             ResumeError::EventBeforeClock { at, now } => {
                 write!(f, "checkpoint holds an event at {at} before its clock {now}")
+            }
+            ResumeError::SeqNotReserved { seq, next_seq } => {
+                write!(f, "checkpoint holds sequence number {seq} at or above its counter {next_seq}")
             }
         }
     }
@@ -825,7 +868,7 @@ mod tests {
         e.run_until(SimTime::from_secs(50));
         let mut cp = e.checkpoint();
         assert_eq!(cp.now, SimTime::from_secs(50));
-        cp.events.push((SimTime::from_secs(10), 1));
+        cp.events.push((SimTime::from_secs(10), 0, 1));
         let refused = Engine::resume(Recorder::default(), cp, |_| Some("event"));
         assert_eq!(
             refused.err(),
@@ -1111,27 +1154,75 @@ mod tests {
     }
 
     #[test]
-    fn recycled_queue_behaves_like_fresh_engine() {
+    fn schedule_many_keeps_iteration_order_on_ties() {
         let mut e = Engine::new(Recorder::default());
-        e.schedule_many((0..10u64).map(|i| (SimTime::from_secs(i + 1), i as u32)));
+        e.schedule_many((0..10u64).map(|i| (SimTime::from_secs(i / 4 + 1), i as u32)));
         assert_eq!(e.pending_events(), 10);
-        assert!(e.world_mut().seen.is_empty());
         e.run_until(SimTime::from_secs(100));
-        let (world, queue) = e.into_parts();
-        let order: Vec<u32> = world.seen.iter().map(|&(_, v)| v).collect();
+        let order: Vec<u32> = e.world().seen.iter().map(|&(_, v)| v).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-        let cap = queue.capacity();
-        assert!(cap >= 10);
+    }
 
-        // Second life: same allocations, clean slate.
-        let mut e = Engine::new_with_queue(Recorder::default(), queue);
-        assert_eq!(e.now(), SimTime::ZERO);
-        assert_eq!(e.events_processed(), 0);
-        e.schedule_at(SimTime::from_secs(3), 7);
+    /// A world that holds one pending event itself: event 1 reserves a
+    /// seq for 11 at second 5, and event 2 queues 21 at second 5 before
+    /// handing 11 over.
+    #[derive(Default)]
+    struct Holder {
+        held: Option<(u64, u32)>,
+        seen: Vec<u32>,
+    }
+
+    impl World for Holder {
+        type Event = u32;
+        fn handle(&mut self, ctx: &mut Ctx<'_, u32>, event: u32) {
+            self.seen.push(event);
+            if event == 1 {
+                self.held = Some((ctx.reserve_seq(), 11));
+                ctx.schedule_at(SimTime::from_secs(2), 2);
+            } else if event == 2 {
+                ctx.schedule_at(SimTime::from_secs(5), 21);
+                if let Some((seq, held)) = self.held.take() {
+                    ctx.schedule_reserved(SimTime::from_secs(5), seq, held);
+                }
+            }
+        }
+        fn held_events(&self) -> usize {
+            usize::from(self.held.is_some())
+        }
+    }
+
+    #[test]
+    fn reserved_seqs_keep_their_place_and_count_as_pending() {
+        let mut e = Engine::new(Holder::default());
+        e.schedule_at(SimTime::from_secs(1), 1);
+        e.run_until(SimTime::from_secs(2));
+        assert_eq!(e.pending_events(), 2, "2 queued and 11 held");
         e.run_until(SimTime::from_secs(10));
-        assert_eq!(e.world().seen, vec![(3, 7)]);
-        let (_, queue) = e.into_parts();
-        assert_eq!(queue.capacity(), cap, "recycling must not reallocate");
+        // 11 reached the queue after 21 but was reserved before it.
+        assert_eq!(e.world().seen, vec![1, 2, 11, 21]);
+        assert_eq!(e.profile().queue_high_water, 2);
+    }
+
+    #[test]
+    fn checkpoint_carries_seqs_and_resume_refuses_an_unreserved_one() {
+        let mut e = Engine::new(Recorder::default());
+        let first = e.reserve_seqs(2);
+        e.schedule_at(SimTime::from_secs(9), 3);
+        e.schedule_reserved(SimTime::from_secs(9), first + 1, 2);
+        e.schedule_reserved(SimTime::from_secs(9), first, 1);
+        let cp = e.checkpoint();
+        let seqs: Vec<(u64, u32)> = cp.events.iter().map(|&(_, seq, ev)| (seq, ev)).collect();
+        assert_eq!(seqs, vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(cp.next_seq, 3);
+        let mut bad = cp.clone();
+        bad.next_seq = 2;
+        let refused = Engine::resume(Recorder::default(), bad, |_| Some("event"));
+        assert_eq!(refused.err(), Some(ResumeError::SeqNotReserved { seq: 2, next_seq: 2 }));
+        let mut resumed = Engine::resume(Recorder::default(), cp, |_| Some("event")).unwrap();
+        resumed.schedule_at(SimTime::from_secs(9), 4);
+        resumed.run_until(SimTime::from_secs(10));
+        let order: Vec<u32> = resumed.world().seen.iter().map(|&(_, v)| v).collect();
+        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -1,107 +1,50 @@
-//! Time-ordered event queue: an append-only hierarchical timing wheel.
+//! Time-ordered event queue: a binary heap on `(time, seq)`.
 //!
-//! Run digests hang off one property: events pop earliest time first, and
-//! equal timestamps pop in schedule (FIFO) order, enforced by a
-//! monotonically increasing sequence number. A scheduled event always fires.
-//!
-//! Entries live in a slab with an intrusive free list of `u32` indices.
-//! Pending events hang off [`LEVELS`] levels of [`SLOTS`] buckets, each a
-//! singly-linked list with head and tail indices. Level `l` buckets are
-//! `64^l` seconds wide (level 0: one timestamp per bucket; the top level
-//! reaches `SimTime::MAX`). An event hangs at the highest 6-bit digit in
-//! which its time differs from the cursor (`drained_until`). Popping
-//! drains the earliest occupied bucket, found per level with one
-//! `trailing_zeros` on an occupancy bitmap, and cascades coarse buckets
-//! down until a level-0 bucket empties into the `ready` staging vector.
-//!
-//! Two rules keep same-second events in FIFO order. When bucket starts
-//! tie, the higher level drains first, so every event at a second reaches
-//! level 0 before that second drains. A cascade can still append an older
-//! event behind a direct insert, so each level-0 bucket enters `ready`
-//! sorted by seq. Events scheduled behind the cursor insert into `ready`
-//! by binary search on `(time, seq)`. `tests/queue_model.rs` pins the
-//! resulting order against a reference binary heap.
+//! Events pop earliest time first, equal times in sequence order: run
+//! digests hang off that order. [`EventQueue::schedule`] draws the next
+//! number from one counter, so plain scheduling is FIFO on ties. A caller
+//! may [`reserve`](EventQueue::reserve) numbers and schedule under them
+//! later: the event pops exactly where it would have, scheduled at
+//! reservation time. The fleet keeps its per-arm device events outside the
+//! queue this way (DESIGN.md §7, §13). `tests/queue_model.rs` pins the pop
+//! order against a naive sorted-`Vec` model.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Number of wheel levels; `LEVELS * SLOT_BITS >= 64` covers all of `u64`.
-const LEVELS: usize = 11;
-/// Bits of the timestamp consumed per level.
-const SLOT_BITS: u32 = 6;
-/// Buckets per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Sentinel slab index ("null pointer") for list links and the free list.
-const NONE: u32 = u32::MAX;
-
-struct Slot<E> {
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    /// Bucket successor while linked (`NONE` at the tail); free-list
-    /// successor while free.
-    next: u32,
-    payload: Option<E>,
+    payload: E,
 }
 
-#[derive(Clone, Copy)]
-struct Level {
-    /// Head and tail slab index per bucket, valid where `occupied` is set.
-    heads: [u32; SLOTS],
-    tails: [u32; SLOTS],
-    /// Bit `b` set iff bucket `b` holds events.
-    occupied: u64,
+// Reversed: `BinaryHeap` is a max-heap. The payload never takes part.
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
-/// Level an event at `at` hangs from while the cursor sits at `current`:
-/// the highest 6-bit digit in which the two times differ (`| 1` maps equal
-/// times to level 0 without moving any higher bit).
-#[inline]
-fn level_for(current: u64, at: u64) -> usize {
-    ((63 - ((current ^ at) | 1).leading_zeros()) / SLOT_BITS) as usize
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// Bucket index of `at` within `level`.
-#[inline]
-fn slot_of(at: u64, level: usize) -> usize {
-    ((at >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
-/// Earliest timestamp covered by `(level, slot)` given the cursor `d`.
-/// Well-defined because every occupied bucket sits inside the cursor's
-/// current window at the parent level (see `advance_wheel`).
-#[inline]
-fn bucket_start(d: u64, level: usize, slot: usize) -> u64 {
-    let low = SLOT_BITS as usize * level;
-    let high = low + SLOT_BITS as usize;
-    let base = if high >= 64 { 0 } else { (d >> high) << high };
-    base | ((slot as u64) << low)
-}
+impl<E> Eq for Entry<E> {}
 
-/// A priority queue of `(SimTime, payload)` events.
-///
-/// # Examples
-///
-/// ```
-/// use simcore::event::EventQueue;
-/// use simcore::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs(10), "late");
-/// q.schedule(SimTime::from_secs(5), "early");
-/// let (t, e) = q.pop().expect("two events pending");
-/// assert_eq!((t.as_secs(), e), (5, "early"));
-/// ```
+/// A priority queue of `(SimTime, payload)` events, popped in
+/// `(time, seq)` order.
 pub struct EventQueue<E> {
-    slab: Vec<Slot<E>>,
-    /// Head of the intrusive free list threaded through `Slot::next`.
-    free_head: u32,
-    levels: Box<[Level; LEVELS]>,
-    /// The drained level-0 bucket plus behind-the-cursor arrivals, in pop
-    /// order. Indices before `ready_pos` have already been popped.
-    ready: Vec<u32>,
-    ready_pos: usize,
-    /// Wheel cursor: every event in the wheel has `at >= drained_until`.
-    drained_until: u64,
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
@@ -114,186 +57,61 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            slab: Vec::new(),
-            free_head: NONE,
-            levels: Box::new([Level { heads: [0; SLOTS], tails: [0; SLOTS], occupied: 0 }; LEVELS]),
-            ready: Vec::new(),
-            ready_pos: 0,
-            drained_until: 0,
-            len: 0,
-            next_seq: 0,
-        }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    /// Clears the queue for reuse, keeping allocated capacity. Sequence
-    /// numbers and the wheel cursor restart from zero, so a reset queue is
-    /// indistinguishable from a fresh one — replicate workers lean on this
-    /// to reuse allocations across seeds.
-    pub fn reset(&mut self) {
-        self.slab.clear();
-        self.free_head = NONE;
-        for level in self.levels.iter_mut() {
-            level.occupied = 0;
-        }
-        self.ready.clear();
-        self.ready_pos = 0;
-        self.drained_until = 0;
-        self.len = 0;
-        self.next_seq = 0;
-    }
-
-    /// Schedules `payload` to fire at `at`.
+    /// Schedules `payload` to fire at `at`, behind every event already
+    /// scheduled or reserved for the same second.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let slot = Slot { at, seq: self.next_seq, next: NONE, payload: Some(payload) };
-        self.next_seq += 1;
-        let index = if self.free_head == NONE {
-            let index = self.slab.len();
-            assert!(index < NONE as usize, "event queue slab exhausted u32 index space");
-            self.slab.push(slot);
-            index as u32
-        } else {
-            let index = self.free_head;
-            self.free_head = std::mem::replace(&mut self.slab[index as usize], slot).next;
-            index
-        };
-        self.len += 1;
-        self.place(index);
+        let seq = self.reserve(1);
+        self.heap.push(Entry { at, seq, payload });
     }
 
-    /// Schedules a batch in iteration order, reserving slab space for the
-    /// iterator's lower size bound up front.
-    pub fn schedule_many<I: IntoIterator<Item = (SimTime, E)>>(&mut self, events: I) {
-        let events = events.into_iter();
-        self.slab.reserve(events.size_hint().0);
-        for (at, payload) in events {
-            self.schedule(at, payload);
-        }
+    /// Reserves `n` consecutive sequence numbers and returns the first.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
     }
 
-    /// Removes and returns the earliest event. Ties on time pop in
-    /// schedule (FIFO) order.
+    /// Schedules `payload` at `at` under `seq`, a number from
+    /// [`reserve`](Self::reserve), used at most once.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        self.heap.push(Entry { at, seq, payload });
+    }
+
+    /// Removes and returns the earliest event; ties pop in sequence order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.fill_ready() {
-            return None;
-        }
-        let index = self.ready[self.ready_pos];
-        self.ready_pos += 1;
-        self.len -= 1;
-        let slot = &mut self.slab[index as usize];
-        slot.next = self.free_head;
-        self.free_head = index;
-        slot.payload.take().map(|payload| (slot.at, payload))
+        self.heap.pop().map(|e| (e.at, e.payload))
     }
 
     /// Returns the timestamp of the earliest event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.fill_ready().then(|| self.slab[self.ready[self.ready_pos] as usize].at)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// Slab capacity in events, for tests asserting allocation reuse.
-    pub fn capacity(&self) -> usize {
-        self.slab.capacity()
+    /// The next sequence number [`schedule`](Self::schedule) would draw:
+    /// every number issued so far is below it.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
-    /// Appends a slot to its wheel bucket, or inserts it into `ready` by
-    /// `(time, seq)` when it lands behind the cursor.
-    fn place(&mut self, index: u32) {
-        let slot = &mut self.slab[index as usize];
-        slot.next = NONE;
-        let (at, seq, t) = (slot.at, slot.seq, slot.at.as_secs());
-        if t < self.drained_until {
-            let slab = &self.slab;
-            let pos = self.ready[self.ready_pos..].partition_point(|&i| {
-                let s = &slab[i as usize];
-                (s.at, s.seq) < (at, seq)
-            });
-            self.ready.insert(self.ready_pos + pos, index);
-            return;
-        }
-        let level = level_for(self.drained_until, t);
-        let bucket = slot_of(t, level);
-        let lv = &mut self.levels[level];
-        if lv.occupied & (1 << bucket) == 0 {
-            lv.occupied |= 1 << bucket;
-            lv.heads[bucket] = index;
-        } else {
-            self.slab[lv.tails[bucket] as usize].next = index;
-        }
-        lv.tails[bucket] = index;
-    }
-
-    /// Advances the wheel until `ready[ready_pos]` is pending. Returns
-    /// false when the queue is empty.
-    fn fill_ready(&mut self) -> bool {
-        while self.ready_pos == self.ready.len() {
-            self.ready.clear();
-            self.ready_pos = 0;
-            if !self.advance_wheel() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Drains the earliest occupied bucket, returning false when the wheel
-    /// is empty. A level-0 bucket empties into `ready` in seq order; a
-    /// higher one cascades each entry to a strictly lower level.
-    ///
-    /// Invariant: every occupied bucket lies at or after the cursor, inside
-    /// its window at the parent level, because the cursor only advances to
-    /// the earliest bucket and a level-0 drain takes every event at its
-    /// second. So `trailing_zeros` needs no wrap-around and `bucket_start`
-    /// can rebuild the high bits from the cursor.
-    fn advance_wheel(&mut self) -> bool {
-        let cursor = self.drained_until;
-        // The scan runs from the top level down and `min_by_key` keeps the
-        // first of equal starts: on a tie the higher level's events at that
-        // second cascade into level 0 before the second drains.
-        let levels = self.levels.iter().enumerate().rev();
-        let best = levels
-            .filter(|(_, lv)| lv.occupied != 0)
-            .map(|(level, lv)| {
-                let slot = lv.occupied.trailing_zeros() as usize;
-                (bucket_start(cursor, level, slot), level, slot)
-            })
-            .min_by_key(|&(start, _, _)| start);
-        let Some((start, level, slot)) = best else {
-            return false;
-        };
-        debug_assert!(start >= cursor, "wheel invariant violated: bucket behind the cursor");
-        let lv = &mut self.levels[level];
-        lv.occupied &= !(1 << slot);
-        let mut cur = lv.heads[slot];
-        if level == 0 {
-            self.drained_until = start.saturating_add(1);
-            while cur != NONE {
-                self.ready.push(cur);
-                cur = self.slab[cur as usize].next;
-            }
-            // A cascade may have appended older events behind direct
-            // inserts at this second; seq order restores FIFO.
-            let slab = &self.slab;
-            self.ready.sort_unstable_by_key(|&i| slab[i as usize].seq);
-        } else {
-            self.drained_until = start;
-            while cur != NONE {
-                let next = self.slab[cur as usize].next;
-                self.place(cur);
-                cur = next;
-            }
-        }
-        true
+    /// Every pending event with its sequence number, in pop order.
+    pub fn pending(&self) -> Vec<(SimTime, u64, &E)> {
+        let mut out: Vec<_> = self.heap.iter().map(|e| (e.at, e.seq, &e.payload)).collect();
+        out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        out
     }
 }
 
@@ -358,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cascade_correctly() {
+    fn far_future_events_pop_last() {
         let mut q = EventQueue::new();
         let century = SimTime::from_secs(100 * 31_536_000);
         q.schedule(SimTime::from_secs(u64::MAX), "eon");
@@ -371,50 +189,19 @@ mod tests {
     }
 
     #[test]
-    fn fifo_preserved_across_cascade() {
+    fn reserved_seqs_pop_where_they_were_reserved() {
         let mut q = EventQueue::new();
-        // Both land in the same level-1 bucket while the cursor is at 0.
-        q.schedule(t(100), 1);
-        q.schedule(t(64), 0);
-        assert_eq!(q.pop(), Some((t(64), 0)));
-        // t=100 has cascaded down to level 0; a same-time arrival must
-        // append after it despite taking the direct insertion path.
-        q.schedule(t(100), 2);
-        assert_eq!(q.pop(), Some((t(100), 1)));
-        assert_eq!(q.pop(), Some((t(100), 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn schedule_many_matches_serial_schedules() {
-        let mut q = EventQueue::new();
-        q.schedule_many([(t(3), "c"), (t(1), "a"), (t(3), "d"), (t(2), "b")]);
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop(), Some((t(1), "a")));
-        assert_eq!(q.pop(), Some((t(2), "b")));
-        assert_eq!(q.pop(), Some((t(3), "c")));
-        assert_eq!(q.pop(), Some((t(3), "d")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn reset_keeps_capacity_and_restarts_clean() {
-        let mut q = EventQueue::new();
-        for i in 0..50 {
-            q.schedule(t(i), i);
-        }
-        let cap = q.capacity();
-        for _ in 0..20 {
-            q.pop();
-        }
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), cap);
-        // Behaves exactly like a fresh queue.
-        q.schedule(t(2), 20);
-        q.schedule(t(1), 10);
-        assert_eq!(q.pop(), Some((t(1), 10)));
-        assert_eq!(q.pop(), Some((t(2), 20)));
+        let block = q.reserve(2);
+        q.schedule(t(4), "fresh");
+        assert_eq!(q.next_seq(), block + 3);
+        // Scheduled last, but reserved before "fresh": ties go to them.
+        q.schedule_reserved(t(4), block + 1, "second");
+        q.schedule_reserved(t(4), block, "first");
+        let pending: Vec<_> = q.pending().into_iter().map(|(_, seq, &e)| (seq, e)).collect();
+        assert_eq!(pending, vec![(0, "first"), (1, "second"), (2, "fresh")]);
+        assert_eq!(q.pop(), Some((t(4), "first")));
+        assert_eq!(q.pop(), Some((t(4), "second")));
+        assert_eq!(q.pop(), Some((t(4), "fresh")));
         assert_eq!(q.pop(), None);
     }
 }
