@@ -381,10 +381,10 @@ proptest! {
         }
     }
 
-    /// Timing-wheel round-trip: draining a queue and re-scheduling its
-    /// events into a fresh wheel preserves pop order exactly — the
-    /// invariant behind `Engine::checkpoint`'s drain-and-reseed of the
-    /// pending event set.
+    /// Drain-and-reseed round-trip: draining a queue and re-scheduling
+    /// its events into a fresh queue preserves pop order exactly — the
+    /// invariant a snapshot resume relies on, since snapshots store the
+    /// pending events in pop order without their sequence numbers.
     #[test]
     fn event_queue_drain_reschedule_roundtrip(
         times in proptest::collection::vec(0u64..2_000, 1..150),
@@ -398,7 +398,7 @@ proptest! {
         while let Some((t, payload)) = q.pop() {
             drained.push((t, payload));
         }
-        // Reseed a fresh wheel in drained order: the resume path.
+        // Reseed a fresh queue in drained order: the resume path.
         let mut fresh = EventQueue::new();
         for &(t, payload) in &drained {
             fresh.schedule(t, payload);
@@ -407,7 +407,7 @@ proptest! {
         while let Some(ev) = fresh.pop() {
             replayed.push(ev);
         }
-        prop_assert_eq!(drained, replayed, "reseeded wheel changed pop order");
+        prop_assert_eq!(drained, replayed, "reseeded queue changed pop order");
     }
 
     /// Histogram bucketing is monotone in the observation, and each value
