@@ -18,10 +18,10 @@
 //!    global arm ids into `k` groups, balanced by per-arm device count
 //!    (LPT greedy). Pure function of `(weights, k)` — no RNG, no clock.
 //! 2. **Split** (`FleetSim::split_for_shards`): build the serial engine,
-//!    then move each arm — with its private rng, diary and span log —
-//!    into its owner shard, and route the primed event queue by owner in
-//!    serial (time, FIFO) order. Tick-chain events are replicated into
-//!    every shard.
+//!    then move each arm — with its private rng, diary, span log and
+//!    held device events — into its owner shard, and route the queued
+//!    events by owner under their serial sequence numbers. Tick-chain
+//!    events are replicated into every shard.
 //! 3. **Run**: each shard advances its own `Engine` on a scoped worker
 //!    thread to the shared horizon. The weekly tick is the epoch barrier
 //!    of the literature, but because no cross-shard messages exist the
