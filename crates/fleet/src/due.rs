@@ -32,7 +32,7 @@ use crate::sim::Ev;
 use crate::store::DeviceStore;
 
 /// A held event: `(time, reserved seq, device)`.
-type Item = (SimTime, u64, u32);
+type Item = (SimTime, u64, usize);
 
 /// One arm's pending device events, outside the engine queue.
 #[derive(Debug, Default)]
@@ -63,13 +63,13 @@ impl DueList {
     /// Returns `false`, holding nothing, for any other event kind.
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, ev: Ev) -> bool {
         match ev {
-            Ev::DeviceFail(_, di) => self.refailures.push((at, seq, di as u32)),
+            Ev::DeviceFail(_, di) => self.refailures.push((at, seq, di)),
             Ev::DeviceReplace(_, di) => {
                 debug_assert!(
                     self.replacements.back().map(|&(t, s, _)| (t, s)) < Some((at, seq)),
                     "replacements arrive in (time, seq) order"
                 );
-                self.replacements.push_back((at, seq, di as u32));
+                self.replacements.push_back((at, seq, di));
             }
             _ => return false,
         }
@@ -97,10 +97,10 @@ impl DueList {
         }
         if replace < refail {
             let (at, seq, di) = self.replacements.pop_front()?;
-            return Some((at, seq, Ev::DeviceReplace(ai, di as usize)));
+            return Some((at, seq, Ev::DeviceReplace(ai, di)));
         }
         let (at, seq, di) = self.refailures.pop()?;
-        Some((at, seq, Ev::DeviceFail(ai, di as usize)))
+        Some((at, seq, Ev::DeviceFail(ai, di)))
     }
 
     /// Every held event as arm `ai`'s engine event with its seq,
@@ -115,13 +115,13 @@ impl DueList {
         let replacements = self
             .replacements
             .iter()
-            .map(move |&(at, seq, di)| (at, seq, Ev::DeviceReplace(ai, di as usize)));
+            .map(move |&(at, seq, di)| (at, seq, Ev::DeviceReplace(ai, di)));
         let refailures = self
             .refailures
             .buckets
             .iter()
             .flatten()
-            .map(move |&(at, seq, di)| (at, seq, Ev::DeviceFail(ai, di as usize)));
+            .map(move |&(at, seq, di)| (at, seq, Ev::DeviceFail(ai, di)));
         deaths.chain(replacements).chain(refailures)
     }
 }

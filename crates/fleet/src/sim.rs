@@ -944,7 +944,10 @@ impl FleetSim {
     /// Every device event the arms' due lists hold, with its reserved seq,
     /// unordered: what a checkpoint merges into the engine's pending set.
     pub(crate) fn held_device_events(&self) -> impl Iterator<Item = (SimTime, u64, Ev)> + '_ {
-        self.arms.iter().filter_map(|arm| Some(arm.due.as_ref()?.events(arm.id, &arm.store))).flatten()
+        self.arms
+            .iter()
+            .filter_map(|arm| arm.due.as_ref().map(|due| due.events(arm.id, &arm.store)))
+            .flatten()
     }
 
     /// Moves the device events of `events` whose arm keeps a due list
@@ -1992,7 +1995,8 @@ impl World for FleetSim {
                     Msg::device(arm.cfg.name, di, DeviceEvent::Failed),
                 );
                 if let Some(delay) = arm.cfg.replace_devices {
-                    self.schedule_device_event(li, now.saturating_add(delay), Ev::DeviceReplace(ai, di), ctx);
+                    let at = now.saturating_add(delay);
+                    self.schedule_device_event(li, at, Ev::DeviceReplace(ai, di), ctx);
                 }
                 self.queue_next_device_event(li, ctx);
             }

@@ -241,7 +241,15 @@ fn decode_engine(r: &mut ByteReader<'_>) -> Result<EngineCheckpoint<Ev>, Snapsho
         events.push((at, seq, ev));
     }
     let next_seq = n_events as u64;
-    Ok(EngineCheckpoint { now, processed, dispatches, queue_high_water, hook_fires, events, next_seq })
+    Ok(EngineCheckpoint {
+        now,
+        processed,
+        dispatches,
+        queue_high_water,
+        hook_fires,
+        events,
+        next_seq,
+    })
 }
 
 fn encode_ev(w: &mut ByteWriter, ev: Ev) {

@@ -71,11 +71,12 @@ const PROFILE_SAMPLE_EVERY: u64 = 1024;
 /// Dispatch counts and the queue high-water mark are deterministic for a
 /// deterministic world. The high-water mark is logical: it counts the
 /// events a world holds outside the queue ([`World::held_events`]) too.
-/// [`handler_nanos`](Self::handler_nanos) and `run_nanos` are wall-clock and vary run to run — they are **excluded
-/// from run digests** by contract (DESIGN.md §6). Handler time is
-/// *sampled* (every [`PROFILE_SAMPLE_EVERY`]th dispatch) so profiling
-/// costs two clock reads per ~thousand events instead of per event; see
-/// DESIGN.md §7 for the contract.
+/// [`handler_nanos`](Self::handler_nanos) and `run_nanos` are wall-clock
+/// and vary run to run — they are **excluded from run digests** by
+/// contract (DESIGN.md §6). Handler time is *sampled* (every
+/// [`PROFILE_SAMPLE_EVERY`]th dispatch) so profiling costs two clock reads
+/// per ~thousand events instead of per event; see DESIGN.md §7 for the
+/// contract.
 #[derive(Clone, Debug, Default)]
 pub struct EngineProfile {
     /// Dispatch counts per event kind, in first-dispatch order.
@@ -415,9 +416,8 @@ impl<W: World> Engine<W> {
         self.queue.schedule(at, event);
     }
 
-    /// Batch version of [`Engine::schedule_at`]: reserves queue space for
-    /// the iterator's lower size bound up front, then schedules in
-    /// iteration order.
+    /// Batch version of [`Engine::schedule_at`]: schedules in iteration
+    /// order, so same-time events pop in that order.
     ///
     /// # Panics
     ///
@@ -728,13 +728,14 @@ where
     /// order — without touching the run. Events the world holds itself
     /// ([`World::held_events`]) are the world's to capture.
     pub fn checkpoint(&self) -> EngineCheckpoint<W::Event> {
+        let pending = self.queue.pending().into_iter();
         EngineCheckpoint {
             now: self.now,
             processed: self.processed,
             dispatches: self.profile.kinds.iter().map(|&(k, n)| (k.to_string(), n)).collect(),
             queue_high_water: self.profile.queue_high_water,
             hook_fires: self.profile.hook_fires,
-            events: self.queue.pending().into_iter().map(|(at, seq, e)| (at, seq, e.clone())).collect(),
+            events: pending.map(|(at, seq, event)| (at, seq, event.clone())).collect(),
             next_seq: self.queue.next_seq(),
         }
     }
@@ -802,7 +803,7 @@ impl core::fmt::Display for ResumeError {
                 write!(f, "checkpoint holds an event at {at} before its clock {now}")
             }
             ResumeError::SeqNotReserved { seq, next_seq } => {
-                write!(f, "checkpoint holds sequence number {seq} at or above its counter {next_seq}")
+                write!(f, "checkpoint holds seq {seq} at or above its counter {next_seq}")
             }
         }
     }

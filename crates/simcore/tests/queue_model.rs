@@ -128,7 +128,7 @@ fn differential_run(seed: u64, ops: usize) {
         assert_eq!(heap.len(), model.entries.len(), "len divergence at step {step} (seed {seed})");
         assert_eq!(heap.next_seq(), model.next_seq, "counter divergence at step {step}");
         if step % 256 == 0 {
-            let pending: Vec<_> = heap.pending().into_iter().map(|(at, s, &p)| (at, s, p)).collect();
+            let pending: Vec<_> = heap.pending().into_iter().map(|(t, s, &p)| (t, s, p)).collect();
             assert_eq!(pending, model.pending(), "pending divergence at step {step} (seed {seed})");
         }
     }
