@@ -776,41 +776,47 @@ mod tests {
     /// mid-run.
     #[test]
     fn undispatchable_pending_events_are_refused() {
-        let mut engine = FleetSim::build(cfg(19));
-        engine.run_until(week(10));
-        let bytes = checkpoint_bytes(&mut engine, ChaosProgress::default());
-        let cp = engine.checkpoint();
-        let (_, payload) = snapshot::open(&bytes, FLEET_SNAPSHOT_VERSION).expect("sealed image");
-        // The engine section follows the fingerprint, seed and horizon.
-        let mut section = ByteWriter::new();
-        encode_engine(&mut section, &cp);
-        let engine_end = 24 + section.as_bytes().len();
-        let with_event = |at: SimTime, ev: Ev| {
-            let mut edited = cp.clone();
-            edited.events.push((at, 0, ev));
-            let mut section = ByteWriter::new();
-            encode_engine(&mut section, &edited);
-            let mut spliced = payload[..24].to_vec();
-            spliced.extend_from_slice(section.as_bytes());
-            spliced.extend_from_slice(&payload[engine_end..]);
-            snapshot::seal(FLEET_SNAPSHOT_VERSION, &spliced)
-        };
-        let later = cp.now + SimDuration::from_weeks(1);
-        let devices = engine.world().arms[0].store.len();
-        assert!(resume_from_bytes(&with_event(later, Ev::DeviceFail(0, 0)), cfg(19)).is_ok());
-        for (at, ev) in [
-            (SimTime::ZERO, Ev::WeeklyCheck),
-            (later, Ev::DeviceFail(0, devices)),
-            (later, Ev::DeviceReplace(1, usize::MAX)),
-            (later, Ev::GatewayFail(0, 2)),
-            (later, Ev::GatewayRepair(0, 7)),
-            (later, Ev::GatewayFail(1, 0)),
-            (later, Ev::ProviderExit(2)),
-        ] {
-            let Err(err) = resume_from_bytes(&with_event(at, ev), cfg(19)) else {
-                panic!("{ev:?} at {at:?} must be refused");
+        // Under Aggregate the arms hold their device events outside the
+        // engine queue, so a bad one must be refused before it moves there.
+        for cfg in [cfg(19), cfg(19).with_sampling(SamplingMode::Aggregate)] {
+            let mut engine = FleetSim::build(cfg.clone());
+            engine.run_until(week(10));
+            let bytes = checkpoint_bytes(&mut engine, ChaosProgress::default());
+            let (_, payload) =
+                snapshot::open(&bytes, FLEET_SNAPSHOT_VERSION).expect("sealed image");
+            // The engine section follows the fingerprint, seed and horizon.
+            let mut section = ByteReader::new(&payload[24..]);
+            let cp = decode_engine(&mut section).expect("stored engine section");
+            let engine_end = payload.len() - section.remaining();
+            let with_event = |at: SimTime, ev: Ev| {
+                let mut edited = cp.clone();
+                edited.events.push((at, 0, ev));
+                let mut section = ByteWriter::new();
+                encode_engine(&mut section, &edited);
+                let mut spliced = payload[..24].to_vec();
+                spliced.extend_from_slice(section.as_bytes());
+                spliced.extend_from_slice(&payload[engine_end..]);
+                snapshot::seal(FLEET_SNAPSHOT_VERSION, &spliced)
             };
-            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{ev:?}: {err}");
+            let later = cp.now + SimDuration::from_weeks(1);
+            let devices = engine.world().arms[0].store.len();
+            let fine = resume_from_bytes(&with_event(later, Ev::DeviceFail(0, 0)), cfg.clone());
+            assert!(fine.is_ok());
+            for (at, ev) in [
+                (SimTime::ZERO, Ev::WeeklyCheck),
+                (SimTime::ZERO, Ev::DeviceFail(0, 0)),
+                (later, Ev::DeviceFail(0, devices)),
+                (later, Ev::DeviceReplace(1, usize::MAX)),
+                (later, Ev::GatewayFail(0, 2)),
+                (later, Ev::GatewayRepair(0, 7)),
+                (later, Ev::GatewayFail(1, 0)),
+                (later, Ev::ProviderExit(2)),
+            ] {
+                let Err(err) = resume_from_bytes(&with_event(at, ev), cfg.clone()) else {
+                    panic!("{:?}: {ev:?} at {at:?} must be refused", cfg.sampling);
+                };
+                assert!(matches!(err, SnapshotError::Corrupt { .. }), "{ev:?}: {err}");
+            }
         }
     }
 
