@@ -34,7 +34,7 @@ use econ::labor::PersonHours;
 use econ::money::Usd;
 use reliability::system::bom;
 use simcore::dist::{sorted_uniforms, Binomial, InverseCdf};
-use simcore::engine::{Ctx, Engine, EngineProfile, World};
+use simcore::engine::{Ctx, Engine, EngineCheckpoint, EngineProfile, ResumeError, World};
 use simcore::rng::Rng;
 use simcore::survival::Observation;
 use simcore::time::{SimDuration, SimTime, WEEK};
@@ -923,7 +923,7 @@ impl FleetSim {
     /// reserved seq, then recounts the held events. Run once the due lists
     /// are primed (build) or refilled (resume); afterwards the device
     /// handlers hand over each arm's next event as its last one fires.
-    pub(crate) fn queue_arm_heads(engine: &mut Engine<FleetSim>) {
+    fn queue_arm_heads(engine: &mut Engine<FleetSim>) {
         let world = engine.world_mut();
         let heads: Vec<(SimTime, u64, Ev)> = world
             .arms
@@ -941,31 +941,45 @@ impl FleetSim {
         self.held = self.arms.iter().filter_map(|arm| arm.due.as_ref()).map(DueList::len).sum();
     }
 
-    /// Every device event the arms' due lists hold, with its reserved seq,
-    /// unordered: what a checkpoint merges into the engine's pending set.
-    pub(crate) fn held_device_events(&self) -> impl Iterator<Item = (SimTime, u64, Ev)> + '_ {
-        self.arms
-            .iter()
-            .filter_map(|arm| arm.due.as_ref().map(|due| due.events(arm.id, &arm.store)))
-            .flatten()
+    /// The engine's checkpoint with the device events the arms' due lists
+    /// hold merged in: every pending event in one `(time, seq)` order,
+    /// the list the per-event path's queue would hold. What a snapshot
+    /// stores; [`resume`](Self::resume) takes it back.
+    pub(crate) fn checkpoint(engine: &Engine<FleetSim>) -> EngineCheckpoint<Ev> {
+        let mut cp = engine.checkpoint();
+        let held = engine.world().arms.iter().filter_map(|arm| {
+            arm.due.as_ref().map(|due| due.events(arm.id, &arm.store))
+        });
+        cp.events.extend(held.flatten());
+        cp.events.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        cp
     }
 
-    /// Moves the device events of `events` whose arm keeps a due list
-    /// into that list, emptied first, under their seqs; the rest stay.
-    /// The resume path: a checkpoint stores every pending event in one
-    /// `(time, seq)` order, held or queued. Call
-    /// [`queue_arm_heads`](Self::queue_arm_heads) once the engine exists.
-    pub(crate) fn hold_device_events(&mut self, events: &mut Vec<(SimTime, u64, Ev)>) {
-        for arm in &mut self.arms {
+    /// Rebuilds an engine around `world` from a [`checkpoint`](Self::checkpoint):
+    /// the device events of each arm that keeps a due list go back into
+    /// it, emptied first, under their seqs; the rest are queued; then each
+    /// arm's earliest held event is queued too.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::resume`], for the events that reach the queue.
+    pub(crate) fn resume(
+        mut world: FleetSim,
+        mut cp: EngineCheckpoint<Ev>,
+    ) -> Result<Engine<FleetSim>, ResumeError> {
+        for arm in &mut world.arms {
             if let Some(due) = &mut arm.due {
                 *due = DueList::default();
             }
         }
-        events.retain(|&(at, seq, ev)| {
-            let li = ev.arm().and_then(|ai| self.local_slot(ai));
-            let due = li.and_then(|li| self.arms[li].due.as_mut());
+        cp.events.retain(|&(at, seq, ev)| {
+            let li = ev.arm().and_then(|ai| world.local_slot(ai));
+            let due = li.and_then(|li| world.arms[li].due.as_mut());
             !due.is_some_and(|due| due.push(at, seq, ev))
         });
+        let mut engine = Engine::resume(world, cp, resolve_event_kind)?;
+        Self::queue_arm_heads(&mut engine);
+        Ok(engine)
     }
 
     /// Schedules arm slot `li`'s device event `ev` at `at`: held in the

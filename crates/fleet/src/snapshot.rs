@@ -136,10 +136,8 @@ pub fn config_fingerprint(cfg: &FleetConfig) -> u64 {
 /// leaves the run untouched, so continuing it is bit-identical to never
 /// having snapshotted. Pass [`ChaosProgress::default`] for plain runs.
 pub fn checkpoint_bytes(engine: &mut Engine<FleetSim>, chaos: ChaosProgress) -> Vec<u8> {
-    let mut cp = engine.checkpoint();
+    let cp = FleetSim::checkpoint(engine);
     let world = engine.world();
-    cp.events.extend(world.held_device_events());
-    cp.events.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
     let mut w = ByteWriter::with_capacity(4096);
     w.put_u64(config_fingerprint(&world.cfg));
     w.put_u64(world.cfg.seed);
@@ -595,7 +593,7 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
     if r.take_u64()? != cfg.seed || r.take_u64()? != cfg.horizon.as_secs() {
         return Err(SnapshotError::ConfigMismatch { stored: stored_fp, current: current_fp });
     }
-    let mut cp = decode_engine(&mut r)?;
+    let cp = decode_engine(&mut r)?;
     let horizon = SimTime::ZERO + cfg.horizon;
     if cp.now > horizon {
         return Err(SnapshotError::Corrupt { what: "checkpoint clock past the horizon" });
@@ -617,19 +615,15 @@ fn resume_payload(payload: &[u8], cfg: FleetConfig) -> Result<ResumedFleet, Snap
     }
     r.finish()?;
     check_pending(&cp, &world)?;
-    world.hold_device_events(&mut cp.events);
     world.chaos_applied.add(applied_counter);
     world.chaos_skipped.add(skipped_counter);
-    let mut engine = Engine::resume(world, cp, crate::sim::resolve_event_kind).map_err(|e| {
-        SnapshotError::Corrupt {
-            what: match e {
-                ResumeError::UnknownEventKind { .. } => "checkpoint names unknown event kind",
-                ResumeError::EventBeforeClock { .. } => "pending event before the clock",
-                ResumeError::SeqNotReserved { .. } => "pending event above the seq counter",
-            },
-        }
+    let engine = FleetSim::resume(world, cp).map_err(|e| SnapshotError::Corrupt {
+        what: match e {
+            ResumeError::UnknownEventKind { .. } => "checkpoint names unknown event kind",
+            ResumeError::EventBeforeClock { .. } => "pending event before the clock",
+            ResumeError::SeqNotReserved { .. } => "pending event above the seq counter",
+        },
     })?;
-    FleetSim::queue_arm_heads(&mut engine);
     Ok(ResumedFleet { engine, chaos })
 }
 
