@@ -193,3 +193,67 @@ impl RadixHeap {
         Some(item)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::DeviceSpec;
+    use net::packet::RadioTech;
+    use simcore::rng::Rng;
+    use simcore::time::SimDuration;
+
+    /// Drives a due list the way an arm does — pop the earliest, then
+    /// schedule a replacement a fixed delay later and a re-failure at or
+    /// after the popped second, under fresh seqs — against a naive model
+    /// (a `Vec` scanned for its `(time, seq)` minimum). Times come from a
+    /// narrow range, so the three sources often tie on the second.
+    #[test]
+    fn pops_in_time_then_seq_order_like_a_naive_model() {
+        let delay = SimDuration::from_secs(40);
+        for seed in 1..=8 {
+            let mut rng = Rng::seed_from(seed);
+            let mut deaths: Vec<SimTime> =
+                (0..300).map(|_| SimTime::from_secs(rng.next_below(600))).collect();
+            deaths.sort_unstable();
+            let primed = 250;
+            let spec = DeviceSpec::paper_sensor(RadioTech::Ieee802154);
+            let store = DeviceStore::build(spec, deaths.clone(), vec![0; 300], vec![Vec::new()]);
+            let mut due = DueList::primed(primed, 7);
+            let mut model: Vec<(SimTime, u64, Ev)> =
+                (0..primed).map(|d| (deaths[d], 7 + d as u64, Ev::DeviceFail(3, d))).collect();
+            let mut next_seq = 7 + primed as u64;
+            for step in 0.. {
+                assert_eq!(due.len(), model.len(), "seed {seed}");
+                if step % 16 == 0 {
+                    let mut held: Vec<_> = due.events(3, &store).collect();
+                    let mut expected = model.clone();
+                    held.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+                    expected.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+                    assert_eq!(held, expected, "seed {seed}: held events");
+                }
+                let Some(i) = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1)) else {
+                    break;
+                };
+                let (at, seq, ev) = model.remove(i);
+                assert_eq!(due.pop(3, &store), Some((at, seq, ev)), "seed {seed} step {step}");
+                let next = match ev {
+                    Ev::DeviceFail(_, di) if rng.chance(0.8) => {
+                        Some((at.saturating_add(delay), Ev::DeviceReplace(3, di)))
+                    }
+                    Ev::DeviceReplace(_, di) if rng.chance(0.7) => {
+                        let life = SimDuration::from_secs(rng.next_below(60));
+                        Some((at.saturating_add(life), Ev::DeviceFail(3, di)))
+                    }
+                    _ => None,
+                };
+                if let Some((t, ev)) = next {
+                    assert!(due.push(t, next_seq, ev));
+                    model.push((t, next_seq, ev));
+                    next_seq += 1;
+                }
+            }
+            assert_eq!(due.pop(3, &store), None);
+            assert!(!due.push(SimTime::ZERO, next_seq, Ev::WeeklyCheck));
+        }
+    }
+}

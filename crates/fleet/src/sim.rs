@@ -258,7 +258,7 @@ impl FleetConfig {
 
 /// Simulation events (public because the `World` impl exposes the type;
 /// construct them only through [`FleetSim::build`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[doc(hidden)]
 pub enum Ev {
     /// Per-week end-to-end evaluation.
