@@ -913,7 +913,9 @@ impl FleetSim {
                 let seq0 = engine.reserve_seqs(deaths as u64);
                 engine.world_mut().arms[ai].due = Some(DueList::primed(deaths, seq0));
             }
-            engine.schedule_many(initial);
+            for (at, ev) in initial {
+                engine.schedule_at(at, ev);
+            }
         }
         Self::queue_arm_heads(&mut engine);
         engine

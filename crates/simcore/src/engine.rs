@@ -416,21 +416,6 @@ impl<W: World> Engine<W> {
         self.queue.schedule(at, event);
     }
 
-    /// Batch version of [`Engine::schedule_at`]: schedules in iteration
-    /// order, so same-time events pop in that order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event time is before the current clock.
-    pub fn schedule_many<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (SimTime, W::Event)>,
-    {
-        for (at, event) in events {
-            self.schedule_at(at, event);
-        }
-    }
-
     /// Reserves `n` consecutive sequence numbers and returns the first —
     /// the numbers `n` [`schedule_at`](Self::schedule_at) calls made now
     /// would draw (see [`Ctx::reserve_seq`]).
@@ -1154,16 +1139,6 @@ mod tests {
         assert_eq!(p.handler_nanos(), 0);
     }
 
-    #[test]
-    fn schedule_many_keeps_iteration_order_on_ties() {
-        let mut e = Engine::new(Recorder::default());
-        e.schedule_many((0..10u64).map(|i| (SimTime::from_secs(i / 4 + 1), i as u32)));
-        assert_eq!(e.pending_events(), 10);
-        e.run_until(SimTime::from_secs(100));
-        let order: Vec<u32> = e.world().seen.iter().map(|&(_, v)| v).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
     /// A world that holds one pending event itself: event 1 reserves a
     /// seq for 11 at second 5, and event 2 queues 21 at second 5 before
     /// handing 11 over.
@@ -1224,15 +1199,6 @@ mod tests {
         resumed.run_until(SimTime::from_secs(10));
         let order: Vec<u32> = resumed.world().seen.iter().map(|&(_, v)| v).collect();
         assert_eq!(order, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn schedule_many_rejects_past_events() {
-        let mut e = Engine::new(Recorder::default());
-        e.schedule_at(SimTime::from_secs(10), 1);
-        e.run_until(SimTime::from_secs(100));
-        e.schedule_many([(SimTime::from_secs(5), 2)]);
     }
 
     #[test]
