@@ -226,6 +226,44 @@ mod tests {
         assert!(h > b, "harvesting {h} battery {b}");
     }
 
+    /// `table.invert(u)` as a binary search over every knot finds it:
+    /// the first knot with `cdf ≥ u`, interpolated from its predecessor.
+    fn invert_by_bisection(table: &InverseCdf, u: f64) -> f64 {
+        let (ts, cdf) = table.knots();
+        let last = cdf.len() - 1;
+        if u <= cdf[0] {
+            return ts[0];
+        }
+        if u >= cdf[last] {
+            return ts[last];
+        }
+        let hi = cdf.partition_point(|&f| f < u);
+        let (f0, f1) = (cdf[hi - 1], cdf[hi]);
+        let frac = if f1 > f0 { (u - f0) / (f1 - f0) } else { 0.0 };
+        ts[hi - 1] + frac * (ts[hi] - ts[hi - 1])
+    }
+
+    #[test]
+    fn lifetime_tables_invert_like_a_full_binary_search() {
+        let mut rng = Rng::seed_from(6);
+        for energy in [EnergySystem::Harvesting, EnergySystem::Battery] {
+            let spec = DeviceSpec { energy, ..DeviceSpec::paper_sensor(RadioTech::LoRa) };
+            let table = LifetimeLaw::table(&spec.lifetime_block(&env()), 200.0).unwrap();
+            let mut us: Vec<f64> = (0..100_000).map(|_| rng.next_f64_open()).collect();
+            // Every knot's CDF value and the floats either side of it: the
+            // edges of each search range.
+            for &f in table.knots().1 {
+                let bits = f.to_bits();
+                us.extend([f, f64::from_bits(bits.saturating_sub(1)), f64::from_bits(bits + 1)]);
+            }
+            us.extend([0.0, 0.5, 1.0 - f64::EPSILON / 2.0]);
+            for u in us {
+                let want = invert_by_bisection(&table, u);
+                assert_eq!(table.invert(u).to_bits(), want.to_bits(), "{energy:?} u = {u:e}");
+            }
+        }
+    }
+
     #[test]
     fn age_accounting() {
         let mut rng = Rng::seed_from(3);

@@ -394,18 +394,52 @@ impl ArmReport {
     /// device-id order.
     pub fn lifetime_observations(&self) -> impl Iterator<Item = Observation> + '_ {
         let Census { installed_at, failed, horizon } = &self.census;
-        let survivors = installed_at.iter().zip(failed).filter(|(_, &failed)| !failed).map(
-            move |(&installed, _)| {
-                let age = if *horizon <= installed {
-                    SimDuration::ZERO
-                } else {
-                    horizon.since(installed)
-                };
-                Observation::censored(age.as_years_f64())
-            },
-        );
+        let survivors = installed_at
+            .iter()
+            .zip(failed)
+            .filter(|(_, &failed)| !failed)
+            .map(move |(&installed, _)| censored(installed, *horizon));
         self.failure_ages.iter().map(|&age| Observation::failed(age)).chain(survivors)
     }
+
+    /// How many [`lifetime_observations`](Self::lifetime_observations)
+    /// there are, read off the census columns without deriving any age.
+    fn lifetime_observation_count(&self) -> usize {
+        let survivors = self.census.failed.iter().filter(|&&failed| !failed).count();
+        self.failure_ages.len() + survivors
+    }
+
+    /// Calls `f` on [`lifetime_observations`](Self::lifetime_observations)
+    /// as runs `(observation, n)` of `n` identical consecutive ones: each
+    /// failure alone, survivors grouped by install time (one age each).
+    /// Under Aggregate sampling the never-failed cohort is one such run
+    /// (DESIGN.md §13).
+    fn for_each_observation_run(&self, mut f: impl FnMut(Observation, usize)) {
+        for &age in &self.failure_ages {
+            f(Observation::failed(age), 1);
+        }
+        let Census { installed_at, failed, horizon } = &self.census;
+        let mut installs =
+            installed_at.iter().zip(failed).filter(|(_, &failed)| !failed).map(|(&at, _)| at);
+        let Some(mut run) = installs.next() else { return };
+        let mut n = 1;
+        for at in installs {
+            if at == run {
+                n += 1;
+            } else {
+                f(censored(run, *horizon), n);
+                (run, n) = (at, 1);
+            }
+        }
+        f(censored(run, *horizon), n);
+    }
+}
+
+/// The right-censored observation of a device installed at `installed`
+/// and still present at `horizon`.
+fn censored(installed: SimTime, horizon: SimTime) -> Observation {
+    let age = if horizon <= installed { SimDuration::ZERO } else { horizon.since(installed) };
+    Observation::censored(age.as_years_f64())
 }
 
 /// Full simulation output.
@@ -457,11 +491,15 @@ impl FleetReport {
             }
             d.write_f64(arm.labor.hours());
             d.write_i128(arm.spend.micros());
-            d.write_u64(arm.lifetime_observations().count() as u64);
-            for o in arm.lifetime_observations() {
-                d.write_f64(o.time);
-                d.write_u8(u8::from(o.event));
-            }
+            // Each observation folds as 9 bytes: its time's bits and its
+            // event flag. A run of identical ones folds in one call.
+            d.write_u64(arm.lifetime_observation_count() as u64);
+            arm.for_each_observation_run(|o, n| {
+                let mut record = [0u8; 9];
+                record[..8].copy_from_slice(&o.time.to_bits().to_le_bytes());
+                record[8] = u8::from(o.event);
+                d.write_repeated(&record, n);
+            });
         }
         d.fold_spans(&self.spans);
         d.fold_snapshot(&self.metrics);
@@ -2187,6 +2225,9 @@ impl World for FleetSim {
 }
 
 #[cfg(test)]
+mod bytewise_digest;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -2619,9 +2660,10 @@ mod tests {
 
     /// The century-horizon check: 100k devices × 50 years under Aggregate
     /// (~590k diary entries, nearly all typed). The streamed export must
-    /// equal the `String` oracle byte for byte and the digest must equal
-    /// the fold of the same diary stored as text. About a second in a
-    /// release build; run with `cargo test --release -p fleet -- --ignored
+    /// equal the `String` oracle byte for byte, and the digest must equal
+    /// the byte-wise reference fold and the fold of the same diary stored
+    /// as text. About a second in a release build; run with `cargo test
+    /// --release -p fleet -- --ignored
     /// century_horizon_export_and_digest_match_the_text_oracles`.
     #[test]
     #[ignore = "release-build scale check; scripts/verify.sh runs it"]
@@ -2653,6 +2695,9 @@ mod tests {
         assert!(report.export_jsonl() == oracle, "export_jsonl ≢ String oracle");
 
         let digest = report.digest();
+        // ~590k typed lines and, after 50 years of replacements, short
+        // census runs: the tables and runs against the byte loop.
+        assert_eq!(digest, super::bytewise_digest::bytewise_digest(&report), "≢ byte-wise fold");
         let mut text = Diary::new();
         for e in report.diary.entries() {
             text.log(e.at, e.severity, e.tier, e.message.to_string());

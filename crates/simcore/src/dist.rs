@@ -624,10 +624,11 @@ pub fn sorted_uniforms(n: usize, rng: &mut Rng) -> Vec<f64> {
 /// component survivals).
 ///
 /// Built once from the CDF evaluated on a uniform grid over
-/// `[0, t_max]`; inversion is a binary search over the stored CDF values
-/// plus linear interpolation between knots — O(log knots) per draw with
-/// no further CDF evaluations, which is what makes million-device cohort
-/// initialization cheap. The tabulation is an explicit approximation of
+/// `[0, t_max]`; inversion is a search over the stored CDF values plus
+/// linear interpolation between knots, with no further CDF evaluations,
+/// which is what makes million-device cohort initialization cheap. A
+/// guide table over `[0, 1)` narrows each search to the knots of the
+/// uniform's bucket. The tabulation is an explicit approximation of
 /// the source distribution (error vanishes as `knots` grows); every
 /// sampling mode that uses a given table draws *identical* values from
 /// identical uniforms, which is the equivalence the aggregate/reference
@@ -638,7 +639,14 @@ pub struct InverseCdf {
     ts: Vec<f64>,
     /// CDF values at the knots; non-decreasing, `cdf[0] = F(0)`.
     cdf: Vec<f64>,
+    /// `guide[k]`, for `k ∈ 0..=GUIDE`, is the first knot with
+    /// `cdf ≥ k / GUIDE`.
+    guide: Vec<usize>,
 }
+
+/// Buckets of [`InverseCdf`]'s guide table: a power of two, so a
+/// uniform's bucket `floor(u · GUIDE)` is computed exactly.
+const GUIDE: usize = 4096;
 
 impl InverseCdf {
     /// Tabulates `cdf` (a non-decreasing function with `F(0) ≥ 0`) on
@@ -671,12 +679,28 @@ impl InverseCdf {
             ts.push(t);
             vals.push(f);
         }
-        Ok(InverseCdf { ts, cdf: vals })
+        let mut knot = 0;
+        let guide = (0..=GUIDE)
+            .map(|k| {
+                let bound = k as f64 / GUIDE as f64;
+                while knot < vals.len() && vals[knot] < bound {
+                    knot += 1;
+                }
+                knot
+            })
+            .collect();
+        Ok(InverseCdf { ts, cdf: vals, guide })
+    }
+
+    /// The tabulation: the knot abscissae and the CDF value at each.
+    pub fn knots(&self) -> (&[f64], &[f64]) {
+        (&self.ts, &self.cdf)
     }
 
     /// Maps a uniform `u ∈ [0, 1)` to the tabulated quantile `F⁻¹(u)`
-    /// with a binary search over the knots. The scalar form, and the
-    /// oracle for [`invert_ascending`](Self::invert_ascending).
+    /// with a binary search over the knots of `u`'s guide bucket. The
+    /// scalar form, and the oracle for
+    /// [`invert_ascending`](Self::invert_ascending).
     ///
     /// `u` below the first knot's CDF value returns 0; `u` beyond the
     /// tabulated mass clamps to `t_max` (callers pick `t_max` past the
@@ -691,7 +715,20 @@ impl InverseCdf {
             return self.ts[last];
         }
         // First knot with cdf >= u; the predecessor exists by the guards.
-        self.interpolate(self.cdf.partition_point(|&f| f < u), u)
+        self.interpolate(self.first_knot_at_least(u), u)
+    }
+
+    /// The first knot with `cdf ≥ u`: the knot a binary search over every
+    /// knot finds. For `u` in bucket `k` (`k ≤ u · GUIDE < k + 1`) it lies
+    /// in `guide[k]..=guide[k + 1]`, so only those knots are searched.
+    fn first_knot_at_least(&self, u: f64) -> usize {
+        let (lo, hi) = if (0.0..1.0).contains(&u) {
+            let k = (u * GUIDE as f64) as usize;
+            (self.guide[k], self.guide[k + 1])
+        } else {
+            (0, self.cdf.len())
+        };
+        lo + self.cdf[lo..hi].partition_point(|&f| f < u)
     }
 
     /// [`invert`](Self::invert) over a whole slice of uniforms, sorted
@@ -1130,6 +1167,36 @@ mod tests {
         check(&[]);
         // Out-of-order input restarts the walk and stays exact.
         check(&[0.6, 0.2, 0.5, 0.12, 0.96, 0.3]);
+    }
+
+    #[test]
+    fn inverse_cdf_guide_finds_the_binary_search_knot() {
+        // Atoms, plateaus, a jump across many guide buckets, mass short
+        // of 1, and a CDF that leaves [0, 1] (searched without the guide).
+        let shapes: [(&dyn Fn(f64) -> f64, f64); 3] = [
+            (&|t: f64| if t < 5.0 { 0.25 } else { 0.25 + (t - 5.0) / 20.0 }, 20.0),
+            (&|t: f64| ((t * 3.0).floor() / 40.0).min(0.9), 16.0),
+            (&|t: f64| t / 4.0 - 0.5, 10.0),
+        ];
+        let mut r = rng();
+        for (i, (cdf, t_max)) in shapes.into_iter().enumerate() {
+            let table = InverseCdf::tabulate(cdf, t_max, 1000).unwrap();
+            let (ts, vals) = table.knots();
+            let mut us: Vec<f64> = (0..20_000).map(|_| r.next_f64() * 3.0 - 1.0).collect();
+            for &f in vals {
+                us.extend([f, f64::from_bits(f.to_bits() ^ 1), f + 1e-12, f - 1e-12]);
+            }
+            for u in us {
+                let oracle = if u <= vals[0] {
+                    ts[0]
+                } else if u >= vals[vals.len() - 1] {
+                    ts[ts.len() - 1]
+                } else {
+                    table.interpolate(vals.partition_point(|&f| f < u), u)
+                };
+                assert_eq!(table.invert(u).to_bits(), oracle.to_bits(), "shape {i}, u = {u:e}");
+            }
+        }
     }
 
     #[test]

@@ -134,14 +134,14 @@ impl EngineProfile {
     #[inline]
     fn record(&mut self, kind: &'static str) {
         // The kind set is tiny (one entry per event-enum variant), so a
-        // linear scan beats hashing on this hot path.
-        for entry in &mut self.kinds {
-            if entry.0 == kind {
-                entry.1 += 1;
-                return;
-            }
+        // linear scan beats hashing on this hot path. Kinds are literals,
+        // so the same address and length usually finds the entry before
+        // any bytes are compared; equal text from elsewhere still does.
+        let slot = self.kinds.iter().position(|e| core::ptr::eq(e.0, kind));
+        match slot.or_else(|| self.kinds.iter().position(|e| e.0 == kind)) {
+            Some(i) => self.kinds[i].1 += 1,
+            None => self.kinds.push((kind, 1)),
         }
-        self.kinds.push((kind, 1));
     }
 
     fn record_n(&mut self, kind: &'static str, n: u64) {

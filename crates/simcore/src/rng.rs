@@ -159,6 +159,9 @@ impl Rng {
     /// * distinct labels/indices yield decorrelated streams;
     /// * splitting does not consume parent randomness, so the parent's own
     ///   sequence is unaffected by how many children are split off.
+    ///
+    /// Inlined so a literal label's hash folds at compile time.
+    #[inline]
     pub fn split(&self, label: &str, index: u64) -> Rng {
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis.
         for b in label.bytes() {
