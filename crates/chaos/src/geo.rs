@@ -1,6 +1,6 @@
 //! Geometric chaos: storms with a footprint instead of an arm scope.
 //!
-//! [`FaultKind::RegionalOutage`](crate::FaultKind::RegionalOutage) takes
+//! [`FaultKind::RegionalOutage`] takes
 //! a whole arm down — the right model for a backhaul or grid failure,
 //! but weather is spatial: a storm cell has a center and a radius, and
 //! only the devices underneath it suffer. [`GeoStormBuilder`] plans that

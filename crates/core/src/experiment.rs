@@ -301,6 +301,21 @@ mod tests {
     }
 
     #[test]
+    fn nested_plan_threads_keep_replicate_digests() {
+        // 64k devices is past `SERIAL_FALLBACK_DEVICES`, so every build
+        // plans its arms on threads inside a replicate worker that is
+        // itself one of two.
+        let cfg = |seed: u64| FleetConfig {
+            horizon: simcore::SimDuration::from_years(1),
+            ..FleetConfig::scaled(seed, 64_000).with_sampling(fleet::sim::SamplingMode::Aggregate)
+        };
+        let serial: Vec<u64> = (0..3).map(|i| FleetSim::run(cfg(40 + i)).digest()).collect();
+        let nested: Vec<u64> =
+            run_reports(&cfg, 40, 3, 2).unwrap().iter().map(FleetReport::digest).collect();
+        assert_eq!(serial, nested);
+    }
+
+    #[test]
     fn reports_in_seed_order_regardless_of_threads() {
         let one = run_reports(&FleetConfig::paper_experiment, 50, 6, 1).unwrap();
         let many = run_reports(&FleetConfig::paper_experiment, 50, 6, 6).unwrap();

@@ -27,7 +27,7 @@
 //!    of the literature, but because no cross-shard messages exist the
 //!    shards never have to wait for each other — each replays the
 //!    broadcast locally.
-//! 4. **Merge** (`FleetSim::merge_shards` → `FleetSim::finalize`): arms
+//! 4. **Merge** (`FleetSim::merge_shards_onto` → `FleetSim::finalize`): arms
 //!    are regrouped in ascending global-id order and the *same* finalize
 //!    path as a serial run performs the canonical diary/span merge and
 //!    ledger collection; profiles fold with the replayed tick chains

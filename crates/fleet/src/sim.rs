@@ -26,7 +26,6 @@
 //! the fine-grained energy dynamics).
 
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use backhaul::helium::HotspotPopulation;
@@ -666,68 +665,25 @@ impl LifetimeTables {
     }
 }
 
-/// Threads now inside [`FleetSim::build`] or [`FleetSim::run`]. A large
-/// build divides the cores among them, so fleets run side by side (the
-/// replicate pool's workers) do not each fan their plans out over every
-/// core. The count is a snapshot: a build that reads it while another
-/// fleet is still entering may take more than its share, which costs
-/// time, never bits.
-static FLEETS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// One thread's slot in [`FLEETS_IN_FLIGHT`], held until dropped.
-struct InFlight;
-
-impl InFlight {
-    fn enter() -> Self {
-        FLEETS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
-        InFlight
-    }
-
-    /// Fleets in flight, this one included.
-    fn count() -> usize {
-        FLEETS_IN_FLIGHT.load(Ordering::Relaxed).max(1)
-    }
-}
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        FLEETS_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 impl FleetSim {
     /// Builds the world and returns an engine primed with initial events.
     ///
-    /// The build runs in two phases. Phase 1 ([`plan_arm`]) plans each
+    /// The build runs in two phases. Phase 1 (`plan_arm`) plans each
     /// arm — lifetime sampling, gateway deploys, the coverage lottery — as
     /// a pure function of `(seed, arm index, config)` with no shared
     /// state. A fleet of at least
     /// [`SERIAL_FALLBACK_DEVICES`](crate::shard::SERIAL_FALLBACK_DEVICES)
-    /// devices plans its arms on `min(arms, available_parallelism / fleets
-    /// in flight)` scoped threads, where the fleets in flight are the
-    /// threads now inside a `build` or [`run`](Self::run), so replicate
-    /// workers that already fill the cores plan serially. Smaller fleets
-    /// plan serially, where a thread would cost more than it saves.
-    /// Phase 2 ([`assemble`]) runs on the calling thread: it registers
-    /// metrics and primes the queue in the canonical serial order, so the
-    /// engine is bit-identical however phase 1 ran.
+    /// devices plans its arms on `min(arms, available_parallelism)` scoped
+    /// threads; smaller fleets plan serially, where a thread would cost
+    /// more than it saves. Phase 2 (`assemble`) runs on the calling
+    /// thread: it registers metrics and primes the queue in the canonical
+    /// serial order, so the engine is bit-identical however phase 1 ran.
     /// The shared lifetime tables are computed once, before phase 1.
-    ///
-    /// [`plan_arm`]: Self::plan_arm
-    /// [`assemble`]: Self::assemble
     pub fn build(cfg: FleetConfig) -> Engine<FleetSim> {
-        let _slot = InFlight::enter();
-        Self::build_in_flight(cfg)
-    }
-
-    /// [`build`](Self::build) for a caller that already holds an
-    /// [`InFlight`] slot.
-    fn build_in_flight(cfg: FleetConfig) -> Engine<FleetSim> {
         let tables = Self::lifetime_tables(&cfg);
         let n = cfg.arms.len();
         let workers = if shard::fleet_devices(&cfg) >= shard::SERIAL_FALLBACK_DEVICES {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            (cores / InFlight::count()).clamp(1, n.max(1))
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(n)
         } else {
             1
         };
@@ -1090,9 +1046,8 @@ impl FleetSim {
 
     /// Runs the configured experiment to its horizon and returns the report.
     pub fn run(cfg: FleetConfig) -> FleetReport {
-        let _slot = InFlight::enter();
         let horizon = SimTime::ZERO + cfg.horizon;
-        let mut engine = Self::build_in_flight(cfg);
+        let mut engine = Self::build(cfg);
         engine.run_until(horizon);
         Self::into_report(engine, horizon)
     }
@@ -1170,8 +1125,8 @@ impl FleetSim {
     }
 
     /// Event kinds every shard replays locally instead of owning: the
-    /// fleet-wide tick chains. [`merge_shards`](Self::merge_shards) must
-    /// not sum their dispatch counts across shards — shard 0's copy is the
+    /// fleet-wide tick chains. [`Self::merge_shards_onto`] must not sum
+    /// their dispatch counts across shards — shard 0's copy is the
     /// canonical one — so the merged profile (and `events_processed`)
     /// matches the serial run exactly.
     pub(crate) const DUPLICATED_KINDS: &'static [&'static str] = &["weekly-check", "yearly-tick"];
@@ -1674,15 +1629,6 @@ impl FleetSim {
     fn local_arm(&mut self, ai: usize) -> Option<&mut ArmState> {
         let li = self.local_slot(ai)?;
         self.arms.get_mut(li)
-    }
-
-    /// The run's live metric registry. Snapshot it (or finalize through
-    /// [`FleetSim::into_report`]) to read values. Note: the per-arm
-    /// delivery counter and weekly-deliveries histogram are batched in the
-    /// hot loop and only settle at finalize, so mid-run snapshots show
-    /// them at zero; chaos counters are always live.
-    pub fn metrics(&self) -> &Registry {
-        self.metrics.as_ref()
     }
 
     /// Records a chaos fault whose target did not exist — the injector's

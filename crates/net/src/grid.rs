@@ -53,7 +53,7 @@ impl SpatialGrid {
     /// Buckets `points` into square cells of side (at least) `cell_m`.
     ///
     /// The cell side is grown automatically if the bounding box would
-    /// otherwise need more than [`MAX_CELLS`] cells, so degenerate inputs
+    /// otherwise need more than `MAX_CELLS` cells, so degenerate inputs
     /// (a tiny radius over a continent) stay bounded. An empty point set
     /// builds an empty grid whose queries return nothing.
     ///

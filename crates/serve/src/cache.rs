@@ -1,8 +1,8 @@
 //! Digest-addressed on-disk result cache.
 //!
-//! Completed runs are memoized under their [`request_key`]
-//! (`RunSpec::request_key`) in one file per entry,
-//! `<dir>/<key:016x>.run`, wrapped in the same versioned, checksummed
+//! Completed runs are memoized under their
+//! [`RunSpec::request_key`](crate::RunSpec::request_key) in one file per
+//! entry, `<dir>/<key:016x>.run`, wrapped in the same versioned, checksummed
 //! frame as world snapshots ([`simcore::snapshot::seal`]) — so every
 //! read re-verifies the FNV-1a trailer and a torn, truncated or
 //! bit-flipped entry is *refused fail-closed* and treated as absent

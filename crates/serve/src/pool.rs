@@ -10,7 +10,7 @@
 //! * **Coalescing.** Scenario runs are pure functions of their request
 //!   key, so concurrent identical requests collapse onto one in-flight
 //!   job: the first miss schedules the execution, every later identical
-//!   request becomes a waiter on the same [`Job`] and is answered by the
+//!   request becomes a waiter on the same `Job` and is answered by the
 //!   single completion (counted `serve.coalesced`). The differential
 //!   suite asserts N concurrent identical requests cost exactly one
 //!   execution.

@@ -11,9 +11,7 @@
 //! * lifetimes and hazards — [`Exponential`], [`Weibull`], [`LogNormal`]
 //! * measurement noise and service times — [`Normal`], [`Uniform`]
 //! * event counts — [`Poisson`], [`Geometric`], [`Bernoulli`]
-//! * heavy-tailed populations (AS sizes, hotspot ownership) — [`Zipf`],
-//!   [`Pareto`]
-//! * arbitrary categorical draws — [`Discrete`] (Walker alias table)
+//! * heavy-tailed populations (AS sizes) — [`Zipf`]
 
 use crate::rng::Rng;
 
@@ -321,28 +319,6 @@ impl Geometric {
     }
 }
 
-/// Pareto (type I) distribution with scale `x_min` and tail index `alpha`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution with `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Result<Self, ParamError> {
-        if !(x_min.is_finite() && x_min > 0.0 && alpha.is_finite() && alpha > 0.0) {
-            return Err(ParamError::new("Pareto requires x_min > 0 and alpha > 0"));
-        }
-        Ok(Pareto { x_min, alpha })
-    }
-
-    /// Draws a sample by inversion.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        self.x_min / rng.next_f64_open().powf(1.0 / self.alpha)
-    }
-}
-
 /// Zipf distribution over ranks `1..=n` with exponent `s`.
 ///
 /// P(rank = k) ∝ 1/k^s. Sampling precomputes the CDF (O(n) memory) and draws
@@ -401,76 +377,6 @@ impl Zipf {
     /// Number of ranks `n`.
     pub fn n(&self) -> usize {
         self.cdf.len()
-    }
-}
-
-/// Discrete distribution over `0..n` given unnormalized weights, sampled in
-/// O(1) via Walker's alias method.
-#[derive(Clone, Debug)]
-pub struct Discrete {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl Discrete {
-    /// Builds an alias table from non-negative weights (not all zero).
-    pub fn new(weights: &[f64]) -> Result<Self, ParamError> {
-        if weights.is_empty() {
-            return Err(ParamError::new("Discrete requires at least one weight"));
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(ParamError::new("Discrete weights must be finite and >= 0"));
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(ParamError::new("Discrete weights must not all be zero"));
-        }
-        let n = weights.len();
-        let mut prob: Vec<f64> = weights.iter().map(|w| w * n as f64 / total).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s] = l;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Remaining entries are 1 up to float error.
-        for i in small.into_iter().chain(large) {
-            prob[i] = 1.0;
-        }
-        Ok(Discrete { prob, alias })
-    }
-
-    /// Draws an index in `0..n`.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        let i = rng.next_below(self.prob.len() as u64) as usize;
-        if rng.next_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Returns true if there are no categories (never: construction forbids it).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 }
 
@@ -927,15 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_min_respected() {
-        let d = Pareto::new(5.0, 2.0).unwrap();
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut r) >= 5.0);
-        }
-    }
-
-    #[test]
     fn zipf_rank_one_dominates() {
         let z = Zipf::new(100, 1.0).unwrap();
         let mut r = rng();
@@ -959,38 +856,6 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
         assert_eq!(z.pmf(0), 0.0);
         assert_eq!(z.pmf(51), 0.0);
-    }
-
-    #[test]
-    fn discrete_alias_matches_weights() {
-        let d = Discrete::new(&[1.0, 2.0, 7.0]).unwrap();
-        let mut r = rng();
-        let n = 200_000;
-        let mut counts = [0usize; 3];
-        for _ in 0..n {
-            counts[d.sample(&mut r)] += 1;
-        }
-        let p2 = counts[2] as f64 / n as f64;
-        assert!((p2 - 0.7).abs() < 0.01, "p2 {p2}");
-        let p0 = counts[0] as f64 / n as f64;
-        assert!((p0 - 0.1).abs() < 0.01, "p0 {p0}");
-    }
-
-    #[test]
-    fn discrete_rejects_bad_weights() {
-        assert!(Discrete::new(&[]).is_err());
-        assert!(Discrete::new(&[0.0, 0.0]).is_err());
-        assert!(Discrete::new(&[-1.0, 2.0]).is_err());
-        assert!(Discrete::new(&[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn discrete_degenerate_single_category() {
-        let d = Discrete::new(&[3.0]).unwrap();
-        let mut r = rng();
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut r), 0);
-        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A simulation is a [`World`] — user state plus an event handler — driven by
 //! an [`Engine`] that owns the clock and the [`EventQueue`]. The handler
-//! receives a [`Ctx`] through which it schedules follow-up events and
-//! requests a stop. This inversion (engine owns the queue, world owns the
-//! model) keeps borrows simple and the loop allocation-free.
+//! receives a [`Ctx`] through which it schedules follow-up events. This
+//! inversion (engine owns the queue, world owns the model) keeps borrows
+//! simple and the loop allocation-free.
 //!
 //! # Examples
 //!
@@ -74,7 +74,7 @@ const PROFILE_SAMPLE_EVERY: u64 = 1024;
 /// [`handler_nanos`](Self::handler_nanos) and `run_nanos` are wall-clock
 /// and vary run to run — they are **excluded from run digests** by
 /// contract (DESIGN.md §6). Handler time is *sampled* (every
-/// [`PROFILE_SAMPLE_EVERY`]th dispatch) so profiling costs two clock reads
+/// `PROFILE_SAMPLE_EVERY`th dispatch) so profiling costs two clock reads
 /// per ~thousand events instead of per event; see DESIGN.md §7 for the
 /// contract.
 #[derive(Clone, Debug, Default)]
@@ -126,7 +126,7 @@ impl EngineProfile {
     }
 
     /// Number of dispatches whose handler time was measured (one per
-    /// [`PROFILE_SAMPLE_EVERY`] dispatches, starting with the first).
+    /// `PROFILE_SAMPLE_EVERY` dispatches, starting with the first).
     pub fn handler_samples(&self) -> u64 {
         self.handler_samples
     }
@@ -186,7 +186,6 @@ impl EngineProfile {
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop: &'a mut bool,
 }
 
 impl<E> Ctx<'_, E> {
@@ -212,16 +211,6 @@ impl<E> Ctx<'_, E> {
         self.queue.schedule(self.now.saturating_add(delay), event);
     }
 
-    /// Fallible version of [`Ctx::schedule_at`]: returns
-    /// [`SimError::ScheduledInPast`] instead of panicking.
-    pub fn try_schedule_at(&mut self, at: SimTime, event: E) -> Result<(), SimError> {
-        if at < self.now {
-            return Err(SimError::ScheduledInPast { at, now: self.now });
-        }
-        self.queue.schedule(at, event);
-        Ok(())
-    }
-
     /// Reserves the sequence number an event scheduled now would get, for
     /// a world that holds the event itself and schedules it later with
     /// [`Ctx::schedule_reserved`]. Same-time ties then resolve as if it
@@ -239,11 +228,6 @@ impl<E> Ctx<'_, E> {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.schedule_reserved(at, seq, event);
     }
-
-    /// Requests that the engine stop after the current event completes.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 /// Structured diagnosis returned by the checked engine entry points.
@@ -252,13 +236,6 @@ impl<E> Ctx<'_, E> {
 /// can go wrong is a typed variant instead of a panic or a hang.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// An event was scheduled before the current clock.
-    ScheduledInPast {
-        /// The requested (past) time.
-        at: SimTime,
-        /// The clock when the request was made.
-        now: SimTime,
-    },
     /// A handler kept rescheduling at the same instant: the clock cannot
     /// advance and an unchecked run would spin forever.
     Livelock {
@@ -296,9 +273,6 @@ pub enum SimError {
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            SimError::ScheduledInPast { at, now } => {
-                write!(f, "scheduled into the past: at={at:?} < now={now:?}")
-            }
             SimError::Livelock { at, events } => {
                 write!(f, "livelock: {events} events at {at:?} without the clock advancing")
             }
@@ -379,8 +353,6 @@ pub enum RunOutcome {
     HorizonReached,
     /// The event queue drained before the horizon.
     QueueEmpty,
-    /// A handler called [`Ctx::stop`].
-    Stopped,
 }
 
 /// The discrete-event engine: clock + queue + world.
@@ -388,7 +360,6 @@ pub struct Engine<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     now: SimTime,
-    stop: bool,
     processed: u64,
     profile: EngineProfile,
 }
@@ -400,7 +371,6 @@ impl<W: World> Engine<W> {
             world,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            stop: false,
             processed: 0,
             profile: EngineProfile::default(),
         }
@@ -433,19 +403,9 @@ impl<W: World> Engine<W> {
         self.queue.schedule_reserved(at, seq, event);
     }
 
-    /// Fallible version of [`Engine::schedule_at`]: returns
-    /// [`SimError::ScheduledInPast`] instead of panicking.
-    pub fn try_schedule_at(&mut self, at: SimTime, event: W::Event) -> Result<(), SimError> {
-        if at < self.now {
-            return Err(SimError::ScheduledInPast { at, now: self.now });
-        }
-        self.queue.schedule(at, event);
-        Ok(())
-    }
-
-    /// Runs until the clock would pass `horizon`, the queue empties, or a
-    /// handler stops the run. Events exactly at `horizon` do **not** fire;
-    /// the clock is left at `horizon` when it is reached.
+    /// Runs until the clock would pass `horizon` or the queue empties.
+    /// Events exactly at `horizon` do **not** fire; the clock is left at
+    /// `horizon` when it is reached.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         match self.run_supervised(horizon, &mut NoFaults, None) {
             Ok(outcome) => outcome,
@@ -503,11 +463,6 @@ impl<W: World> Engine<W> {
         let mut day = self.now.as_secs() / 86_400;
         let mut day_events: u64 = 0;
         loop {
-            if self.stop {
-                // Consume the stop request so the engine can be resumed.
-                self.stop = false;
-                return Ok(RunOutcome::Stopped);
-            }
             // Faults due before the next event (or before the horizon when
             // the queue is empty) fire first; ties go to the fault so an
             // outage starting "this week" suppresses this week's readings.
@@ -520,11 +475,7 @@ impl<W: World> Engine<W> {
                 };
                 if fault_first {
                     self.now = self.now.max(fat);
-                    let mut ctx = Ctx {
-                        now: self.now,
-                        queue: &mut self.queue,
-                        stop: &mut self.stop,
-                    };
+                    let mut ctx = Ctx { now: self.now, queue: &mut self.queue };
                     hook.fire(self.now, &mut self.world, &mut ctx);
                     self.profile.hook_fires += 1;
                     continue;
@@ -587,11 +538,7 @@ impl<W: World> Engine<W> {
             let sampled = self.processed & (PROFILE_SAMPLE_EVERY - 1) == 0;
             self.processed += 1;
             self.profile.record(W::event_kind(&event));
-            let mut ctx = Ctx {
-                now: self.now,
-                queue: &mut self.queue,
-                stop: &mut self.stop,
-            };
+            let mut ctx = Ctx { now: self.now, queue: &mut self.queue };
             if sampled {
                 // simlint: allow(D002, EngineProfile sampled handler timing; excluded from digests per DESIGN.md §6)
                 let handler_started = std::time::Instant::now();
@@ -697,7 +644,6 @@ impl<W: World> Engine<W> {
             world,
             queue,
             now: checkpoint.now,
-            stop: false,
             processed: checkpoint.processed,
             profile,
         })
@@ -804,7 +750,6 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         seen: Vec<(u64, u32)>,
-        stop_on: Option<u32>,
         chain: bool,
     }
 
@@ -812,9 +757,6 @@ mod tests {
         type Event = u32;
         fn handle(&mut self, ctx: &mut Ctx<'_, u32>, event: u32) {
             self.seen.push((ctx.now().as_secs(), event));
-            if Some(event) == self.stop_on {
-                ctx.stop();
-            }
             if self.chain && event < 5 {
                 ctx.schedule_in(SimDuration::from_secs(10), event + 1);
             }
@@ -892,21 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_halts_and_resumes() {
-        let mut e = Engine::new(Recorder { stop_on: Some(2), ..Default::default() });
-        e.schedule_at(SimTime::from_secs(1), 1);
-        e.schedule_at(SimTime::from_secs(2), 2);
-        e.schedule_at(SimTime::from_secs(3), 3);
-        let out = e.run_until(SimTime::from_secs(100));
-        assert_eq!(out, RunOutcome::Stopped);
-        assert_eq!(e.now(), SimTime::from_secs(2));
-        // Resume picks up remaining events.
-        let out = e.run_until(SimTime::from_secs(100));
-        assert_eq!(out, RunOutcome::QueueEmpty);
-        assert_eq!(e.world().seen, vec![(1, 1), (2, 2), (3, 3)]);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         let mut e = Engine::new(Recorder::default());
@@ -933,22 +860,6 @@ mod tests {
         e.run_until(SimTime::from_secs(1));
         let w = e.into_world();
         assert_eq!(w.seen, vec![(0, 9)]);
-    }
-
-    #[test]
-    fn try_schedule_at_rejects_past_without_panicking() {
-        let mut e = Engine::new(Recorder::default());
-        e.schedule_at(SimTime::from_secs(10), 1);
-        e.run_until(SimTime::from_secs(100));
-        let err = e.try_schedule_at(SimTime::from_secs(5), 2).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::ScheduledInPast {
-                at: SimTime::from_secs(5),
-                now: SimTime::from_secs(100)
-            }
-        );
-        assert!(e.try_schedule_at(SimTime::from_secs(100), 3).is_ok());
     }
 
     /// A world that reschedules itself at the *same instant* forever: the

@@ -2,21 +2,17 @@
 //!
 //! [`ModelError`] is the umbrella type layered crates (chaos plans,
 //! scenario builders) return when *configuration* is invalid, wrapping the
-//! substrate's own typed errors ([`ParamError`](crate::dist::ParamError),
-//! [`QuantileError`](crate::quantile::QuantileError)) so callers can match
-//! on one enum. Runtime misbehavior of a simulation is reported separately
-//! as [`SimError`](crate::engine::SimError).
+//! substrate's own [`ParamError`] so callers can match on one enum. Runtime
+//! misbehavior of a simulation is reported separately as
+//! [`SimError`](crate::engine::SimError).
 
 use crate::dist::ParamError;
-use crate::quantile::QuantileError;
 
 /// Why a model or plan could not be built.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ModelError {
     /// A distribution parameter was rejected.
     Param(ParamError),
-    /// A quantile target was rejected.
-    Quantile(QuantileError),
     /// A rate or fraction was non-finite or negative.
     InvalidRate {
         /// Which parameter was rejected.
@@ -32,7 +28,6 @@ impl core::fmt::Display for ModelError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ModelError::Param(e) => write!(f, "invalid distribution parameter: {e}"),
-            ModelError::Quantile(e) => write!(f, "invalid quantile target: {e}"),
             ModelError::InvalidRate { what, value } => {
                 write!(f, "invalid rate for {what}: {value}")
             }
@@ -49,12 +44,6 @@ impl From<ParamError> for ModelError {
     }
 }
 
-impl From<QuantileError> for ModelError {
-    fn from(e: QuantileError) -> Self {
-        ModelError::Quantile(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +53,5 @@ mod tests {
         let e = ModelError::InvalidRate { what: "storm rate", value: -1.0 };
         assert!(e.to_string().contains("storm rate"));
         assert!(ModelError::Empty("faults").to_string().contains("faults"));
-        let q: ModelError = QuantileError::OutOfRange { q: 2.0 }.into();
-        assert!(matches!(q, ModelError::Quantile(_)));
     }
 }

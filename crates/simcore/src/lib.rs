@@ -12,9 +12,9 @@
 //!   need (Weibull lifetimes, lognormal service times, Zipf populations, …).
 //! * [`event`] / [`engine`] — a stable-FIFO event queue and the
 //!   discrete-event loop.
-//! * [`stats`], [`quantile`], [`survival`], [`series`] — single-pass
-//!   statistics, the P² streaming quantile, Kaplan–Meier survival curves,
-//!   and time-series recording for figures.
+//! * [`stats`], [`survival`], [`series`] — single-pass moments and exact
+//!   order statistics, Kaplan–Meier survival curves, and time-series
+//!   recording for figures.
 //! * [`trace`] — the structured "experimental diary" the paper commits to
 //!   publishing (§4.5).
 //! * [`snapshot`] — the versioned, checksummed binary substrate for
@@ -70,7 +70,6 @@ pub mod dist;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod quantile;
 pub mod rng;
 pub mod series;
 pub mod snapshot;

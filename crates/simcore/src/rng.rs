@@ -124,20 +124,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(span + 1)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
@@ -287,22 +273,6 @@ mod tests {
     #[should_panic(expected = "meaningless")]
     fn next_below_zero_panics() {
         Rng::seed_from(0).next_below(0);
-    }
-
-    #[test]
-    fn range_inclusive_hits_ends() {
-        let mut r = Rng::seed_from(6);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..2_000 {
-            match r.range_inclusive(10, 13) {
-                10 => lo_seen = true,
-                13 => hi_seen = true,
-                11 | 12 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

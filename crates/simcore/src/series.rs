@@ -1,9 +1,9 @@
 //! Time-series recording for figures.
 //!
-//! A [`Series`] is an append-only `(SimTime, f64)` sequence with helpers for
-//! CSV export and down-sampling — the raw material for every figure in
-//! EXPERIMENTS.md. A [`SeriesSet`] groups named series that share an x-axis
-//! (e.g. one line per policy).
+//! A [`Series`] is an append-only `(SimTime, f64)` sequence — the raw
+//! material for every figure in EXPERIMENTS.md. A [`SeriesSet`] groups
+//! named series that share an x-axis (e.g. one line per policy) and
+//! exports them as CSV.
 
 use std::fmt::Write as _;
 
@@ -69,27 +69,6 @@ impl Series {
             Err(0) => None,
             Err(i) => Some(self.points[i - 1].1),
         }
-    }
-
-    /// Down-samples to at most `max_points` by keeping every k-th point plus
-    /// the final point. Returns a new series; the original is untouched.
-    pub fn decimate(&self, max_points: usize) -> Series {
-        if max_points == 0 || self.points.len() <= max_points {
-            return self.clone();
-        }
-        let stride = self.points.len().div_ceil(max_points);
-        let mut out = Series::new(self.name.clone());
-        for (i, &(t, v)) in self.points.iter().enumerate() {
-            if i % stride == 0 {
-                out.points.push((t, v));
-            }
-        }
-        if let Some(&last) = self.points.last() {
-            if out.points.last() != Some(&last) {
-                out.points.push(last);
-            }
-        }
-        out
     }
 }
 
@@ -186,26 +165,6 @@ mod tests {
         assert_eq!(s.sample_hold(t(15)), Some(1.0));
         assert_eq!(s.sample_hold(t(20)), Some(2.0));
         assert_eq!(s.sample_hold(t(99)), Some(2.0));
-    }
-
-    #[test]
-    fn decimate_keeps_endpoints() {
-        let mut s = Series::new("big");
-        for i in 0..1000 {
-            s.push(t(i), i as f64);
-        }
-        let d = s.decimate(10);
-        assert!(d.len() <= 11, "got {}", d.len());
-        assert_eq!(d.points().first(), Some(&(t(0), 0.0)));
-        assert_eq!(d.points().last(), Some(&(t(999), 999.0)));
-    }
-
-    #[test]
-    fn decimate_small_is_identity() {
-        let mut s = Series::new("small");
-        s.push(t(1), 1.0);
-        let d = s.decimate(10);
-        assert_eq!(d.points(), s.points());
     }
 
     #[test]

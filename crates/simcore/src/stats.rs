@@ -1,11 +1,8 @@
-//! Online statistics: moments, histograms, quantiles, time-weighted means.
+//! Statistics: single-pass moments and exact order statistics.
 //!
-//! Long simulations produce far too many samples to retain; everything here
-//! is single-pass and O(1) or O(bins) in memory. Where exactness matters for
-//! reports (medians of modest sample sets), [`Samples`] retains values and
-//! computes exact order statistics.
-
-use crate::time::{SimDuration, SimTime};
+//! [`Moments`] is O(1) in memory for streams too long to retain. Where
+//! exactness matters for reports (medians of modest sample sets),
+//! [`Samples`] retains values and computes exact order statistics.
 
 /// Welford's online mean/variance accumulator.
 ///
@@ -124,70 +121,6 @@ impl Moments {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with overflow/underflow counters.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo < hi, "need lo < hi");
-        Histogram { lo, hi, bins: vec![0; bins], underflow: 0, overflow: 0 }
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let i = ((x - self.lo) / w) as usize;
-            // Float roundoff can land exactly on bins.len(); clamp.
-            let i = i.min(self.bins.len() - 1);
-            self.bins[i] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The inclusive-exclusive bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 /// Exact sample store with order statistics, for modest sample counts
 /// (per-run summaries, Monte-Carlo replicates).
 #[derive(Clone, Debug, Default)]
@@ -259,71 +192,9 @@ impl Samples {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. fraction of
-/// fleet alive, instantaneous power draw).
-///
-/// Feed it `(time, new_value)` transitions; it integrates value·dt.
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    t0: SimTime,
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-}
-
-impl TimeWeighted {
-    /// Creates an accumulator starting at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted { t0, last_t: t0, last_v: v0, integral: 0.0 }
-    }
-
-    /// Records that the signal changed to `v` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `t` precedes the previous update.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        debug_assert!(t >= self.last_t, "time went backwards");
-        let dt = t.since(self.last_t).as_secs() as f64;
-        self.integral += self.last_v * dt;
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-
-    /// The integral of the signal over `[t0, t]` (value·seconds), closing
-    /// the open segment at `t`.
-    pub fn integral_until(&self, t: SimTime) -> f64 {
-        debug_assert!(t >= self.last_t);
-        self.integral + self.last_v * t.since(self.last_t).as_secs() as f64
-    }
-
-    /// The time-weighted mean over `[t0, t]`, closing the open segment at
-    /// `t`. If the span is zero, returns the current value.
-    pub fn mean_until(&self, t: SimTime) -> f64 {
-        let span_secs = t.since(self.t0).as_secs();
-        if span_secs == 0 {
-            self.last_v
-        } else {
-            self.integral_until(t) / span_secs as f64
-        }
-    }
-
-    /// Converts to the equivalent [`SimDuration`] of "value-seconds" if the
-    /// signal is a 0/1 indicator (e.g. uptime).
-    pub fn indicator_time_until(&self, t: SimTime) -> SimDuration {
-        SimDuration::from_secs_f64(self.integral_until(t))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn moments_basic() {
@@ -374,30 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.add(-1.0);
-        h.add(0.0);
-        h.add(1.9);
-        h.add(2.0);
-        h.add(9.99);
-        h.add(10.0);
-        h.add(100.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_bounds(0), (0.0, 2.0));
-        assert_eq!(h.bin_bounds(4), (8.0, 10.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
     fn samples_quantiles() {
         let mut s = Samples::new();
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
@@ -425,20 +272,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.median(), None);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        // Signal: 1.0 on [0, 10), 3.0 on [10, 20). Mean over [0, 20] = 2.0.
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.update(SimTime::from_secs(10), 3.0);
-        let m = tw.mean_until(SimTime::from_secs(20));
-        assert!((m - 2.0).abs() < 1e-12, "mean {m}");
-    }
-
-    #[test]
-    fn time_weighted_zero_span() {
-        let tw = TimeWeighted::new(SimTime::from_secs(5), 7.0);
-        assert_eq!(tw.mean_until(SimTime::from_secs(5)), 7.0);
     }
 }

@@ -350,19 +350,6 @@ impl Diary {
         self.entries.is_empty()
     }
 
-    /// Appends another diary's entries (e.g. merging per-arm diaries),
-    /// in time order; same-time entries keep their original relative order.
-    pub fn merge(&mut self, other: &Diary) {
-        self.extend(other.clone());
-    }
-
-    /// Consuming counterpart of [`Diary::merge`]: moves `other`'s entries
-    /// in without cloning, in time order. Same-time entries keep
-    /// `self`-before-`other` order and each diary's internal order.
-    pub fn extend(&mut self, other: Diary) {
-        *self = Diary::merged([core::mem::take(self), other]);
-    }
-
     /// Merges time-ordered diaries into one, in a single pass into an
     /// exactly sized log: by time, ties in input order, each diary's
     /// internal order kept. Merging per-arm diaries in arm order is
@@ -406,18 +393,6 @@ impl Diary {
             let _ = writeln!(out, "[{}] {:8} {:8} {}", e.at, e.severity, e.tier, e.message);
         }
         out
-    }
-}
-
-#[cfg(test)]
-impl Msg {
-    /// The text of a [`Msg::Text`]; tests that only log free text read
-    /// it back through this.
-    fn as_str(&self) -> &str {
-        match self {
-            Msg::Text(text) => text,
-            Msg::Device { .. } => panic!("typed message has no stored text: {self}"),
-        }
     }
 }
 
@@ -563,50 +538,6 @@ mod tests {
         assert!(text.contains("gateway"));
         assert!(text.contains("gw replaced"));
         assert!(text.contains("y005"));
-    }
-
-    #[test]
-    fn merge_sorts_by_time() {
-        let mut a = Diary::new();
-        a.log(SimTime::from_years(1), Severity::Info, Tier::Device, "a1");
-        a.log(SimTime::from_years(3), Severity::Info, Tier::Device, "a3");
-        let mut b = Diary::new();
-        b.log(SimTime::from_years(2), Severity::Info, Tier::Cloud, "b2");
-        a.merge(&b);
-        let years: Vec<u64> = a.entries().iter().map(|e| e.at.year()).collect();
-        assert_eq!(years, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn extend_is_stable_across_per_arm_diaries() {
-        // Three "arms" log at the same instants; after extend-merging, the
-        // same-time entries must keep arm order (a, then b, then c) and
-        // each arm's internal order — the property digests rely on.
-        let t = SimTime::from_years(1);
-        let mut a = Diary::new();
-        a.log(t, Severity::Info, Tier::Device, "a-first");
-        a.log(t, Severity::Info, Tier::Device, "a-second");
-        let mut b = Diary::new();
-        b.log(SimTime::ZERO, Severity::Info, Tier::Cloud, "b-early");
-        b.log(t, Severity::Info, Tier::Cloud, "b-at-t");
-        let mut c = Diary::new();
-        c.log(t, Severity::Info, Tier::System, "c-at-t");
-        a.extend(b);
-        a.extend(c);
-        let msgs: Vec<&str> = a.entries().iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(msgs, vec!["b-early", "a-first", "a-second", "b-at-t", "c-at-t"]);
-    }
-
-    #[test]
-    fn extend_matches_merge() {
-        let mut base1 = Diary::new();
-        base1.log(SimTime::from_years(2), Severity::Warning, Tier::Device, "w");
-        let mut base2 = base1.clone();
-        let mut other = Diary::new();
-        other.log(SimTime::from_years(1), Severity::Info, Tier::Gateway, "i");
-        base1.merge(&other);
-        base2.extend(other);
-        assert_eq!(base1.render(), base2.render());
     }
 
     #[test]

@@ -210,7 +210,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lints every workspace `.rs` file under `root` (excluding
-/// [`EXCLUDED_PREFIXES`]). Returns an error only on I/O failure; findings
+/// `EXCLUDED_PREFIXES`). Returns an error only on I/O failure; findings
 /// are data, not errors.
 pub fn lint_workspace(root: &Path) -> std::io::Result<RunReport> {
     let mut files = Vec::new();

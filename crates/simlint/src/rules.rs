@@ -21,7 +21,7 @@
 //!   `.partial_cmp(…)` chains in non-test code; use `total_cmp` (the PR 1
 //!   convention) so NaN and signed zero cannot poison an ordering.
 //! * **D004** — no indexed `devices[…]` access in digest-feeding crates.
-//!   The device population is a struct-of-arrays [`DeviceStore`] (PR 7);
+//!   The device population is a struct-of-arrays `DeviceStore`;
 //!   row-at-a-time poking through a `devices` vector bypasses the store's
 //!   incremental cohort census and stuck-device index, silently desyncing
 //!   the aggregate weekly sampler from the population it summarizes. Go

@@ -41,6 +41,9 @@ cargo run -q --release --example fifty_year_experiment > /dev/null
 echo "== lint gate (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc gate (broken or private intra-doc links; warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== simlint v2 (determinism flow rules R001-R004 + lexical rules, DESIGN.md §8, §15) =="
 # Baseline-gated: any finding NOT in target/simlint-baseline.json exits 1
 # and fails verify. The shipped tree is clean, so the baseline is normally
