@@ -175,3 +175,102 @@ fn digest_ignores_wall_clock_profile() {
     assert_eq!(a.digest(), b.digest());
     assert!(a.profile.run_nanos > 0 && b.profile.run_nanos > 0);
 }
+
+/// The Legacy paper experiment across seeds 0..64, plus eight seeds
+/// under the kitchen-sink chaos plan at full intensity: run digest and
+/// export FNV-1a per seed. The golden file pins five plain seeds and
+/// one chaos seed; this sweep widens the net under the Legacy weekly
+/// pass, whose sampler every paper claim runs through. The values are
+/// constants here, not blessable lines.
+#[test]
+fn paper_seed_sweep_matches_its_pins() {
+    let mut got = Vec::new();
+    for seed in 0..64 {
+        let report = FleetSim::run(FleetConfig::paper_experiment(seed));
+        got.push(pin(format!("seed={seed}"), &report));
+    }
+    for seed in 0..8 {
+        let cfg = FleetConfig::paper_experiment(seed);
+        let plan = FaultPlanBuilder::full(seed).build(&cfg, 1.0).expect("intensity 1.0 is valid");
+        let report = chaos::run_with_plan(cfg, plan);
+        got.push(pin(format!("seed={seed}/chaos=full@1.0"), &report));
+    }
+    let got: Vec<String> =
+        got.iter().map(|(name, d, e)| format!("{name} {d:016x} {e:016x}")).collect();
+    assert_eq!(got, PAPER_SEED_PINS, "the Legacy paper experiment drifted");
+}
+/// `paper_seed_sweep_matches_its_pins`'s values: `name digest export`.
+const PAPER_SEED_PINS: [&str; 72] = [
+    "seed=0 28671fd5ebb9087a 53378212d977206e",
+    "seed=1 6f8e62648e5044b4 73014e489c9f587c",
+    "seed=2 abedddff12d6b98e a0bbc77864630f85",
+    "seed=3 db80f24bbafefc4f 65dab37bff98ac02",
+    "seed=4 147eb8e1a41cb502 68bddd7aea831fbf",
+    "seed=5 9b78261eb86b4da4 be314002d3d645fc",
+    "seed=6 f51ed6f96d568c23 66ee46d6c42a9be4",
+    "seed=7 b8415d340a6c5afe 94530f1df8223cff",
+    "seed=8 28bc667afdf80458 e18e945c282752c1",
+    "seed=9 b1075e955c3ec63a a009227238aebc49",
+    "seed=10 d233d8fd1ad1947b 5de34c7f20649358",
+    "seed=11 3ba01b5693cb21db 0804ecf0311c1813",
+    "seed=12 34505d579928abea 035db339cbb01750",
+    "seed=13 741a507fde5e4990 124f539c9a73fda2",
+    "seed=14 62862179ac38a710 484236f50130e534",
+    "seed=15 182c0029af346562 b859ff28d8bfd2d0",
+    "seed=16 8aeec764f664de23 ec2a8ee5125f9acd",
+    "seed=17 7e967ef79e40ddc6 de996f5e013a35e4",
+    "seed=18 a85dc820789ceba6 6898d6d3ef91a6f4",
+    "seed=19 a662eaa97b04fc25 b23b2523eae12eaa",
+    "seed=20 981e73387e778649 5c2f7d61a8259ab4",
+    "seed=21 a7786e282a119b05 aee448683a61e2dc",
+    "seed=22 bb5c5b2a388b69cf bb5f0738533c48e1",
+    "seed=23 06a3a708759f2143 a0d2534659be7f23",
+    "seed=24 3399ffaf24aee4ed f406425c92089ba2",
+    "seed=25 bf1964f1914cb678 e8ed485f3ef65038",
+    "seed=26 081b2cc8e9e5977e 0f0167ea0f461cac",
+    "seed=27 0241a4cf29463e86 f51b76562c18d183",
+    "seed=28 c08d47187bec12de 81710c22ba37c87b",
+    "seed=29 45f7b7b6660eab04 a1a8e0a9112de561",
+    "seed=30 f12c13069cd05afb dd3a34f2e6b2ce2f",
+    "seed=31 f3f63feb2762a8b3 e60c8757b7cf69a1",
+    "seed=32 78e8330a7e07a889 d028b3cb42dc1fc9",
+    "seed=33 417cc2545a679562 98b30662224eb574",
+    "seed=34 088896fd6e38f1e9 4a74396c9836215c",
+    "seed=35 8e83d11332383c54 06e0502691ad3b9f",
+    "seed=36 1ec43cc437ada709 be1102a69efb093d",
+    "seed=37 d49938389edf8512 13f0b0530287e3a5",
+    "seed=38 cb639d1d3c09e689 93d427a95d0fd8f0",
+    "seed=39 2979add4ba99436b 3dc35f9bd352fc50",
+    "seed=40 dae38563d4e166be 0aca99546616c9b3",
+    "seed=41 056a80d6df605514 808303b0b9a512d7",
+    "seed=42 b5d5fb4f7895d8f2 f0a091ae5afad0df",
+    "seed=43 3fdeace23f8655ad d040ca6ad21f05df",
+    "seed=44 cb287d6b770a8369 63b383fd2b2b1a6f",
+    "seed=45 874da1b82f8df801 22faafe9e644d735",
+    "seed=46 218a7eadddd12a3f 76059f6eae996efb",
+    "seed=47 a60bdb96b794fb73 f69bbe0b79b7c647",
+    "seed=48 823b4e28153c58f5 0527076bde919d89",
+    "seed=49 6a63f3aec644f66a ef1528c127b4bd72",
+    "seed=50 3b6f27b1d35e8949 00077c82d06bad0e",
+    "seed=51 063318376bca44ff bca336c7cb482f1d",
+    "seed=52 1a8f4a5c01524ec1 3c33efaa9e7271e1",
+    "seed=53 38f8f37ece0a50b7 09f823f1744ed214",
+    "seed=54 a37d0e99de861ca8 c5e83a1560382e16",
+    "seed=55 ecfa0358254fcbd6 1179dde27e47c779",
+    "seed=56 32acc295cf700289 45b1de3dc1266c1c",
+    "seed=57 2230e36de0e438b3 736394e4fc6f80b2",
+    "seed=58 4abb477b41148652 fe39c52b2314b662",
+    "seed=59 63ca2053166db695 452af88af05f6478",
+    "seed=60 8c7ef253e6a9a10c f5f2767e8698d1d5",
+    "seed=61 2839a7044364283b 20c3c89a93cc207d",
+    "seed=62 c0a315a8f7002ae1 b63546090b62f22b",
+    "seed=63 d33e3b127ce4aa82 b713257d35a8beda",
+    "seed=0/chaos=full@1.0 fc6b21d36c15924b ec6c454bede5ee32",
+    "seed=1/chaos=full@1.0 89899ebdc4bb57c3 077e0190c4615bea",
+    "seed=2/chaos=full@1.0 dd09bae9c0e331a8 f102737484fcff7a",
+    "seed=3/chaos=full@1.0 b5caf49d06d5e125 e0d74fd63158397c",
+    "seed=4/chaos=full@1.0 f1c2967380639a97 27418a0eedeac924",
+    "seed=5/chaos=full@1.0 b5f5da6a7de51eec 1ed7fa4531ed6ee3",
+    "seed=6/chaos=full@1.0 d568ba959224b730 3a25f5a104538c91",
+    "seed=7/chaos=full@1.0 830cd61d51a737ec 0323a464d7e78afd",
+];
