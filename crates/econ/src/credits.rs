@@ -166,7 +166,7 @@ impl Wallet {
     pub fn burn_packets(&mut self, now: SimTime, payload_bytes: u32, count: u64) -> u64 {
         let need = credits_for_packet(payload_bytes);
         debug_assert!(need > 0, "every packet costs at least one credit");
-        let paid = (self.balance / need).min(count);
+        let paid = affordable(self.balance, need, count);
         let spent = paid * need;
         self.balance -= spent;
         self.burned += spent;
@@ -310,7 +310,7 @@ impl WalletColumn {
         };
         let need = credits_for_packet(payload_bytes);
         debug_assert!(need > 0, "every packet costs at least one credit");
-        let paid = (*balance / need).min(count);
+        let paid = affordable(*balance, need, count);
         let spent = paid * need;
         *balance -= spent;
         self.burned[i] += spent;
@@ -324,6 +324,17 @@ impl WalletColumn {
     /// credits lost; `None` out of bounds.
     pub fn drain(&mut self, i: usize) -> Option<u64> {
         self.balance.get_mut(i).map(std::mem::take)
+    }
+}
+
+/// How many of `count` packets at `need` credits each `balance` pays
+/// for: `(balance / need).min(count)`, without the division when the
+/// whole batch fits (the usual weekly burn of a funded wallet).
+#[inline]
+fn affordable(balance: u64, need: u64, count: u64) -> u64 {
+    match count.checked_mul(need) {
+        Some(cost) if cost <= balance => count,
+        _ => (balance / need).min(count),
     }
 }
 
@@ -490,6 +501,37 @@ mod tests {
             assert_eq!(bulk.balance(), looped.balance());
             assert_eq!(bulk.burned(), looped.burned());
             assert_eq!(bulk.exhausted_at(), looped.exhausted_at());
+        }
+    }
+
+    #[test]
+    fn bulk_burn_equals_the_division_formula_at_the_edges() {
+        let now = SimTime::from_secs(7);
+        for bytes in [24, 25, 240] {
+            let need = credits_for_packet(bytes);
+            for count in [0, 1, 168] {
+                let balances = [0, need - 1, (count * need).saturating_sub(1), count * need, u64::MAX];
+                for balance in balances {
+                    let paid = (balance / need).min(count);
+                    let spent = paid * need;
+                    let exhausted = (paid < count).then_some(now);
+                    let case = format!("balance {balance}, need {need}, count {count}");
+
+                    let mut w = Wallet::with_credits(balance);
+                    assert_eq!(w.burn_packets(now, bytes, count), paid, "{case}");
+                    assert_eq!(w.balance(), balance - spent, "{case}");
+                    assert_eq!(w.burned(), spent, "{case}");
+                    assert_eq!(w.exhausted_at(), exhausted, "{case}");
+
+                    let mut col = WalletColumn::provision_uniform(2, Usd::ZERO);
+                    assert!(col.set(1, &Wallet::with_credits(balance)));
+                    assert_eq!(col.burn_packets(1, now, bytes, count), paid, "{case}");
+                    assert_eq!(col.get(1).map(|c| c.raw_state()), Some(w.raw_state()), "{case}");
+                    assert_eq!(col.exhausted_at(1), exhausted, "{case}");
+                    let untouched = Wallet::provision_dollars(Usd::ZERO).raw_state();
+                    assert_eq!(col.get(0).map(|c| c.raw_state()), Some(untouched), "{case}");
+                }
+            }
         }
     }
 

@@ -33,7 +33,7 @@ use econ::credits::{Wallet, WalletColumn};
 use econ::labor::PersonHours;
 use econ::money::Usd;
 use reliability::system::bom;
-use simcore::dist::{sorted_uniforms, Binomial, InverseCdf};
+use simcore::dist::{sorted_uniforms, Binomial, InverseCdf, NormalDraw};
 use simcore::engine::{Ctx, Engine, EngineCheckpoint, EngineProfile, ResumeError, World};
 use simcore::rng::Rng;
 use simcore::survival::Observation;
@@ -201,6 +201,10 @@ pub enum SamplingMode {
 /// Arm count of [`FleetConfig::scaled`]: divisible by 2, 4 and 8 so the
 /// LPT shard plan balances perfectly at the usual shard counts.
 pub const SCALE_ARMS: usize = 16;
+
+/// The largest weekly delivered count whose histogram bucket an arm
+/// tabulates (the paper cadence delivers at most 168 a week).
+const WEEKLY_BUCKET_TABLE: u64 = 4096;
 
 /// Whole-simulation configuration.
 #[derive(Clone, Debug)]
@@ -599,6 +603,10 @@ pub(crate) struct ArmState {
     /// run accumulate here without atomics and flush once at finalize,
     /// keeping instrumentation inside the profiling overhead budget.
     pub(crate) weekly_acc: LocalHistogram,
+    /// `weekly_acc`'s bucket for each delivered count `0..=reports`
+    /// (at most [`WEEKLY_BUCKET_TABLE`] + 1 entries; larger counts take
+    /// the bucket search), built once per arm at build.
+    pub(crate) weekly_bucket_of: Vec<usize>,
     /// Telemetry: the open backhaul-outage span, between a provider exit
     /// and the replacement commissioning.
     pub(crate) outage_span: Option<SpanId>,
@@ -606,6 +614,10 @@ pub(crate) struct ArmState {
     /// weekly pass before use: a reused buffer rather than a per-week
     /// allocation, carrying nothing between weeks (never snapshotted).
     pub(crate) path_probs: Vec<f64>,
+    /// The Legacy pass's per-cohort `(mean, sd)` of the week's delivered
+    /// count (`None` where no packet gets through): a reused buffer like
+    /// `path_probs`, never snapshotted.
+    pub(crate) week_moments: Vec<Option<(f64, f64)>>,
 }
 
 /// The simulation world.
@@ -910,6 +922,9 @@ impl FleetSim {
                 )
                 // simlint: allow(P001, the arm-index prefix makes the name unique)
                 .expect("index-prefixed names are unique");
+            let reports = arm_cfg.device_spec.reports_per_week().min(WEEKLY_BUCKET_TABLE);
+            let weekly_bucket_of =
+                (0..=reports).map(|v| weekly_buckets.bucket_index(v as f64)).collect();
             let weekly_acc = LocalHistogram::new(weekly_buckets);
             arms.push(ArmState {
                 id: ai,
@@ -926,8 +941,10 @@ impl FleetSim {
                 delivered,
                 weekly_hist,
                 weekly_acc,
+                weekly_bucket_of,
                 outage_span: None,
                 path_probs: Vec::new(),
+                week_moments: Vec::new(),
             });
         }
 
@@ -1274,41 +1291,45 @@ impl FleetSim {
         // Path state is per cohort, fixed for the week, and draw-free:
         // computed once here, it leaves the per-device draw order alone.
         Self::refresh_path_probs(arm, now);
+        // So are the delivered count's moments: the normal approximation
+        // of the binomial (reports is 168 for the paper cadence), `None`
+        // where no packet gets through. A stuck device delivers nothing
+        // whatever its cohort's moments.
+        let energy = arm.cfg.device_spec.energy_availability;
+        arm.week_moments.clear();
+        arm.week_moments.extend(arm.path_probs.iter().map(|&path_p| {
+            let p_packet = if cloud_up { path_p * energy } else { 0.0 };
+            if p_packet <= 0.0 {
+                None
+            } else {
+                let mean = reports as f64 * p_packet;
+                let sd = (reports as f64 * p_packet * (1.0 - p_packet)).sqrt();
+                Some((mean, sd))
+            }
+        }));
+        let payload_len = arm.cfg.device_spec.payload.len() as u32;
+        let any_byzantine = arm.store.any_byzantine_at(now);
         let mut any_delivered = false;
         for di in 0..arm.store.len() {
             if !arm.store.alive_at(di, now) {
                 continue;
             }
             // One unconditional draw per alive device (CRN; see above).
-            let z = simcore::dist::standard_normal(&mut arm.rng);
+            let draw = NormalDraw::take(&mut arm.rng);
             // Figure 1's reliance structure: the device's own gateways
             // must forward (its cohort's path probability).
-            let path_p = arm.path_probs[arm.store.cohort_of(di)];
-            let p_packet = if !cloud_up || arm.store.stuck_at(di, now) {
-                0.0
-            } else {
-                path_p * arm.cfg.device_spec.energy_availability
-            };
-            // Sample the delivered count with a normal approximation of the
-            // binomial (reports is 168 for the paper cadence).
-            let delivered = if p_packet <= 0.0 {
-                0
-            } else {
-                let mean = reports as f64 * p_packet;
-                let sd = (reports as f64 * p_packet * (1.0 - p_packet)).sqrt();
-                (mean + sd * z).round().clamp(0.0, reports as f64) as u64
+            let delivered = match arm.week_moments[arm.store.cohort_of(di)] {
+                Some((mean, sd)) if !arm.store.stuck_at(di, now) => {
+                    draw.rounded(mean, sd, reports)
+                }
+                _ => 0,
             };
             // Federated arm: credits burn per delivered packet.
             let delivered = match &mut arm.infra {
                 ArmInfra::Federated { wallets, .. } => {
                     // O(1) bulk burn, semantically identical to burning
                     // per packet and stopping at the first failure.
-                    let paid = wallets.burn_packets(
-                        di,
-                        now,
-                        arm.cfg.device_spec.payload.len() as u32,
-                        delivered,
-                    );
+                    let paid = wallets.burn_packets(di, now, payload_len, delivered);
                     if wallets.exhausted_at(di) == Some(now) {
                         arm.report.wallets_exhausted += 1;
                         arm.diary.log(
@@ -1324,8 +1345,12 @@ impl FleetSim {
             };
             // A byzantine device transmits (and pays) as usual, but its
             // readings are garbage: nothing usable reaches the endpoint.
-            let delivered = if arm.store.byzantine_at(di, now) { 0 } else { delivered };
-            arm.weekly_acc.observe(delivered as f64);
+            let delivered =
+                if any_byzantine && arm.store.byzantine_at(di, now) { 0 } else { delivered };
+            match arm.weekly_bucket_of.get(delivered as usize) {
+                Some(&bucket) => arm.weekly_acc.observe_at(bucket, delivered as f64),
+                None => arm.weekly_acc.observe(delivered as f64),
+            }
             if delivered > 0 {
                 any_delivered = true;
                 arm.report.readings_delivered += delivered;

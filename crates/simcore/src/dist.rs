@@ -200,9 +200,191 @@ impl Normal {
 
 /// Draws a standard normal variate via Box–Muller (two uniforms per output).
 pub fn standard_normal(rng: &mut Rng) -> f64 {
-    let u1 = rng.next_f64_open();
-    let u2 = rng.next_f64();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+    NormalDraw::take(rng).z()
+}
+
+/// The uniforms of one [`standard_normal`] draw, for a caller that only
+/// needs the variate scaled, rounded and clamped to a count.
+///
+/// [`rounded`](Self::rounded) returns exactly the libm expression
+/// `(mean + sd·z).round().clamp(0, hi)` of [`exact_rounded`](Self::exact_rounded),
+/// but evaluates `z` with a table kernel ([`fast_rounded`](Self::fast_rounded))
+/// of `+ − × ÷ sqrt` and truncating casts. Wherever the kernel's error
+/// could move the integer — `mean + sd·z` within
+/// `δ = 1e-6·(1 + sd)` of a half-integer — or an input lies outside the
+/// validated domain, it answers from the libm expression instead, so the
+/// result is the libm one for every input (DESIGN.md §6, "The filtered
+/// Box–Muller kernel").
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NormalDraw {
+    u1: f64,
+    u2: f64,
+}
+
+impl NormalDraw {
+    /// Takes the draw's two uniforms from `rng`, consuming exactly what
+    /// [`standard_normal`] consumes.
+    #[inline]
+    pub fn take(rng: &mut Rng) -> Self {
+        let u1 = rng.next_f64_open();
+        let u2 = rng.next_f64();
+        NormalDraw { u1, u2 }
+    }
+
+    /// A draw from given uniforms: `u1` in `(0, 1)` feeds the radius,
+    /// `u2` in `[0, 1)` the angle.
+    pub fn from_uniforms(u1: f64, u2: f64) -> Self {
+        NormalDraw { u1, u2 }
+    }
+
+    /// The standard normal variate, `sqrt(−2 ln u1)·cos(2π u2)` through
+    /// libm: the one copy of the Box–Muller expression.
+    #[inline]
+    pub fn z(self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt() * (core::f64::consts::TAU * self.u2).cos()
+    }
+
+    /// `mean + sd·z` rounded half away from zero and clamped to
+    /// `[0, hi]`, through the libm expression.
+    pub fn exact_rounded(self, mean: f64, sd: f64, hi: u64) -> u64 {
+        (mean + sd * self.z()).round().clamp(0.0, hi as f64) as u64
+    }
+
+    /// [`exact_rounded`](Self::exact_rounded)'s value, from the table
+    /// kernel where it is provably the same and from the libm expression
+    /// elsewhere.
+    #[inline]
+    pub fn rounded(self, mean: f64, sd: f64, hi: u64) -> u64 {
+        match self.fast_rounded(mean, sd, hi) {
+            Some(n) => n,
+            None => self.exact_rounded(mean, sd, hi),
+        }
+    }
+
+    /// The table kernel alone: `Some` of
+    /// [`exact_rounded`](Self::exact_rounded)'s value, or `None` where the
+    /// kernel cannot vouch for it — an input outside the validated
+    /// domain (`u1` a normal number below 1, `u2` in `[0, 1)`, `mean` and `sd` in
+    /// `[0, 2^20]`, `hi ≤ 2^20`), a NaN, or `mean + sd·z` within
+    /// `1e-6·(1 + sd)` of a half-integer.
+    #[inline]
+    pub fn fast_rounded(self, mean: f64, sd: f64, hi: u64) -> Option<u64> {
+        // Non-negative floats order as their bit patterns; negative ones
+        // and NaNs carry bits above every bound here, so each range check
+        // is one integer comparison.
+        const LIMIT: u64 = 1 << 20;
+        let limit_bits = (LIMIT as f64).to_bits();
+        let one_bits = 1.0f64.to_bits();
+        let min_bits = f64::MIN_POSITIVE.to_bits();
+        let in_domain = (mean.to_bits() <= limit_bits)
+            & (sd.to_bits() <= limit_bits)
+            & (hi <= LIMIT)
+            & (self.u1.to_bits().wrapping_sub(min_bits) < one_bits - min_bits)
+            & (self.u2.to_bits() < one_bits);
+        if !in_domain {
+            return None;
+        }
+        let x = mean + sd * kernel_z(self.u1, self.u2);
+        let delta = ROUNDING_GUARD * (1.0 + sd);
+        let top = hi as i64 as f64;
+        if x < 0.5 - delta {
+            Some(0)
+        } else if x > top - 0.5 + delta {
+            Some(hi)
+        } else {
+            // Here `x + 0.5` lies in [1 − δ, hi + δ]: its truncation is
+            // its floor, and `round(x)` is that floor unless `x` sits near
+            // a half-integer. A NaN fails every comparison and lands here
+            // too, where `frac` is NaN and the answer `None`.
+            let y = x + 0.5;
+            let n = y as i64;
+            let frac = y - n as f64;
+            (frac >= delta && frac <= 1.0 - delta).then_some(n as u64)
+        }
+    }
+}
+
+/// The half-width `δ` per unit of `1 + sd` around each half-integer in
+/// which [`NormalDraw::fast_rounded`] defers to libm: ten million times
+/// the kernel's tested error bound `KERNEL_Z_BOUND`.
+const ROUNDING_GUARD: f64 = 1e-6;
+
+/// The bound on `|kernel_z(u1, u2) − NormalDraw::z()|` the kernel is
+/// tested against (2^-40).
+#[cfg(test)]
+const KERNEL_Z_BOUND: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Table resolution of the `ln` kernel: 2^7 mantissa intervals.
+const LN_BITS: u32 = 7;
+/// Table resolution of the angle kernel: 2^8 sectors of the circle.
+const TRIG_BITS: u32 = 8;
+
+/// The kernel's tables, built once from libm.
+struct BoxMullerTables {
+    /// Per mantissa interval `j` of `[1, 2)`: the reference point `c`
+    /// (the interval's centre; 2 for the last interval, so `ln u1` keeps
+    /// full relative accuracy as `u1 → 1`), `1/c`, and `ln c`, less
+    /// `ln 2` for the upper half (`c ≥ 1.5`), whose exponent takes one
+    /// more. The shift keeps the terms small where `ln u1` is.
+    ln: [[f64; 3]; 1 << LN_BITS],
+    /// `(cos, sin)` of each angle sector's centre, `2π(k + ½)/256`.
+    trig: [[f64; 2]; 1 << TRIG_BITS],
+}
+
+#[inline]
+fn tables() -> &'static BoxMullerTables {
+    static TABLES: std::sync::OnceLock<BoxMullerTables> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut ln = [[0.0; 3]; 1 << LN_BITS];
+        let last = ln.len() - 1;
+        for (j, e) in ln.iter_mut().enumerate() {
+            let c = if j == last { 2.0 } else { 1.0 + (j as f64 + 0.5) / (1 << LN_BITS) as f64 };
+            let l = if c >= 1.5 { (c / 2.0).ln() } else { c.ln() };
+            *e = [c, 1.0 / c, l];
+        }
+        let mut trig = [[0.0; 2]; 1 << TRIG_BITS];
+        for (k, e) in trig.iter_mut().enumerate() {
+            let a = core::f64::consts::TAU * (k as f64 + 0.5) / (1 << TRIG_BITS) as f64;
+            *e = [a.cos(), a.sin()];
+        }
+        BoxMullerTables { ln, trig }
+    })
+}
+
+/// `sqrt(−2 ln u1)·cos(2π u2)` from the tables, for `u1` a normal
+/// number in `(0, 1)` and `u2` in `[0, 1)`.
+///
+/// `u1 = 2^e·m` with `m` in `[1, 2)`; the top `LN_BITS` of `m` pick a
+/// reference `c`, and `ln u1 = e·ln 2 + ln c + ln(1 + r)` with
+/// `r = (m − c)/c`, `|r| ≤ 2^-8`, where five Taylor terms leave an error
+/// under `|r|^6/6 ≈ 6e-16`. `u2·256` splits into a sector `k` and an
+/// offset `h` of at most `π/256` from its centre, and
+/// `cos(φ_k + h) = cos φ_k·cos h − sin φ_k·sin h` with `cos h` to `h^4`
+/// (error under `5e-15`) and `sin h` to `h^5` (under `1e-17`).
+#[inline]
+fn kernel_z(u1: f64, u2: f64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const ONE_BITS: u64 = 0x3ff << 52;
+    let t = tables();
+    let bits = u1.to_bits();
+    let j = ((bits >> (52 - LN_BITS)) & ((1 << LN_BITS) - 1)) as usize;
+    let upper = i64::from(j >= 1 << (LN_BITS - 1));
+    let e = ((bits >> 52) as i64 + upper - 1023) as f64;
+    let m = f64::from_bits((bits & MANTISSA) | ONE_BITS);
+    let [c, inv_c, ln_c] = t.ln[j];
+    let r = (m - c) * inv_c;
+    let ln_1r = r + r * r * (-0.5 + r * (1.0 / 3.0 + r * (-0.25 + r * 0.2)));
+    let ln_u1 = e * core::f64::consts::LN_2 + ln_c + ln_1r;
+    let radius = (-2.0 * ln_u1).sqrt();
+
+    let scaled = u2 * (1 << TRIG_BITS) as f64;
+    let k = scaled as i64;
+    let h = (scaled - k as f64 - 0.5) * (core::f64::consts::TAU / (1 << TRIG_BITS) as f64);
+    let h2 = h * h;
+    let cos_h = 1.0 + h2 * (-0.5 + h2 * (1.0 / 24.0));
+    let sin_h = h * (1.0 + h2 * (-1.0 / 6.0 + h2 * (1.0 / 120.0)));
+    let [cos_k, sin_k] = t.trig[(k as usize) & ((1 << TRIG_BITS) - 1)];
+    radius * (cos_k * cos_h - sin_k * sin_h)
 }
 
 /// Log-normal distribution: `exp(N(mu, sigma))`.
@@ -360,18 +542,6 @@ impl Zipf {
             .binary_search_by(|c| c.total_cmp(&u))
             .unwrap_or_else(|i| i);
         (idx + 1).min(self.cdf.len())
-    }
-
-    /// The probability mass of the 1-based `rank`.
-    ///
-    /// Returns 0 for ranks outside `1..=n`.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        if rank == 0 || rank > self.cdf.len() {
-            return 0.0;
-        }
-        let hi = self.cdf[rank - 1];
-        let lo = if rank >= 2 { self.cdf[rank - 2] } else { 0.0 };
-        hi - lo
     }
 
     /// Number of ranks `n`.
@@ -720,6 +890,19 @@ mod tests {
 
     fn rng() -> Rng {
         Rng::seed_from(1234)
+    }
+
+    impl Zipf {
+        /// The probability mass of the 1-based `rank` (0 outside
+        /// `1..=n`): the oracle the Zipf tests check the CDF against.
+        fn pmf(&self, rank: usize) -> f64 {
+            if rank == 0 || rank > self.cdf.len() {
+                return 0.0;
+            }
+            let hi = self.cdf[rank - 1];
+            let lo = if rank >= 2 { self.cdf[rank - 2] } else { 0.0 };
+            hi - lo
+        }
     }
 
     fn sample_mean(mut f: impl FnMut(&mut Rng) -> f64, n: usize) -> f64 {
@@ -1085,5 +1268,160 @@ mod tests {
     fn param_error_displays() {
         let e = Uniform::new(1.0, 0.0).unwrap_err();
         assert!(e.to_string().contains("Uniform"));
+    }
+
+    /// `(mean, sd, hi)` of the weekly delivered count at per-packet
+    /// probability `p` over `reports` reports, as the Legacy weekly pass
+    /// forms them.
+    fn weekly_moments(p: f64, reports: u64) -> (f64, f64, u64) {
+        let n = reports as f64;
+        (n * p, (n * p * (1.0 - p)).sqrt(), reports)
+    }
+
+    /// The per-packet probabilities the sweeps cover: the paper arms'
+    /// (owned: 0.95 per packet; Helium: 0.90 per hotspot, one to six
+    /// hotspots; both × 0.999 energy availability), the extremes, and a
+    /// `p > 1` whose `sd` is NaN.
+    fn sweep_probabilities() -> Vec<f64> {
+        let mut ps = vec![0.95 * 0.999];
+        ps.extend((1..=6).map(|n| (1.0 - (1.0 - 0.9f64).powi(n)) * 0.999));
+        ps.extend([1e-9, 0.5, 1.0 - 1e-9, 1.0, 1.25]);
+        ps
+    }
+
+    /// Draws `pairs` uniform pairs from `seed`, cycling through every
+    /// probability × `reports ∈ {168, 1}`, and checks the kernel's `z`
+    /// against libm's within [`KERNEL_Z_BOUND`] and `rounded` against
+    /// `exact_rounded`. Returns how many draws fell back to libm.
+    fn sweep(pairs: u64, seed: u64) -> u64 {
+        let mut cases = Vec::new();
+        for p in sweep_probabilities() {
+            cases.push(weekly_moments(p, 168));
+            cases.push(weekly_moments(p, 1));
+        }
+        let mut r = Rng::seed_from(seed);
+        let mut fallbacks = 0;
+        for i in 0..pairs {
+            let d = NormalDraw::take(&mut r);
+            let z = d.z();
+            let err = (kernel_z(d.u1, d.u2) - z).abs();
+            assert!(err <= KERNEL_Z_BOUND, "|Δz| = {err:e} at {d:?}");
+            let (mean, sd, hi) = cases[(i % cases.len() as u64) as usize];
+            let fast = d.fast_rounded(mean, sd, hi);
+            let exact = d.exact_rounded(mean, sd, hi);
+            assert_eq!(d.rounded(mean, sd, hi), exact, "{d:?} mean {mean} sd {sd}");
+            match fast {
+                Some(n) => assert_eq!(n, exact, "{d:?} mean {mean} sd {sd}"),
+                None => fallbacks += 1,
+            }
+        }
+        fallbacks
+    }
+
+    #[test]
+    fn standard_normal_is_the_draws_libm_variate() {
+        let (mut a, mut b) = (rng(), rng());
+        for _ in 0..1000 {
+            let z = standard_normal(&mut a);
+            assert_eq!(z.to_bits(), NormalDraw::take(&mut b).z().to_bits());
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "both consume two uniforms per draw");
+    }
+
+    #[test]
+    fn rounded_matches_libm_over_ten_million_pairs() {
+        let fallbacks = sweep(10_000_000, 29);
+        // The NaN-sd probability (2 cases in 24) always falls back; the
+        // filter itself fires on a few draws per million.
+        let nan_cases = 2 * 10_000_000 / 24;
+        assert!(fallbacks >= nan_cases && fallbacks < nan_cases + 1_000, "{fallbacks}");
+    }
+
+    #[test]
+    #[ignore = "10^8 draws in a release build; scripts/verify.sh runs it"]
+    fn rounded_matches_libm_over_a_hundred_million_pairs() {
+        sweep(100_000_000, 30);
+    }
+
+    #[test]
+    fn rounded_matches_libm_at_the_extreme_uniforms() {
+        let top = 1.0 - f64::EPSILON / 2.0;
+        let mut u2s = vec![0.0, top];
+        u2s.extend((0..4).map(|k| k as f64 / 4.0));
+        u2s.extend((0..256).map(|k| k as f64 / 256.0));
+        for u1 in [f64::EPSILON / 2.0, top] {
+            for &u2 in &u2s {
+                let d = NormalDraw::from_uniforms(u1, u2);
+                let err = (kernel_z(u1, u2) - d.z()).abs();
+                assert!(err <= KERNEL_Z_BOUND, "|Δz| = {err:e} at {d:?}");
+                for p in sweep_probabilities() {
+                    for reports in [168, 1] {
+                        let (mean, sd, hi) = weekly_moments(p, reports);
+                        let exact = d.exact_rounded(mean, sd, hi);
+                        assert_eq!(d.rounded(mean, sd, hi), exact, "{d:?} p {p}");
+                        if let Some(n) = d.fast_rounded(mean, sd, hi) {
+                            assert_eq!(n, exact, "{d:?} p {p}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_half_integer_values_reach_the_fallback() {
+        let mut r = rng();
+        for i in 0..2_000 {
+            let d = NormalDraw::take(&mut r);
+            let sd = [0.0, 0.3, 2.1, 6.4][i % 4];
+            let guard = ROUNDING_GUARD * (1.0 + sd);
+            for k in [0.5, 1.5, 83.5, 167.5] {
+                // Within the guard band of the half-integer k: the
+                // kernel must not answer.
+                for off in [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 0.5 * guard, -0.5 * guard] {
+                    let mean = k + off - sd * d.z();
+                    if !(0.0..=168.0).contains(&mean) {
+                        continue;
+                    }
+                    assert_eq!(d.fast_rounded(mean, sd, 168), None, "{d:?} mean {mean} sd {sd}");
+                    assert_eq!(d.rounded(mean, sd, 168), d.exact_rounded(mean, sd, 168));
+                }
+                // Clear of the band, it answers, and answers right.
+                for off in [2.0 * guard, -2.0 * guard] {
+                    let mean = k + off - sd * d.z();
+                    if !(0.0..=168.0).contains(&mean) {
+                        continue;
+                    }
+                    let fast = d.fast_rounded(mean, sd, 168);
+                    assert_eq!(fast, Some(d.exact_rounded(mean, sd, 168)), "{d:?} mean {mean}");
+                }
+            }
+        }
+        // Angles a quarter turn apart: libm's cos(2π·¼) is 6e-17, not 0,
+        // so `0.5 + sd·z` is a tie only up to that residue.
+        for u2 in [0.25, 0.75] {
+            let d = NormalDraw::from_uniforms(0.3, u2);
+            assert_eq!(d.fast_rounded(0.5, 1.0, 1), None);
+            assert_eq!(d.rounded(0.5, 1.0, 1), d.exact_rounded(0.5, 1.0, 1));
+        }
+    }
+
+    #[test]
+    fn inputs_outside_the_domain_reach_the_fallback() {
+        let d = NormalDraw::from_uniforms(0.3, 0.1);
+        let (mean, sd, hi) = weekly_moments(1.25, 168);
+        assert!(sd.is_nan());
+        assert_eq!(d.fast_rounded(mean, sd, hi), None);
+        assert_eq!(d.rounded(mean, sd, hi), 0, "NaN rounds, clamps and casts to 0");
+        for (mean, sd) in [(f64::NAN, 1.0), (-1.0, 1.0), (1.0, -1.0), (1e7, 1.0), (1.0, 1e7)] {
+            assert_eq!(d.fast_rounded(mean, sd, 168), None, "mean {mean} sd {sd}");
+            assert_eq!(d.rounded(mean, sd, 168), d.exact_rounded(mean, sd, 168));
+        }
+        assert_eq!(d.fast_rounded(1.0, 1.0, 1 << 21), None);
+        for (u1, u2) in [(0.0, 0.1), (1.0, 0.1), (f64::MIN_POSITIVE / 2.0, 0.1), (0.3, 1.0), (0.3, -0.1)] {
+            let d = NormalDraw::from_uniforms(u1, u2);
+            assert_eq!(d.fast_rounded(84.0, 6.0, 168), None, "u1 {u1} u2 {u2}");
+            assert_eq!(d.rounded(84.0, 6.0, 168), d.exact_rounded(84.0, 6.0, 168));
+        }
     }
 }

@@ -299,6 +299,20 @@ impl LocalHistogram {
         }
     }
 
+    /// Records one observation of `x` into `bucket`, which must be
+    /// `bucket_index(x)` of this buffer's layout: the same update as
+    /// [`observe`](Self::observe) for a caller that tabulated the bucket
+    /// of each value it can observe.
+    #[inline]
+    pub fn observe_at(&mut self, bucket: usize, x: f64) {
+        debug_assert_eq!(bucket, self.buckets.bucket_index(x), "bucket of {x}");
+        self.counts[bucket] += 1;
+        self.count += 1;
+        if x.is_finite() {
+            self.sum += x;
+        }
+    }
+
     /// Records `n` identical observations of `x` in O(1).
     ///
     /// Exactly equivalent to calling [`observe`](Self::observe) `n`

@@ -66,6 +66,9 @@ cargo test -q --release -p fleet --lib \
 echo "== century-horizon pins (100k and 1M devices x 50 years, aggregate; digest, export FNV, events and queue high-water fixed) =="
 cargo test -q --release --test golden_digests -- --ignored century_horizon_runs_match_their_pins
 
+echo "== filtered Box-Muller kernel (10^8 draws; the table kernel's rounded counts equal the libm expression's) =="
+cargo test -q --release -p simcore --lib -- --ignored rounded_matches_libm_over_a_hundred_million_pairs
+
 echo "== serve smoke (daemon up; miss -> hit with equal digests; replay re-proof; streamed hit; stats histograms; graceful shutdown) =="
 rm -rf target/verify-serve-cache
 ./target/release/century-serve --cache-dir target/verify-serve-cache \
