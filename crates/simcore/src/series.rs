@@ -55,11 +55,6 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// The last recorded value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
     /// Value at time `t` under zero-order hold (last value at or before `t`).
     ///
     /// Returns `None` if `t` precedes the first point.
@@ -151,7 +146,7 @@ mod tests {
         s.push(t(0), 1.0);
         s.push(t(10), 0.5);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.last_value(), Some(0.5));
+        assert_eq!(s.points().last(), Some(&(t(10), 0.5)));
         assert_eq!(s.name(), "alive");
     }
 

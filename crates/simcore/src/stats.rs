@@ -17,7 +17,8 @@
 /// }
 /// assert_eq!(m.count(), 8);
 /// assert!((m.mean() - 5.0).abs() < 1e-12);
-/// assert!((m.population_variance() - 4.0).abs() < 1e-12);
+/// // Squared deviations sum to 32 over n − 1 = 7 degrees of freedom.
+/// assert!((m.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Moments {
@@ -75,15 +76,6 @@ impl Moments {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (divides by n; 0 if empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 

@@ -146,27 +146,6 @@ impl KaplanMeier {
     pub fn n(&self) -> u64 {
         self.n
     }
-
-    /// Greenwood's formula: the variance of Ŝ(t).
-    pub fn greenwood_variance_at(&self, t: f64) -> f64 {
-        let mut sum = 0.0;
-        let mut s = 1.0;
-        for p in &self.points {
-            if p.time > t {
-                break;
-            }
-            let d = p.events as f64;
-            let r = p.at_risk as f64;
-            if r > d {
-                sum += d / (r * (r - d));
-            } else {
-                // Curve hit zero; variance of a degenerate estimate is 0.
-                sum = 0.0;
-            }
-            s = p.survival;
-        }
-        s * s * sum
-    }
 }
 
 #[cfg(test)]
@@ -247,18 +226,6 @@ mod tests {
         let km = KaplanMeier::fit(&obs);
         assert_eq!(km.n(), 1);
         assert!((km.survival_at(2.0) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn greenwood_variance_positive_before_zero() {
-        let obs = vec![
-            Observation::failed(1.0),
-            Observation::censored(2.0),
-            Observation::failed(3.0),
-            Observation::censored(4.0),
-        ];
-        let km = KaplanMeier::fit(&obs);
-        assert!(km.greenwood_variance_at(1.5) > 0.0);
     }
 
     #[test]
