@@ -1292,7 +1292,8 @@ mod tests {
     /// Draws `pairs` uniform pairs from `seed`, cycling through every
     /// probability × `reports ∈ {168, 1}`, and checks the kernel's `z`
     /// against libm's within [`KERNEL_Z_BOUND`] and `rounded` against
-    /// `exact_rounded`. Returns how many draws fell back to libm.
+    /// `exact_rounded`. Returns how many draws with a finite `sd` fell
+    /// back to libm (a NaN `sd` always does).
     fn sweep(pairs: u64, seed: u64) -> u64 {
         let mut cases = Vec::new();
         for p in sweep_probabilities() {
@@ -1312,6 +1313,7 @@ mod tests {
             assert_eq!(d.rounded(mean, sd, hi), exact, "{d:?} mean {mean} sd {sd}");
             match fast {
                 Some(n) => assert_eq!(n, exact, "{d:?} mean {mean} sd {sd}"),
+                None if sd.is_nan() => {}
                 None => fallbacks += 1,
             }
         }
@@ -1330,11 +1332,9 @@ mod tests {
 
     #[test]
     fn rounded_matches_libm_over_ten_million_pairs() {
+        // The guard band catches a few draws per million: live, and rare.
         let fallbacks = sweep(10_000_000, 29);
-        // The NaN-sd probability (2 cases in 24) always falls back; the
-        // filter itself fires on a few draws per million.
-        let nan_cases = 2 * 10_000_000 / 24;
-        assert!(fallbacks >= nan_cases && fallbacks < nan_cases + 1_000, "{fallbacks}");
+        assert!((1..1_000).contains(&fallbacks), "{fallbacks} fallbacks");
     }
 
     #[test]
@@ -1349,7 +1349,9 @@ mod tests {
         let mut u2s = vec![0.0, top];
         u2s.extend((0..4).map(|k| k as f64 / 4.0));
         u2s.extend((0..256).map(|k| k as f64 / 256.0));
-        for u1 in [f64::EPSILON / 2.0, top] {
+        // 1 − 2^-8 is the far edge of the last `ln` interval, where the
+        // polynomial's truncation is largest relative to `ln u1`.
+        for u1 in [f64::EPSILON / 2.0, 1.0 - 1.0 / 256.0, top] {
             for &u2 in &u2s {
                 let d = NormalDraw::from_uniforms(u1, u2);
                 let err = (kernel_z(u1, u2) - d.z()).abs();
