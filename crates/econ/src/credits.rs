@@ -510,7 +510,8 @@ mod tests {
         for bytes in [24, 25, 240] {
             let need = credits_for_packet(bytes);
             for count in [0, 1, 168] {
-                let balances = [0, need - 1, (count * need).saturating_sub(1), count * need, u64::MAX];
+                let balances =
+                    [0, need - 1, (count * need).saturating_sub(1), count * need, u64::MAX];
                 for balance in balances {
                     let paid = (balance / need).min(count);
                     let spent = paid * need;

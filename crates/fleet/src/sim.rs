@@ -1319,9 +1319,7 @@ impl FleetSim {
             // Figure 1's reliance structure: the device's own gateways
             // must forward (its cohort's path probability).
             let delivered = match arm.week_moments[arm.store.cohort_of(di)] {
-                Some((mean, sd)) if !arm.store.stuck_at(di, now) => {
-                    draw.rounded(mean, sd, reports)
-                }
+                Some((mean, sd)) if !arm.store.stuck_at(di, now) => draw.rounded(mean, sd, reports),
                 _ => 0,
             };
             // Federated arm: credits burn per delivered packet.

@@ -207,15 +207,14 @@ pub fn standard_normal(rng: &mut Rng) -> f64 {
 /// needs the variate scaled, rounded and clamped to a count.
 ///
 /// [`rounded`](Self::rounded) returns exactly the libm expression
-/// `(mean + sd·z).round().clamp(0, hi)` of [`exact_rounded`](Self::exact_rounded),
-/// but evaluates `z` with a table kernel ([`fast_rounded`](Self::fast_rounded))
-/// of `+ − × ÷ sqrt` and truncating casts. Wherever the kernel's error
-/// could move the integer — `mean + sd·z` within
+/// `(mean + sd·z).round().clamp(0, hi)`, but evaluates `z` with a table
+/// kernel of `+ − × sqrt` and truncating casts. Wherever the kernel's
+/// error could move the integer — `mean + sd·z` within
 /// `δ = 1e-6·(1 + sd)` of a half-integer — or an input lies outside the
 /// validated domain, it answers from the libm expression instead, so the
-/// result is the libm one for every input (DESIGN.md §6, "The filtered
+/// result is the libm one for every input (DESIGN.md §13, "The filtered
 /// Box–Muller kernel").
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct NormalDraw {
     u1: f64,
     u2: f64,
@@ -233,25 +232,27 @@ impl NormalDraw {
 
     /// A draw from given uniforms: `u1` in `(0, 1)` feeds the radius,
     /// `u2` in `[0, 1)` the angle.
-    pub fn from_uniforms(u1: f64, u2: f64) -> Self {
+    #[cfg(test)]
+    fn from_uniforms(u1: f64, u2: f64) -> Self {
         NormalDraw { u1, u2 }
     }
 
     /// The standard normal variate, `sqrt(−2 ln u1)·cos(2π u2)` through
     /// libm: the one copy of the Box–Muller expression.
     #[inline]
-    pub fn z(self) -> f64 {
+    fn z(self) -> f64 {
         (-2.0 * self.u1.ln()).sqrt() * (core::f64::consts::TAU * self.u2).cos()
     }
 
     /// `mean + sd·z` rounded half away from zero and clamped to
     /// `[0, hi]`, through the libm expression.
-    pub fn exact_rounded(self, mean: f64, sd: f64, hi: u64) -> u64 {
+    fn exact_rounded(self, mean: f64, sd: f64, hi: u64) -> u64 {
         (mean + sd * self.z()).round().clamp(0.0, hi as f64) as u64
     }
 
-    /// [`exact_rounded`](Self::exact_rounded)'s value, from the table
-    /// kernel where it is provably the same and from the libm expression
+    /// `mean + sd·z` rounded half away from zero and clamped to
+    /// `[0, hi]`: the libm expression's value, from the table kernel
+    /// where it is provably the same and from the libm expression
     /// elsewhere.
     #[inline]
     pub fn rounded(self, mean: f64, sd: f64, hi: u64) -> u64 {
@@ -261,14 +262,13 @@ impl NormalDraw {
         }
     }
 
-    /// The table kernel alone: `Some` of
-    /// [`exact_rounded`](Self::exact_rounded)'s value, or `None` where the
-    /// kernel cannot vouch for it — an input outside the validated
-    /// domain (`u1` a normal number below 1, `u2` in `[0, 1)`, `mean` and `sd` in
-    /// `[0, 2^20]`, `hi ≤ 2^20`), a NaN, or `mean + sd·z` within
-    /// `1e-6·(1 + sd)` of a half-integer.
+    /// The table kernel alone: `Some` of `exact_rounded`'s value, or
+    /// `None` where the kernel cannot vouch for it — an input outside
+    /// the validated domain (`u1` a normal number below 1, `u2` in
+    /// `[0, 1)`, `mean` and `sd` in `[0, 2^20]`, `hi ≤ 2^20`), a NaN, or
+    /// `mean + sd·z` within `1e-6·(1 + sd)` of a half-integer.
     #[inline]
-    pub fn fast_rounded(self, mean: f64, sd: f64, hi: u64) -> Option<u64> {
+    fn fast_rounded(self, mean: f64, sd: f64, hi: u64) -> Option<u64> {
         // Non-negative floats order as their bit patterns; negative ones
         // and NaNs carry bits above every bound here, so each range check
         // is one integer comparison.
@@ -305,8 +305,8 @@ impl NormalDraw {
 }
 
 /// The half-width `δ` per unit of `1 + sd` around each half-integer in
-/// which [`NormalDraw::fast_rounded`] defers to libm: ten million times
-/// the kernel's tested error bound `KERNEL_Z_BOUND`.
+/// which `NormalDraw::fast_rounded` defers to libm: a million times the
+/// kernel's tested error bound `KERNEL_Z_BOUND`.
 const ROUNDING_GUARD: f64 = 1e-6;
 
 /// The bound on `|kernel_z(u1, u2) − NormalDraw::z()|` the kernel is
@@ -1420,7 +1420,8 @@ mod tests {
             assert_eq!(d.rounded(mean, sd, 168), d.exact_rounded(mean, sd, 168));
         }
         assert_eq!(d.fast_rounded(1.0, 1.0, 1 << 21), None);
-        for (u1, u2) in [(0.0, 0.1), (1.0, 0.1), (f64::MIN_POSITIVE / 2.0, 0.1), (0.3, 1.0), (0.3, -0.1)] {
+        let tiny = f64::MIN_POSITIVE / 2.0;
+        for (u1, u2) in [(0.0, 0.1), (1.0, 0.1), (tiny, 0.1), (0.3, 1.0), (0.3, -0.1)] {
             let d = NormalDraw::from_uniforms(u1, u2);
             assert_eq!(d.fast_rounded(84.0, 6.0, 168), None, "u1 {u1} u2 {u2}");
             assert_eq!(d.rounded(84.0, 6.0, 168), d.exact_rounded(84.0, 6.0, 168));
