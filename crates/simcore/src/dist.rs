@@ -286,6 +286,8 @@ impl NormalDraw {
         }
         let x = mean + sd * kernel_z(self.u1, self.u2);
         let delta = ROUNDING_GUARD * (1.0 + sd);
+        // `hi ≤ 2^20`: the signed conversion is exact and, unlike the
+        // unsigned one, a single instruction on x86-64.
         let top = hi as i64 as f64;
         if x < 0.5 - delta {
             Some(0)
