@@ -128,11 +128,6 @@ impl HotspotPopulation {
         let p = p_each.clamp(0.0, 1.0);
         1.0 - (1.0 - p).powi(self.count as i32)
     }
-
-    /// Whether the site currently has any coverage at all.
-    pub fn has_coverage(&self) -> bool {
-        self.count > 0
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +158,7 @@ mod tests {
         let mut dark_year = None;
         for y in 1..=30 {
             pop.step_year(&mut rng);
-            if !pop.has_coverage() {
+            if pop.count() == 0 {
                 dark_year = Some(y);
                 break;
             }
@@ -185,7 +180,7 @@ mod tests {
     #[test]
     fn zero_population_has_no_coverage() {
         let pop = HotspotPopulation::new(0, 1.5, 5, 1.0, 0.1);
-        assert!(!pop.has_coverage());
+        assert_eq!(pop.count(), 0);
         assert_eq!(pop.delivery_probability(0.9), 0.0);
     }
 
@@ -222,6 +217,5 @@ mod tests {
         assert_eq!(pop.collapse(2.0), 40);
         assert_eq!(pop.count(), 0);
         assert_eq!(pop.collapse(f64::NAN), 0);
-        assert!(!pop.has_coverage());
     }
 }

@@ -96,16 +96,6 @@ impl Provider {
             .expect("mean_exit_years is positive")
             .sample(rng)
     }
-
-    /// Probability the provider is still operating at year `t`.
-    pub fn p_still_operating(&self, t_years: f64) -> f64 {
-        (-t_years / self.mean_exit_years).exp()
-    }
-
-    /// Expected downtime (days/year) from availability alone.
-    pub fn downtime_days_per_year(&self) -> f64 {
-        (1.0 - self.availability) * 365.0
-    }
 }
 
 #[cfg(test)]
@@ -122,27 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn municipal_survives_50_years_more_often() {
-        let m = Provider::municipal().p_still_operating(50.0);
-        let c = Provider::commercial().p_still_operating(50.0);
-        assert!(m > 0.5, "municipal {m}");
-        assert!(c < 0.05, "commercial {c}");
-    }
-
-    #[test]
     fn exit_sampling_matches_mean() {
         let p = Provider::commercial();
         let mut rng = Rng::seed_from(8);
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| p.sample_exit_years(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 15.0).abs() < 0.25, "mean {mean}");
-    }
-
-    #[test]
-    fn downtime_arithmetic() {
-        let p = Provider::federated();
-        assert!((p.downtime_days_per_year() - 10.95).abs() < 0.01);
-        assert!(Provider::commercial().downtime_days_per_year() < 0.5);
     }
 
     #[test]

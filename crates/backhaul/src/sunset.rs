@@ -47,14 +47,6 @@ impl SunsetSchedule {
     pub fn sunset_of(&self, g: CellularGen) -> Option<f64> {
         self.sunsets.iter().find(|&&(gen, _)| gen == g).map(|&(_, y)| y)
     }
-
-    /// Number of sunsets within `[0, horizon_years)`.
-    pub fn sunsets_within(&self, horizon_years: f64) -> usize {
-        self.sunsets
-            .iter()
-            .filter(|&&(_, y)| (0.0..horizon_years).contains(&y))
-            .count()
-    }
 }
 
 /// Computes the stranding events for a fleet of `attached(gen)` gateway
@@ -123,13 +115,6 @@ mod tests {
         let s = SunsetSchedule::default();
         assert_eq!(s.sunset_of(CellularGen::G2), Some(2.0));
         assert_eq!(s.sunset_of(CellularGen::G5), Some(32.0));
-    }
-
-    #[test]
-    fn fifty_year_horizon_sees_all_four_sunsets() {
-        let s = SunsetSchedule::default();
-        assert_eq!(s.sunsets_within(50.0), 4);
-        assert_eq!(s.sunsets_within(10.0), 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! `bench` — exhibit regeneration and performance benchmarks.
+//! `bench` — exhibit regeneration.
 //!
 //! The [`exhibits`] module regenerates every table and figure claimed in
-//! EXPERIMENTS.md; the `tables` binary prints them; the Criterion benches
-//! under `benches/` time both the exhibit computations and the substrate
-//! kernels they stand on.
+//! EXPERIMENTS.md; the `tables` binary prints them. Timing is perfbench's
+//! job (`perfbench/`, declared in BENCHMARK.json), which drives
+//! [`parallel`]'s replicate runner.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

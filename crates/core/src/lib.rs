@@ -9,15 +9,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use century::scenario::Scenario;
+//! use century::{audit, readiness_score, DesignPosture};
+//! use fleet::sim::{FleetConfig, FleetSim};
 //!
 //! // The paper's §4 experiment: 10 energy-harvesting transmit-only
 //! // sensors per arm — owned 802.15.4 gateways vs the Helium network —
 //! // run for 50 simulated years.
-//! let scenario = Scenario::paper_experiment(42);
-//! assert!(scenario.audit().is_empty(), "the paper's design is compliant");
+//! let posture = DesignPosture::paper_experiment();
+//! assert!(audit(&posture).is_empty(), "the paper's design is compliant");
+//! assert_eq!(readiness_score(&posture), 1.0);
 //!
-//! let report = scenario.run();
+//! let report = FleetSim::run(FleetConfig::paper_experiment(42));
 //! for arm in &report.arms {
 //!     println!("{}: weekly uptime {:.1}%", arm.name, arm.uptime() * 100.0);
 //! }
@@ -29,8 +31,6 @@
 //!
 //! * [`principles`] — §3's takeaways as an executable audit.
 //! * [`presets`] — the paper's censuses, deployments and cost constants.
-//! * [`scenario`] — the top-level bundle: city + posture + fleet config.
-//! * [`compare`] — run a scenario matrix, render the decision table.
 //! * [`experiment`] — the replicate driver: the 50-year experiment over
 //!   many seeds on a worker pool.
 //! * [`metrics`] — cost-per-reading, labor-per-device-decade, summaries.
@@ -42,14 +42,11 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod compare;
 pub mod experiment;
 pub mod metrics;
 pub mod presets;
 pub mod principles;
 pub mod report;
-pub mod scenario;
 
 pub use presets::{CityCensus, CostPreset, DeploymentPreset};
 pub use principles::{audit, readiness_score, DesignPosture, Principle, Violation};
-pub use scenario::Scenario;

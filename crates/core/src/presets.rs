@@ -84,68 +84,6 @@ impl DeploymentPreset {
     }
 }
 
-/// A municipal fiber network the paper cites as evidence (§3.3.1, §3.3.3).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FiberCityPreset {
-    /// City name.
-    pub name: &'static str,
-    /// Fiber plant size, km (0 = unreported).
-    pub fiber_km: u32,
-    /// Age of the plant when the smart-city project started, years.
-    pub plant_age_years: u32,
-    /// Staff operating the network (0 = unreported).
-    pub staff: u32,
-    /// Residents served.
-    pub residents: u32,
-}
-
-impl FiberCityPreset {
-    /// Barcelona (§3.3.1): "an extensive 500 km fiber optic cable network
-    /// … most of this urban fiber network was more than 30 years old by
-    /// the time Barcelona started implementing its IoT project."
-    pub fn barcelona() -> Self {
-        FiberCityPreset {
-            name: "Barcelona",
-            fiber_km: 500,
-            plant_age_years: 30,
-            staff: 0,
-            residents: 1_600_000,
-        }
-    }
-
-    /// San Leandro, CA (§3.3.1): gateway backhaul entirely on municipal
-    /// fiber.
-    pub fn san_leandro() -> Self {
-        FiberCityPreset {
-            name: "San Leandro",
-            fiber_km: 0,
-            plant_age_years: 0,
-            staff: 0,
-            residents: 91_000,
-        }
-    }
-
-    /// Chanute, KS (§3.3.3): 9,000 residents, 2 staff, profitable fiber +
-    /// WiMAX for over a decade — the paper's small-city existence proof.
-    pub fn chanute() -> Self {
-        FiberCityPreset {
-            name: "Chanute",
-            fiber_km: 0,
-            plant_age_years: 10,
-            staff: 2,
-            residents: 9_000,
-        }
-    }
-
-    /// Staff per 10,000 residents (0 when unreported).
-    pub fn staff_per_10k(&self) -> f64 {
-        if self.residents == 0 {
-            return 0.0;
-        }
-        self.staff as f64 * 10_000.0 / self.residents as f64
-    }
-}
-
 /// Per-unit hardware/deployment cost assumptions used across exhibits.
 #[derive(Clone, Copy, Debug)]
 pub struct CostPreset {
@@ -194,19 +132,6 @@ mod tests {
     fn typical_band_within_paper_range() {
         let t = DeploymentPreset::typical_today();
         assert!((500..=5_000).contains(&t.nodes));
-    }
-
-    #[test]
-    fn fiber_city_citations() {
-        let b = FiberCityPreset::barcelona();
-        assert_eq!(b.fiber_km, 500);
-        assert_eq!(b.plant_age_years, 30);
-        let c = FiberCityPreset::chanute();
-        assert_eq!(c.staff, 2);
-        assert_eq!(c.residents, 9_000);
-        // The paper's point: ~2 staff per 10k residents suffices.
-        assert!((c.staff_per_10k() - 2.22).abs() < 0.01);
-        assert_eq!(FiberCityPreset::san_leandro().staff_per_10k(), 0.0);
     }
 
     #[test]

@@ -39,28 +39,6 @@ impl Principle {
         Principle::BackhaulOutlastsReplacement,
         Principle::VerticalIntegrationOption,
     ];
-
-    /// One-line description for reports.
-    pub fn description(self) -> &'static str {
-        match self {
-            Principle::NoHumanAttention => {
-                "devices expect no human attention during their lifetime"
-            }
-            Principle::PropertiesNotInstances => {
-                "devices rely on properties of infrastructure, not instances"
-            }
-            Principle::GatewaysRouteOnly => "gateways act only as routers",
-            Principle::VendorNeutralGateways => {
-                "gateways serve all devices regardless of manufacturer"
-            }
-            Principle::BackhaulOutlastsReplacement => {
-                "backhaul guarantees outlast user replacement time"
-            }
-            Principle::VerticalIntegrationOption => {
-                "stakeholder retains the vertical-integration option"
-            }
-        }
-    }
 }
 
 /// The design decisions of a deployment, as audit inputs.
@@ -238,13 +216,6 @@ mod tests {
             let v = audit(&p);
             assert_eq!(v.len(), 1);
             assert_eq!(v[0].principle, principle);
-        }
-    }
-
-    #[test]
-    fn descriptions_nonempty() {
-        for p in Principle::ALL {
-            assert!(!p.description().is_empty());
         }
     }
 }

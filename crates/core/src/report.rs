@@ -81,31 +81,6 @@ impl Table {
         out
     }
 
-    /// Renders as a GitHub-flavored markdown table (title as a heading).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}\n", self.title);
-        let esc = |s: &str| s.replace('|', "\\|");
-        let _ = writeln!(
-            out,
-            "| {} |",
-            self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(" | ")
-        );
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "| {} |",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(" | ")
-            );
-        }
-        out
-    }
-
     /// Renders the CSV form (title as a comment line).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -174,17 +149,6 @@ mod tests {
         assert!(lines[3].starts_with("alpha"));
         let value_col = lines[1].find("value").unwrap();
         assert_eq!(lines[3].find('1'), Some(value_col));
-    }
-
-    #[test]
-    fn markdown_renders_rows_and_escapes_pipes() {
-        let mut t = Table::new("MD", &["a", "b"]);
-        t.row_str(&["x|y", "2"]);
-        let md = t.render_markdown();
-        assert!(md.contains("### MD"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("x\\|y") || md.contains("x\\|y"), "{md}");
     }
 
     #[test]

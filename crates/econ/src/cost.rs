@@ -179,36 +179,6 @@ impl Ledger {
         self.entries.iter().map(|&(_, _, a)| a).sum()
     }
 
-    /// Total for one category.
-    pub fn total_for(&self, category: &str) -> Usd {
-        self.entries
-            .iter()
-            .filter(|&&(_, c, _)| c == category)
-            .map(|&(_, _, a)| a)
-            .sum()
-    }
-
-    /// Total spent strictly before `t`.
-    pub fn total_before(&self, t: SimTime) -> Usd {
-        self.entries
-            .iter()
-            .filter(|&&(at, _, _)| at < t)
-            .map(|&(_, _, a)| a)
-            .sum()
-    }
-
-    /// Collapses the ledger into a yearly [`CostStream`] over `years`.
-    pub fn to_stream(&self, years: usize) -> CostStream {
-        let mut s = CostStream::zeros(years);
-        for &(at, _, amount) in &self.entries {
-            let y = (at.year() as usize).min(years.saturating_sub(1));
-            if years > 0 {
-                s.add(y, amount);
-            }
-        }
-        s
-    }
-
     /// All entries in insertion order.
     pub fn entries(&self) -> &[(SimTime, &'static str, Usd)] {
         &self.entries
@@ -349,19 +319,6 @@ mod tests {
         l.charge(SimTime::from_years(2), "opex", Usd::from_dollars(10));
         l.charge(SimTime::from_years(2), "opex", Usd::from_dollars(10));
         assert_eq!(l.total(), Usd::from_dollars(120));
-        assert_eq!(l.total_for("opex"), Usd::from_dollars(20));
-        assert_eq!(l.total_before(SimTime::from_years(2)), Usd::from_dollars(100));
-        let s = l.to_stream(5);
-        assert_eq!(s.at(0), Usd::from_dollars(100));
-        assert_eq!(s.at(2), Usd::from_dollars(20));
         assert_eq!(l.entries().len(), 3);
-    }
-
-    #[test]
-    fn ledger_clamps_beyond_horizon() {
-        let mut l = Ledger::new();
-        l.charge(SimTime::from_years(10), "late", Usd::from_dollars(1));
-        let s = l.to_stream(5);
-        assert_eq!(s.at(4), Usd::from_dollars(1));
     }
 }

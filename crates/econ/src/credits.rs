@@ -176,13 +176,6 @@ impl Wallet {
         paid
     }
 
-    /// Tops the wallet up with `credits` more (a later re-provisioning
-    /// intervention, which the diary should record).
-    pub fn top_up(&mut self, credits: u64, cost: Usd) {
-        self.balance += credits;
-        self.funded += cost;
-    }
-
     /// Chaos: a top-up failure empties the wallet (payment processor gone,
     /// account closed, operator forgot). Returns the credits lost;
     /// `exhausted_at` is recorded by the next failed burn as usual.
@@ -544,15 +537,6 @@ mod tests {
         assert_eq!(w.exhausted_at(), Some(t1));
         assert_eq!(w.burn_packets(SimTime::from_secs(20), 24, 5), 0);
         assert_eq!(w.exhausted_at(), Some(t1), "later failures keep the first time");
-    }
-
-    #[test]
-    fn top_up_restores_service() {
-        let mut w = Wallet::with_credits(0);
-        assert!(w.burn_packet(SimTime::ZERO, 24).is_err());
-        w.top_up(10, Usd::from_micros(100));
-        assert!(w.burn_packet(SimTime::ZERO, 24).is_ok());
-        assert_eq!(w.funded(), Usd::from_micros(100));
     }
 
     #[test]

@@ -22,7 +22,7 @@ const MICRO: i128 = 1_000_000;
 ///
 /// let credit_price = Usd::from_dollars(5) / 500_000; // $5 per 500k credits.
 /// assert_eq!(credit_price, Usd::from_micros(10));
-/// assert_eq!(credit_price * 438_000, Usd::from_dollars_f64(4.38));
+/// assert_eq!(credit_price * 438_000, Usd::from_cents(438));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Usd(i128);
@@ -44,17 +44,6 @@ impl Usd {
     /// Creates an amount from micro-dollars.
     pub const fn from_micros(u: i128) -> Usd {
         Usd(u)
-    }
-
-    /// Creates an amount from fractional dollars, rounding to the nearest
-    /// micro-dollar (ties away from zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is not finite.
-    pub fn from_dollars_f64(d: f64) -> Usd {
-        assert!(d.is_finite(), "money must be finite");
-        Usd((d * MICRO as f64).round() as i128)
     }
 
     /// The amount in micro-dollars.
@@ -211,7 +200,6 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(Usd::from_dollars(1), Usd::from_cents(100));
         assert_eq!(Usd::from_cents(1), Usd::from_micros(10_000));
-        assert_eq!(Usd::from_dollars_f64(1.5), Usd::from_cents(150));
     }
 
     #[test]
@@ -288,11 +276,5 @@ mod tests {
         let max = Usd::from_micros(i128::MAX);
         assert_eq!(max.checked_add(Usd::from_micros(1)), None);
         assert!(max.checked_add(Usd::ZERO).is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn from_nan_panics() {
-        Usd::from_dollars_f64(f64::NAN);
     }
 }

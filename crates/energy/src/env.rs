@@ -63,11 +63,6 @@ impl Cloudiness {
         Cloudiness::new(0.8, 0.25, 0.65)
     }
 
-    /// A sunny default (desert southwest): mean clearness 0.85.
-    pub fn sunny() -> Self {
-        Cloudiness::new(0.7, 0.15, 0.85)
-    }
-
     /// Advances one step (conventionally one day) and returns the new
     /// clearness factor in `[0, 1]`.
     pub fn step(&mut self, rng: &mut Rng) -> f64 {
@@ -81,25 +76,6 @@ impl Cloudiness {
     pub fn current(&self) -> f64 {
         self.state
     }
-}
-
-/// Ambient temperature (°C): seasonal sinusoid plus diurnal swing.
-///
-/// Day 0 is mid-summer (matching [`clear_sky_irradiance`]), daily peak at
-/// 14:00.
-pub fn ambient_temperature(
-    t: SimTime,
-    annual_mean_c: f64,
-    seasonal_amplitude_c: f64,
-    diurnal_amplitude_c: f64,
-) -> f64 {
-    let doy = (t.as_secs() % YEAR) as f64 / YEAR as f64;
-    let seasonal = seasonal_amplitude_c * (core::f64::consts::TAU * doy).cos();
-    let sod = t.second_of_day() as f64 / DAY as f64;
-    // Peak at 14:00 = 14/24 of the day.
-    let diurnal =
-        diurnal_amplitude_c * (core::f64::consts::TAU * (sod - 14.0 / 24.0)).cos();
-    annual_mean_c + seasonal + diurnal
 }
 
 #[cfg(test)]
@@ -176,22 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn temperature_seasonal_and_diurnal_structure() {
-        // Summer (day 0) should be warmer than winter (day 182) at 14:00.
-        let summer = SimTime::ZERO + SimDuration::from_hours(14);
-        let winter = SimTime::from_days(182) + SimDuration::from_hours(14);
-        let ts = ambient_temperature(summer, 18.0, 10.0, 6.0);
-        let tw = ambient_temperature(winter, 18.0, 10.0, 6.0);
-        assert!(ts > tw + 15.0, "summer {ts} winter {tw}");
-        // 14:00 warmer than 02:00 the same day.
-        let night = SimTime::ZERO + SimDuration::from_hours(2);
-        assert!(ts > ambient_temperature(night, 18.0, 10.0, 6.0));
-    }
-
-    #[test]
     fn cloudiness_deterministic_per_seed() {
         let run = |seed| {
-            let mut c = Cloudiness::sunny();
+            let mut c = Cloudiness::temperate();
             let mut rng = Rng::seed_from(seed);
             (0..100).map(|_| c.step(&mut rng)).collect::<Vec<_>>()
         };

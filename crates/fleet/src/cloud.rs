@@ -115,29 +115,6 @@ impl CloudEndpoint {
     pub fn outages(&self) -> &[CloudOutage] {
         &self.outages
     }
-
-    /// Total downtime over the horizon.
-    pub fn total_downtime(&self) -> SimDuration {
-        // Outages from different rituals can overlap; merge intervals.
-        let mut total = SimDuration::ZERO;
-        let mut current: Option<(SimTime, SimTime)> = None;
-        for o in &self.outages {
-            match current {
-                Some((from, until)) if o.from <= until => {
-                    current = Some((from, until.max(o.until)));
-                }
-                Some((from, until)) => {
-                    total += until.since(from);
-                    current = Some((o.from, o.until));
-                }
-                None => current = Some((o.from, o.until)),
-            }
-        }
-        if let Some((from, until)) = current {
-            total += until.since(from);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +128,6 @@ mod tests {
         let ep = CloudEndpoint::simulate(&[ritual], SimDuration::from_years(50), &mut rng);
         assert!(ep.outages().is_empty());
         assert!(ep.up_at(SimTime::from_years(25)));
-        assert_eq!(ep.total_downtime(), SimDuration::ZERO);
     }
 
     #[test]
@@ -168,7 +144,6 @@ mod tests {
         assert_eq!(ep.outages().len(), 4);
         assert!(!ep.up_at(SimTime::from_years(10)));
         assert!(ep.up_at(SimTime::from_years(10) + SimDuration::from_days(20)));
-        assert_eq!(ep.total_downtime(), SimDuration::from_days(14 * 4));
     }
 
     #[test]
@@ -182,26 +157,6 @@ mod tests {
             any += ep.outages().len();
         }
         assert!(any > 0, "no seed produced any missed ritual");
-    }
-
-    #[test]
-    fn overlapping_outages_merge_in_downtime() {
-        let a = Ritual {
-            name: "a",
-            period: SimDuration::from_years(1),
-            miss_probability: 1.0,
-            recovery: SimDuration::from_days(10),
-        };
-        let b = Ritual {
-            name: "b",
-            period: SimDuration::from_years(1),
-            miss_probability: 1.0,
-            recovery: SimDuration::from_days(5),
-        };
-        let mut rng = Rng::seed_from(3);
-        let ep = CloudEndpoint::simulate(&[a, b], SimDuration::from_years(2), &mut rng);
-        // One overlapping pair at year 1: merged downtime = 10 days.
-        assert_eq!(ep.total_downtime(), SimDuration::from_days(10));
     }
 
     #[test]

@@ -220,22 +220,6 @@ impl Registry {
             .ok_or(ProtocolError::UnknownDevice(device))
     }
 
-    /// Detaches a device from a gateway (decommissioning a single sensor),
-    /// returning the session it held.
-    ///
-    /// Returns [`ProtocolError::UnknownDevice`] when the gateway holds no
-    /// session for `device`.
-    pub fn detach(
-        &mut self,
-        gw: GatewayId,
-        device: DeviceId,
-    ) -> Result<Session, ProtocolError> {
-        let rec = self.gateways.get_mut(&gw).ok_or(ProtocolError::NotCommissioned)?;
-        rec.sessions
-            .remove(&device)
-            .ok_or(ProtocolError::UnknownDevice(device))
-    }
-
     /// The record for a gateway.
     pub fn gateway(&self, id: GatewayId) -> Option<&GatewayRecord> {
         self.gateways.get(&id)
@@ -397,14 +381,11 @@ mod tests {
 
     #[test]
     fn unknown_device_variant() {
-        let mut r = registry_with_devices(2);
+        let r = registry_with_devices(2);
         assert_eq!(r.session(0, 9), Err(ProtocolError::UnknownDevice(9)));
-        assert_eq!(r.detach(0, 9), Err(ProtocolError::UnknownDevice(9)));
-        // Known devices resolve, and a detached device becomes unknown.
+        // Known devices resolve.
         assert_eq!(r.session(0, 0), Ok(Session::Forwarding));
-        assert_eq!(r.detach(0, 1), Ok(Session::Keyed { epoch: 0 }));
-        assert_eq!(r.session(0, 1), Err(ProtocolError::UnknownDevice(1)));
-        assert_eq!(r.live_sessions(), 1);
+        assert_eq!(r.live_sessions(), 2);
     }
 
     #[test]

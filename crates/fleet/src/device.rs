@@ -168,11 +168,6 @@ impl DeviceState {
             t.since(self.installed_at)
         }
     }
-
-    /// Whether a given report attempt has energy, drawn per attempt.
-    pub fn has_energy(&self, rng: &mut Rng) -> bool {
-        rng.chance(self.spec.energy_availability)
-    }
 }
 
 #[cfg(test)]
@@ -271,16 +266,5 @@ mod tests {
         let d = DeviceState::deploy(spec, &bom_law(&spec), SimTime::from_years(5), &mut rng);
         assert_eq!(d.age_at(SimTime::from_years(4)), SimDuration::ZERO);
         assert_eq!(d.age_at(SimTime::from_years(8)), SimDuration::from_years(3));
-    }
-
-    #[test]
-    fn energy_availability_drives_has_energy() {
-        let mut rng = Rng::seed_from(4);
-        let mut spec = DeviceSpec::paper_sensor(RadioTech::LoRa);
-        spec.energy_availability = 0.25;
-        let d = DeviceState::deploy(spec, &bom_law(&spec), SimTime::ZERO, &mut rng);
-        let n = 40_000;
-        let ok = (0..n).filter(|_| d.has_energy(&mut rng)).count() as f64 / n as f64;
-        assert!((ok - 0.25).abs() < 0.01, "ok {ok}");
     }
 }

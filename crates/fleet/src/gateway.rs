@@ -128,43 +128,6 @@ impl GatewayState {
     }
 }
 
-/// Commissioning/migration model (§3.2): replacing a gateway uses the
-/// outgoing unit as a trusted third party, so migration takes bounded
-/// effort per attached device rather than per-device re-provisioning.
-#[derive(Clone, Copy, Debug)]
-pub struct Commissioning {
-    /// Fixed effort to stand up and key the new gateway, hours.
-    pub base_hours: f64,
-    /// Per-device migration effort when the old gateway can vouch, hours.
-    pub per_device_hours_trusted: f64,
-    /// Per-device effort when devices must be re-provisioned by hand
-    /// (vendor-locked or no trusted handoff), hours.
-    pub per_device_hours_manual: f64,
-}
-
-impl Default for Commissioning {
-    fn default() -> Self {
-        Commissioning {
-            base_hours: 2.0,
-            per_device_hours_trusted: 0.01,
-            per_device_hours_manual: 0.5,
-        }
-    }
-}
-
-impl Commissioning {
-    /// Total migration effort for `devices` attached devices, with or
-    /// without a trusted-third-party handoff.
-    pub fn migration_hours(&self, devices: u64, trusted_handoff: bool) -> f64 {
-        let per = if trusted_handoff {
-            self.per_device_hours_trusted
-        } else {
-            self.per_device_hours_manual
-        };
-        self.base_hours + per * devices as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,15 +187,5 @@ mod tests {
             GatewayMode::Bidirectional.yearly_upkeep_hours()
                 > GatewayMode::UnidirectionalFirewalled.yearly_upkeep_hours() * 5.0
         );
-    }
-
-    #[test]
-    fn trusted_commissioning_scales() {
-        let c = Commissioning::default();
-        let trusted = c.migration_hours(1_000, true);
-        let manual = c.migration_hours(1_000, false);
-        assert!((trusted - 12.0).abs() < 1e-9, "trusted {trusted}");
-        assert!((manual - 502.0).abs() < 1e-9, "manual {manual}");
-        assert!(manual > trusted * 20.0);
     }
 }

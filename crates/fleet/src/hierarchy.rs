@@ -8,28 +8,9 @@
 //! of the provided interface."*
 //!
 //! [`Hierarchy`] holds the reliance edges between the four tiers and
-//! computes the fan-out and blast-radius statistics exhibit F1 reports.
+//! computes the fan-out statistics exhibit F1 reports.
 
 use std::collections::BTreeMap;
-
-/// The four tiers of Figure 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TierLevel {
-    /// Edge devices (most numerous, least accessible).
-    Device,
-    /// Gateways.
-    Gateway,
-    /// Backhaul links/providers.
-    Backhaul,
-    /// The cloud endpoint.
-    Cloud,
-}
-
-impl TierLevel {
-    /// Tiers bottom-up.
-    pub const ALL: [TierLevel; 4] =
-        [TierLevel::Device, TierLevel::Gateway, TierLevel::Backhaul, TierLevel::Cloud];
-}
 
 /// A node id within a tier.
 pub type NodeId = u32;
@@ -94,45 +75,9 @@ impl Hierarchy {
         Hierarchy::default()
     }
 
-    /// Fan-out statistics of the device→gateway layer.
-    pub fn device_layer(&self) -> FanOut {
-        layer_stats(&self.device_gateways)
-    }
-
     /// Fan-out statistics of the gateway→backhaul layer.
     pub fn gateway_layer(&self) -> FanOut {
         layer_stats(&self.gateway_backhauls)
-    }
-
-    /// Fan-out statistics of the backhaul→cloud layer.
-    pub fn backhaul_layer(&self) -> FanOut {
-        layer_stats(&self.backhaul_clouds)
-    }
-
-    /// Number of devices whose every path to some cloud passes through the
-    /// given gateway — the gateway's blast radius.
-    pub fn gateway_blast_radius(&self, gateway: NodeId) -> usize {
-        self.device_gateways
-            .values()
-            .filter(|gs| gs.len() == 1 && gs[0] == gateway)
-            .count()
-    }
-
-    /// Number of devices that lose all connectivity if the given backhaul
-    /// dies (every usable gateway of theirs is single-homed on it).
-    pub fn backhaul_blast_radius(&self, backhaul: NodeId) -> usize {
-        self.device_gateways
-            .values()
-            .filter(|gws| {
-                !gws.is_empty()
-                    && gws.iter().all(|g| {
-                        self.gateway_backhauls
-                            .get(g)
-                            .map(|bs| bs.len() == 1 && bs[0] == backhaul)
-                            .unwrap_or(true)
-                    })
-            })
-            .count()
     }
 
     /// True if every device with any gateway can reach some cloud.
@@ -179,22 +124,11 @@ mod tests {
     #[test]
     fn device_layer_statistics() {
         let h = figure1();
-        let f = h.device_layer();
+        let f = layer_stats(&h.device_gateways);
         assert!((f.mean_upstream - 9.0 / 6.0).abs() < 1e-12);
         assert!((f.single_homed - 0.5).abs() < 1e-12);
         assert_eq!(f.max_downstream, 5); // Gateway 1 serves 5 devices.
         assert_eq!(f.orphans, 0);
-    }
-
-    #[test]
-    fn blast_radii() {
-        let h = figure1();
-        assert_eq!(h.gateway_blast_radius(0), 1); // Device 1 only.
-        assert_eq!(h.gateway_blast_radius(1), 2); // Devices 3 and 5.
-        // Backhaul 1 dying kills gateway 1's single-homed devices only if
-        // they cannot reach gateway 0: devices 3 and 5.
-        assert_eq!(h.backhaul_blast_radius(1), 2);
-        assert_eq!(h.backhaul_blast_radius(0), 1);
     }
 
     #[test]
@@ -213,7 +147,7 @@ mod tests {
         h.device_gateways.insert(1, vec![0]);
         h.gateway_backhauls.insert(0, vec![0]);
         h.backhaul_clouds.insert(0, vec![0]);
-        let f = h.device_layer();
+        let f = layer_stats(&h.device_gateways);
         assert_eq!(f.orphans, 1);
         assert!((f.single_homed - 1.0).abs() < 1e-12);
         // An orphaned device does not break "fully connected" (it has no
@@ -224,15 +158,9 @@ mod tests {
     #[test]
     fn empty_hierarchy() {
         let h = Hierarchy::new();
-        let f = h.device_layer();
+        let f = layer_stats(&h.device_gateways);
         assert_eq!(f.mean_upstream, 0.0);
         assert_eq!(f.max_downstream, 0);
         assert!(h.fully_connected());
-    }
-
-    #[test]
-    fn tier_ordering() {
-        assert!(TierLevel::Device < TierLevel::Cloud);
-        assert_eq!(TierLevel::ALL.len(), 4);
     }
 }

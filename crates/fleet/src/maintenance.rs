@@ -108,23 +108,6 @@ pub fn batched_effort(
     PersonHours::from_hours(total_mins / 60.0)
 }
 
-/// The batching advantage: reactive effort divided by batched effort for
-/// the same `n`, under true common random numbers: both policies mint the
-/// *same* `svc-crn` substream, and both draw exactly `n` on-site service
-/// times in device order, so each device sees an identical service draw
-/// under either policy (see STREAMS.md).
-pub fn batching_speedup(times: &ServiceTimes, n: u64, batch_size: u64, seed: u64) -> f64 {
-    let base = Rng::seed_from(seed);
-    let mut r1 = base.split("svc-crn", 0);
-    let mut r2 = base.split("svc-crn", 0);
-    let reactive = reactive_effort(times, n, &mut r1);
-    let batched = batched_effort(times, n, batch_size, &mut r2);
-    if batched.hours() <= 0.0 {
-        return 1.0;
-    }
-    reactive.hours() / batched.hours()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,15 +119,6 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         let e = reactive_effort(&times, 1_000, &mut rng);
         assert!((e.hours() - 333.3).abs() < 15.0, "hours {}", e.hours());
-    }
-
-    #[test]
-    fn batching_amortizes_travel() {
-        let times = ServiceTimes::paper_nominal();
-        let speedup = batching_speedup(&times, 10_000, 25, 7);
-        // Travel drops from 12 min/device to ~12/25 + 2 min/device:
-        // (12+8)/(8+2+0.48) ≈ 1.9.
-        assert!(speedup > 1.5 && speedup < 2.5, "speedup {speedup}");
     }
 
     #[test]

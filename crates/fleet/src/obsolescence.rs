@@ -47,13 +47,6 @@ impl ObsolescenceRates {
         ObsolescenceRates { technical: 0.14, style: 0.06, planned: 0.04 }
     }
 
-    /// Infrastructure-grade deployment that follows the paper's principles:
-    /// standards-compliant radios (no vendor lock), no style pressure.
-    /// Residual technical churn only.
-    pub fn century_principled() -> Self {
-        ObsolescenceRates { technical: 0.01, style: 0.0, planned: 0.0 }
-    }
-
     /// Combined annual rate.
     pub fn total(&self) -> f64 {
         self.technical + self.style + self.planned
@@ -150,7 +143,7 @@ mod tests {
 
     #[test]
     fn principled_rates_rarely_fire_before_wearout() {
-        let r = ObsolescenceRates::century_principled();
+        let r = ObsolescenceRates { technical: 0.01, style: 0.0, planned: 0.0 };
         let mut rng = Rng::seed_from(3);
         let n = 10_000;
         let functional = (0..n)

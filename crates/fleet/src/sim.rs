@@ -107,53 +107,6 @@ impl ArmConfig {
         }
     }
 
-    /// Derives `per_packet_delivery` from the shared-channel model instead
-    /// of the preset constant: link PRR × pure-ALOHA collision survival
-    /// (with capture) at this arm's own offered load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's report interval is zero.
-    pub fn with_channel_derived_delivery(mut self, link_prr: f64, capture_prob: f64) -> Self {
-        let airtime = match self.device_spec.tech {
-            net::packet::RadioTech::Ieee802154 => {
-                net::ieee802154::airtime_s(self.device_spec.payload.len() as u32)
-            }
-            net::packet::RadioTech::LoRa => {
-                net::lora::LoraConfig::uplink(net::lora::SpreadingFactor::Sf10)
-                    .airtime_s(self.device_spec.payload.len() as u32)
-            }
-        };
-        let interval = self.device_spec.report_interval.as_secs() as f64;
-        assert!(interval > 0.0, "report interval must be positive");
-        let g = net::aloha::offered_load(self.devices as u64, airtime, interval);
-        let collision_survival = net::aloha::delivery_prob_with_capture(g, capture_prob);
-        self.per_packet_delivery = (link_prr * collision_survival).clamp(0.0, 1.0);
-        self
-    }
-
-    /// A cellular-backhauled variant of the owned arm (§3.3.2's risk case):
-    /// same devices and gateways, but the uplink is a cellular generation
-    /// that will sunset within the horizon.
-    pub fn cellular_owned_154(
-        devices: usize,
-        gateways: usize,
-        generation: backhaul::tech::CellularGen,
-    ) -> Self {
-        let mut spec = GatewaySpec::paper_owned();
-        spec.backhaul = backhaul::tech::BackhaulTech::Cellular(generation);
-        spec.provider = backhaul::provider::Provider::commercial();
-        ArmConfig {
-            name: "cellular-802.15.4",
-            kind: ArmKind::Owned { gateways, spec },
-            devices,
-            device_spec: DeviceSpec::paper_sensor(net::packet::RadioTech::Ieee802154),
-            per_packet_delivery: 0.95,
-            replace_devices: Some(SimDuration::from_weeks(2)),
-            dual_homed_fraction: 0.6,
-        }
-    }
-
     /// The paper's Helium arm with `devices` sensors riding `hotspots`
     /// initially-audible hotspots, each device prepaid with a $5 wallet.
     pub fn paper_helium(devices: usize, hotspots: u32) -> Self {
@@ -2332,30 +2285,20 @@ mod tests {
     }
 
     #[test]
-    fn channel_derived_delivery_scales_with_population() {
-        let small = ArmConfig::paper_owned_154(10, 2)
-            .with_channel_derived_delivery(0.95, 0.24);
-        let huge = ArmConfig::paper_owned_154(200_000, 2)
-            .with_channel_derived_delivery(0.95, 0.24);
-        assert!(small.per_packet_delivery > 0.90, "{}", small.per_packet_delivery);
-        assert!(
-            huge.per_packet_delivery < small.per_packet_delivery - 0.05,
-            "huge fleet {} should collide more than {}",
-            huge.per_packet_delivery,
-            small.per_packet_delivery
-        );
-    }
-
-    #[test]
     fn cellular_arm_goes_dark_at_sunset() {
         use backhaul::tech::CellularGen;
         // 3G sunsets at year 12: a 3G-backhauled arm delivers nothing after,
         // and the diary records the stranding.
+        let mut spec = GatewaySpec::paper_owned();
+        spec.backhaul = backhaul::tech::BackhaulTech::Cellular(CellularGen::G3);
+        spec.provider = backhaul::provider::Provider::commercial();
+        let cellular = ArmConfig {
+            name: "cellular-802.15.4",
+            kind: ArmKind::Owned { gateways: 2, spec },
+            ..ArmConfig::paper_owned_154(10, 2)
+        };
         let mut cfg = FleetConfig::paper_experiment(42);
-        cfg.arms = vec![
-            ArmConfig::paper_owned_154(10, 2),
-            ArmConfig::cellular_owned_154(10, 2, CellularGen::G3),
-        ];
+        cfg.arms = vec![ArmConfig::paper_owned_154(10, 2), cellular];
         let report = FleetSim::run(cfg);
         let ethernet = &report.arms[0];
         let cellular = &report.arms[1];

@@ -7,8 +7,6 @@
 //! packet. These formulas bound how far "just deploy more sensors" scales
 //! before the channel itself becomes the obsolescence risk.
 
-use simcore::rng::Rng;
-
 /// Offered load `G`: expected transmissions per airtime across the
 /// population (`n` devices, each with `airtime_s` every `interval_s`).
 pub fn offered_load(n: u64, airtime_s: f64, interval_s: f64) -> f64 {
@@ -32,12 +30,6 @@ pub fn delivery_prob_with_capture(g: f64, capture_prob: f64) -> f64 {
     p_clear + (1.0 - p_clear) * c
 }
 
-/// Channel throughput `S = G·e^(-2G)`, maximized at `G = 0.5` with
-/// `S ≈ 0.184`.
-pub fn throughput(g: f64) -> f64 {
-    g.max(0.0) * delivery_prob(g)
-}
-
 /// The maximum population sustaining at least `min_delivery` delivery
 /// probability (no capture), inverted from `e^(-2G) = min_delivery`.
 pub fn max_population(airtime_s: f64, interval_s: f64, min_delivery: f64) -> u64 {
@@ -50,35 +42,6 @@ pub fn max_population(airtime_s: f64, interval_s: f64, min_delivery: f64) -> u64
     (g_max / per_device).floor() as u64
 }
 
-/// Monte-Carlo validation: simulates `n` devices transmitting at uniformly
-/// random phases over `interval_s` and measures the collision-free fraction
-/// for a tagged device over `trials` rounds.
-pub fn simulate_delivery(
-    n: u64,
-    airtime_s: f64,
-    interval_s: f64,
-    rng: &mut Rng,
-    trials: usize,
-) -> f64 {
-    assert!(n >= 1, "need at least the tagged device");
-    let mut ok = 0usize;
-    for _ in 0..trials {
-        let t0 = rng.next_f64() * interval_s;
-        let mut clear = true;
-        for _ in 0..(n - 1) {
-            let t = rng.next_f64() * interval_s;
-            if (t - t0).abs() < airtime_s {
-                clear = false;
-                break;
-            }
-        }
-        if clear {
-            ok += 1;
-        }
-    }
-    ok as f64 / trials as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,14 +51,6 @@ mod tests {
         assert!((delivery_prob(0.0) - 1.0).abs() < 1e-12);
         assert!((delivery_prob(0.5) - (-1.0f64).exp()).abs() < 1e-12);
         assert!(delivery_prob(-1.0) == 1.0);
-    }
-
-    #[test]
-    fn throughput_peaks_at_half() {
-        let peak = throughput(0.5);
-        assert!((peak - 0.5 * (-1.0f64).exp()).abs() < 1e-12);
-        assert!(throughput(0.4) < peak);
-        assert!(throughput(0.6) < peak);
     }
 
     #[test]
@@ -126,21 +81,6 @@ mod tests {
         let g_n1 = offered_load(n + 1, airtime, interval);
         assert!(delivery_prob(g_n) >= 0.9);
         assert!(delivery_prob(g_n1) < 0.9);
-    }
-
-    #[test]
-    fn simulation_matches_analytic() {
-        // Make per-device load heavy so G is meaningful with few devices.
-        let n = 50;
-        let airtime = 0.5;
-        let interval = 100.0;
-        let g = offered_load(n, airtime, interval);
-        let mut rng = Rng::seed_from(17);
-        let sim = simulate_delivery(n, airtime, interval, &mut rng, 40_000);
-        // The tagged-device sim has n-1 interferers; analytic uses n. Close
-        // enough at this n for a 2% tolerance.
-        let analytic = delivery_prob(g);
-        assert!((sim - analytic).abs() < 0.02, "sim {sim} analytic {analytic}");
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! IEEE 802.15.4 PHY/MAC: airtime, sensitivity, and CSMA-CA behaviour.
+//! IEEE 802.15.4 PHY/MAC: airtime and sensitivity.
 //!
 //! The paper's "owned infrastructure" arm uses 802.15.4 (2.4 GHz O-QPSK,
 //! 250 kb/s). The models here cover what the fleet simulation needs:
-//! frame airtime, receiver sensitivity, and the success probability of
-//! unslotted CSMA-CA under contention.
-
-use simcore::rng::Rng;
+//! frame airtime and receiver sensitivity.
 
 use crate::units::Dbm;
 
@@ -41,65 +38,6 @@ pub fn airtime_s(payload_bytes: u32) -> f64 {
     ((mac_frame + PHY_OVERHEAD_BYTES) * 8) as f64 / BIT_RATE_BPS
 }
 
-/// Unslotted CSMA-CA parameters (IEEE 802.15.4-2015 defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct CsmaParams {
-    /// macMinBE: initial backoff exponent.
-    pub min_be: u32,
-    /// macMaxBE: maximum backoff exponent.
-    pub max_be: u32,
-    /// macMaxCSMABackoffs: attempts before declaring channel-access failure.
-    pub max_backoffs: u32,
-}
-
-impl Default for CsmaParams {
-    fn default() -> Self {
-        CsmaParams { min_be: 3, max_be: 5, max_backoffs: 4 }
-    }
-}
-
-/// Outcome of one CSMA-CA channel-access attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CsmaOutcome {
-    /// Channel acquired after the given number of backoffs.
-    Granted {
-        /// Clear-channel assessments performed before success.
-        backoffs: u32,
-    },
-    /// All backoff attempts found the channel busy.
-    Failure,
-}
-
-/// Simulates one unslotted CSMA-CA attempt against a channel that is busy
-/// with probability `busy_prob` at each clear-channel assessment.
-pub fn csma_attempt(params: &CsmaParams, busy_prob: f64, rng: &mut Rng) -> CsmaOutcome {
-    let p = busy_prob.clamp(0.0, 1.0);
-    for attempt in 0..=params.max_backoffs {
-        if !rng.chance(p) {
-            return CsmaOutcome::Granted { backoffs: attempt };
-        }
-    }
-    CsmaOutcome::Failure
-}
-
-/// Analytic channel-access success probability after up to
-/// `max_backoffs + 1` CCAs on a channel busy with probability `b`:
-/// `1 - b^(max_backoffs + 1)`.
-pub fn csma_success_prob(params: &CsmaParams, busy_prob: f64) -> f64 {
-    let b = busy_prob.clamp(0.0, 1.0);
-    1.0 - b.powi(params.max_backoffs as i32 + 1)
-}
-
-/// Channel busy probability induced by `n` transmit-only devices each
-/// sending a frame of `airtime` seconds every `interval` seconds (offered
-/// load, assuming independence).
-pub fn offered_busy_prob(n: u64, airtime_s: f64, interval_s: f64) -> f64 {
-    if interval_s <= 0.0 {
-        return 1.0;
-    }
-    (n as f64 * airtime_s / interval_s).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,55 +61,6 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn airtime_rejects_oversize() {
         airtime_s(117);
-    }
-
-    #[test]
-    fn csma_clear_channel_always_grants() {
-        let mut rng = Rng::seed_from(1);
-        for _ in 0..100 {
-            match csma_attempt(&CsmaParams::default(), 0.0, &mut rng) {
-                CsmaOutcome::Granted { backoffs } => assert_eq!(backoffs, 0),
-                CsmaOutcome::Failure => panic!("clear channel must grant"),
-            }
-        }
-    }
-
-    #[test]
-    fn csma_jammed_channel_always_fails() {
-        let mut rng = Rng::seed_from(2);
-        for _ in 0..100 {
-            assert_eq!(
-                csma_attempt(&CsmaParams::default(), 1.0, &mut rng),
-                CsmaOutcome::Failure
-            );
-        }
-    }
-
-    #[test]
-    fn csma_simulation_matches_analytic() {
-        let params = CsmaParams::default();
-        let busy = 0.6;
-        let mut rng = Rng::seed_from(3);
-        let n = 100_000;
-        let ok = (0..n)
-            .filter(|_| matches!(csma_attempt(&params, busy, &mut rng), CsmaOutcome::Granted { .. }))
-            .count() as f64
-            / n as f64;
-        let analytic = csma_success_prob(&params, busy);
-        assert!((ok - analytic).abs() < 0.005, "sim {ok} analytic {analytic}");
-        // 1 - 0.6^5 = 0.92224.
-        assert!((analytic - 0.922_24).abs() < 1e-9);
-    }
-
-    #[test]
-    fn offered_load_scales_linearly_then_saturates() {
-        let t = airtime_s(24);
-        // 1000 devices hourly: busy ~ 1000*1.312ms/3600s ≈ 0.036%.
-        let b = offered_busy_prob(1_000, t, 3_600.0);
-        assert!((b - 1_000.0 * t / 3_600.0).abs() < 1e-12);
-        assert!(b < 0.001);
-        assert_eq!(offered_busy_prob(10_000_000, t, 1.0), 1.0);
-        assert_eq!(offered_busy_prob(1, t, 0.0), 1.0);
     }
 
     #[test]

@@ -4,57 +4,19 @@
 //! locked onto an SF9 packet barely notices SF7 traffic, and a packet that
 //! arrives several dB stronger than a same-SF interferer *captures* the
 //! demodulator. Capture is a first-order effect on transmit-only network
-//! scalability (design ablation #3 in DESIGN.md); this module provides the
-//! standard rejection-threshold model and Monte-Carlo capture-probability
-//! estimation for realistic power distributions.
+//! scalability (design ablation #3 in DESIGN.md); this module provides
+//! Monte-Carlo capture-probability estimation for realistic power
+//! distributions and the co-SF neighborhoods collisions happen within.
 
 use simcore::rng::Rng;
 
 use crate::grid::SpatialGrid;
-use crate::lora::SpreadingFactor;
 use crate::topology::Point;
-use crate::units::Db;
 
 /// Same-SF capture threshold: a packet survives a same-SF collision if it
 /// is at least this much stronger (standard value ≈ 6 dB for LoRa; use
 /// +∞-like values for pure ALOHA without capture).
 pub const CO_SF_CAPTURE_DB: f64 = 6.0;
-
-/// Rejection threshold (dB) for an interferer at `interferer` SF while the
-/// receiver demodulates `wanted`: the wanted packet survives if
-/// `P_wanted - P_interferer > threshold`. Diagonal entries are the co-SF
-/// capture threshold; off-diagonal values are the (negative) inter-SF
-/// rejection gains from the LoRa cross-correlation literature (Goursaud &
-/// Gorce 2015 / Croce et al. 2018, rounded).
-pub fn rejection_threshold_db(wanted: SpreadingFactor, interferer: SpreadingFactor) -> Db {
-    if wanted == interferer {
-        return Db(CO_SF_CAPTURE_DB);
-    }
-    // Inter-SF isolation grows with SF distance; a nearby SF still needs
-    // the interferer to be much stronger to do damage.
-    let table = [
-        // Rows: wanted SF7..SF12; columns: interferer SF7..SF12.
-        [6.0, -8.0, -9.0, -9.0, -9.0, -9.0],
-        [-11.0, 6.0, -11.0, -12.0, -13.0, -13.0],
-        [-15.0, -13.0, 6.0, -13.0, -14.0, -15.0],
-        [-19.0, -18.0, -17.0, 6.0, -17.0, -18.0],
-        [-22.0, -22.0, -21.0, -20.0, 6.0, -20.0],
-        [-25.0, -25.0, -25.0, -24.0, -23.0, 6.0],
-    ];
-    let idx = |sf: SpreadingFactor| (sf.value() - 7) as usize;
-    Db(table[idx(wanted)][idx(interferer)])
-}
-
-/// Whether a wanted packet at `p_wanted` survives one interferer at
-/// `p_interferer` (both dBm, any SFs).
-pub fn survives_interferer(
-    wanted: SpreadingFactor,
-    p_wanted_dbm: f64,
-    interferer: SpreadingFactor,
-    p_interferer_dbm: f64,
-) -> bool {
-    p_wanted_dbm - p_interferer_dbm > rejection_threshold_db(wanted, interferer).0
-}
 
 /// Monte-Carlo co-SF capture probability when both packets' received
 /// powers are drawn i.i.d. from a lognormal shadowing spread of
@@ -113,15 +75,6 @@ pub fn co_sf_neighborhoods_pairwise(devices: &[Point], radius_m: f64) -> Vec<Vec
         .collect()
 }
 
-/// Mean interference degree over a neighborhood set — the scalar that
-/// feeds collision-rate estimates.
-pub fn mean_degree(neighborhoods: &[Vec<u32>]) -> f64 {
-    if neighborhoods.is_empty() {
-        return 0.0;
-    }
-    neighborhoods.iter().map(Vec::len).sum::<usize>() as f64 / neighborhoods.len() as f64
-}
-
 /// The standard normal upper-tail probability Q(x), via `erfc`.
 pub fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / core::f64::consts::SQRT_2)
@@ -146,45 +99,6 @@ pub fn erfc(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn diagonal_is_capture_threshold() {
-        for sf in SpreadingFactor::ALL {
-            assert_eq!(rejection_threshold_db(sf, sf).0, CO_SF_CAPTURE_DB);
-        }
-    }
-
-    #[test]
-    fn inter_sf_isolation_is_negative() {
-        for a in SpreadingFactor::ALL {
-            for b in SpreadingFactor::ALL {
-                if a != b {
-                    assert!(
-                        rejection_threshold_db(a, b).0 < 0.0,
-                        "{a:?} vs {b:?} should tolerate stronger interferers"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn higher_sf_tolerates_more() {
-        // SF12's rejection of SF7 interference exceeds SF8's.
-        let sf12 = rejection_threshold_db(SpreadingFactor::Sf12, SpreadingFactor::Sf7).0;
-        let sf8 = rejection_threshold_db(SpreadingFactor::Sf8, SpreadingFactor::Sf7).0;
-        assert!(sf12 < sf8);
-    }
-
-    #[test]
-    fn survives_interferer_logic() {
-        use SpreadingFactor::{Sf7, Sf9};
-        // Co-SF: need > 6 dB advantage.
-        assert!(survives_interferer(Sf7, -90.0, Sf7, -97.0));
-        assert!(!survives_interferer(Sf7, -90.0, Sf7, -95.0));
-        // Inter-SF: survives even a 10 dB *stronger* interferer.
-        assert!(survives_interferer(Sf9, -100.0, Sf7, -90.0));
-    }
 
     #[test]
     fn capture_probability_matches_analytic() {
@@ -224,8 +138,6 @@ mod tests {
         assert_eq!(n[1], vec![0, 2]);
         assert_eq!(n[2], vec![1]);
         assert!(n[3].is_empty());
-        assert!((mean_degree(&n) - 1.0).abs() < 1e-12);
-        assert_eq!(mean_degree(&[]), 0.0);
     }
 
     #[test]

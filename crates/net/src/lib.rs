@@ -8,14 +8,12 @@
 //! * [`pathloss`] — log-distance propagation with placement-static
 //!   shadowing.
 //! * [`link`] — logistic PRR waterfalls and link budgets.
-//! * [`ieee802154`] — O-QPSK airtime, sensitivity, CSMA-CA.
+//! * [`ieee802154`] — O-QPSK airtime and sensitivity.
 //! * [`lora`] — the exact Semtech airtime formula, per-SF sensitivities,
 //!   duty-cycle law.
 //! * [`aloha`] — pure-ALOHA collision math for transmit-only populations,
 //!   with capture.
 //! * [`interference`] — SF orthogonality and capture-probability models.
-//! * [`sfselect`] — deployment-time static SF assignment (transmit-only
-//!   devices cannot run ADR).
 //! * [`mesh`] — multi-hop relay coverage and its energy price.
 //! * [`placement`] — greedy minimum-gateway placement (set cover).
 //! * [`packet`] — shared frame/payload types (the 24-byte credit unit).
@@ -39,7 +37,6 @@ pub mod mesh;
 pub mod packet;
 pub mod placement;
 pub mod pathloss;
-pub mod sfselect;
 pub mod topology;
 pub mod units;
 

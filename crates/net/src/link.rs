@@ -7,8 +7,6 @@
 //! well enough for deployment-scale questions ("which gateways hear this
 //! device, and how reliably?").
 
-use simcore::rng::Rng;
-
 use crate::units::{Db, Dbm};
 
 /// Logistic PRR waterfall around a sensitivity threshold.
@@ -43,11 +41,6 @@ impl ReceptionModel {
     pub fn prr(&self, rx: Dbm) -> f64 {
         let x = (rx.value() - self.p50.value()) / self.steepness_db;
         1.0 / (1.0 + (-x).exp())
-    }
-
-    /// Samples whether a packet at received power `rx` is decoded.
-    pub fn receives(&self, rx: Dbm, rng: &mut Rng) -> bool {
-        rng.chance(self.prr(rx))
     }
 
     /// The link margin of a received power over the 50 % point.
@@ -106,16 +99,6 @@ mod tests {
         assert!(m.prr(Dbm(-95.0)) > 0.95);
         assert!(m.prr(Dbm(-105.0)) < 0.05);
         assert!(m.prr(Dbm(-90.0)) > m.prr(Dbm(-98.0)));
-    }
-
-    #[test]
-    fn receives_matches_prr() {
-        let m = ReceptionModel::at_sensitivity(Dbm(-100.0));
-        let mut rng = Rng::seed_from(5);
-        let n = 100_000;
-        let got = (0..n).filter(|_| m.receives(Dbm(-100.5), &mut rng)).count() as f64 / n as f64;
-        let want = m.prr(Dbm(-100.5));
-        assert!((got - want).abs() < 0.005, "got {got} want {want}");
     }
 
     #[test]

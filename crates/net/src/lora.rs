@@ -59,18 +59,6 @@ impl SpreadingFactor {
             SpreadingFactor::Sf12 => Dbm(-137.0),
         }
     }
-
-    /// Minimum demodulation SNR (dB) — negative thanks to spreading gain.
-    pub const fn required_snr_db(self) -> f64 {
-        match self {
-            SpreadingFactor::Sf7 => -7.5,
-            SpreadingFactor::Sf8 => -10.0,
-            SpreadingFactor::Sf9 => -12.5,
-            SpreadingFactor::Sf10 => -15.0,
-            SpreadingFactor::Sf11 => -17.5,
-            SpreadingFactor::Sf12 => -20.0,
-        }
-    }
 }
 
 /// A LoRa PHY configuration.
@@ -133,13 +121,6 @@ impl LoraConfig {
         let denominator = 4.0 * (sf - 2.0 * de);
         let symbols = 8.0 + ((numerator / denominator).ceil() * (self.coding_rate as f64 + 4.0)).max(0.0);
         t_preamble + symbols * t_sym
-    }
-
-    /// Equivalent PHY bit rate in b/s: `SF · BW / 2^SF · CR`.
-    pub fn bitrate_bps(&self) -> f64 {
-        let sf = self.sf.value() as f64;
-        sf * self.bandwidth_hz as f64 / (1u64 << self.sf.value()) as f64 * 4.0
-            / (4.0 + self.coding_rate as f64)
     }
 }
 
@@ -241,15 +222,6 @@ mod tests {
         // 14 dBm TX at SF12: 151 dB budget.
         let mcl = max_coupling_loss(Dbm(14.0), SpreadingFactor::Sf12);
         assert!((mcl.0 - 151.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bitrate_sane() {
-        // SF7/125k CR4/5 ≈ 5.47 kb/s; SF12 ≈ 293 b/s.
-        let b7 = LoraConfig::uplink(SpreadingFactor::Sf7).bitrate_bps();
-        let b12 = LoraConfig::uplink(SpreadingFactor::Sf12).bitrate_bps();
-        assert!((b7 - 5_468.75).abs() < 1.0, "b7 {b7}");
-        assert!((b12 - 292.97).abs() < 0.5, "b12 {b12}");
     }
 
     #[test]

@@ -231,15 +231,6 @@ impl MeshCoverage {
         self.hops.iter().filter(|h| h.is_some()).count() as f64 / self.hops.len() as f64
     }
 
-    /// Mean hops among covered devices.
-    pub fn mean_hops(&self) -> f64 {
-        let covered: Vec<u8> = self.hops.iter().flatten().copied().collect();
-        if covered.is_empty() {
-            return 0.0;
-        }
-        covered.iter().map(|&h| h as f64).sum::<f64>() / covered.len() as f64
-    }
-
     /// The heaviest relay burden on any single device.
     pub fn max_relay_load(&self) -> u32 {
         self.relay_load.iter().copied().max().unwrap_or(0)
@@ -383,7 +374,6 @@ mod tests {
         let mesh = resolve_mesh(&devices, &gateways, &params(), 8, &mut rng);
         assert_eq!(mesh.hops[0], None);
         assert_eq!(mesh.covered_fraction(), 0.0);
-        assert_eq!(mesh.mean_hops(), 0.0);
         assert_eq!(mesh.mean_tx_multiplier(), 0.0);
     }
 

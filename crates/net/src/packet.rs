@@ -47,19 +47,6 @@ impl Payload {
     }
 }
 
-/// One sensor reading in flight: who sent it, with what, when.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Reading {
-    /// Originating device id (fleet-level index).
-    pub device: u32,
-    /// Radio used.
-    pub tech: RadioTech,
-    /// Application payload.
-    pub payload: Payload,
-    /// Sequence number at the device.
-    pub seq: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,17 +62,5 @@ mod tests {
     fn tech_displays() {
         assert_eq!(RadioTech::Ieee802154.to_string(), "802.15.4");
         assert_eq!(RadioTech::LoRa.to_string(), "LoRa");
-    }
-
-    #[test]
-    fn reading_carries_fields() {
-        let r = Reading {
-            device: 3,
-            tech: RadioTech::LoRa,
-            payload: Payload::CREDIT_UNIT,
-            seq: 42,
-        };
-        assert_eq!(r.device, 3);
-        assert_eq!(r.seq, 42);
     }
 }

@@ -6,7 +6,6 @@
 //! generate unstructured deployments. All geometry lives on a flat plane in
 //! meters — adequate at city scale.
 
-use simcore::dist::Poisson;
 use simcore::rng::Rng;
 
 /// A point on the deployment plane, in meters.
@@ -55,25 +54,6 @@ pub fn uniform_scatter(n: usize, w: f64, h: f64, rng: &mut Rng) -> Vec<Point> {
     (0..n)
         .map(|_| Point::new(rng.next_f64() * w, rng.next_f64() * h))
         .collect()
-}
-
-/// Samples a homogeneous Poisson point process of intensity
-/// `per_km2` points/km² over a `w × h` meter rectangle.
-pub fn poisson_scatter(per_km2: f64, w: f64, h: f64, rng: &mut Rng) -> Vec<Point> {
-    assert!(per_km2 >= 0.0 && per_km2.is_finite(), "intensity must be >= 0");
-    let area_km2 = w * h / 1e6;
-    let mean = per_km2 * area_km2;
-    if mean <= 0.0 {
-        return Vec::new();
-    }
-    // `mean` is positive and finite here (asserted intensity, finite
-    // area), so the constructor cannot fail; degrade to an empty scatter
-    // rather than panic if that ever changes.
-    let n = match Poisson::new(mean) {
-        Ok(p) => p.sample(rng) as usize,
-        Err(_) => return Vec::new(),
-    };
-    uniform_scatter(n, w, h, rng)
 }
 
 /// A Manhattan-grid city: `bx × by` blocks of `block_m` meters.
@@ -250,15 +230,6 @@ mod tests {
             assert!((0.0..500.0).contains(&p.x));
             assert!((0.0..200.0).contains(&p.y));
         }
-    }
-
-    #[test]
-    fn poisson_scatter_intensity() {
-        let mut rng = Rng::seed_from(2);
-        // 100/km² over 10 km² -> ~1000 points.
-        let pts = poisson_scatter(100.0, 5_000.0, 2_000.0, &mut rng);
-        assert!(pts.len() > 850 && pts.len() < 1_150, "n {}", pts.len());
-        assert!(poisson_scatter(0.0, 1_000.0, 1_000.0, &mut rng).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Radio units: dBm/milliwatt conversions and link-budget arithmetic.
+//! Radio units: dBm and dB link-budget arithmetic.
 //!
 //! Link budgets are additions in decibel space; keeping power levels in a
 //! dedicated [`Dbm`] type prevents the classic watt/dBm mix-up bugs.
@@ -15,26 +15,6 @@ pub struct Dbm(pub f64);
 pub struct Db(pub f64);
 
 impl Dbm {
-    /// Converts milliwatts to dBm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mw` is not positive and finite.
-    pub fn from_mw(mw: f64) -> Dbm {
-        assert!(mw > 0.0 && mw.is_finite(), "power must be positive");
-        Dbm(10.0 * mw.log10())
-    }
-
-    /// Converts to milliwatts.
-    pub fn to_mw(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
-    /// Converts to watts.
-    pub fn to_w(self) -> f64 {
-        self.to_mw() / 1_000.0
-    }
-
     /// The raw dBm value.
     pub fn value(self) -> f64 {
         self.0
@@ -94,16 +74,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mw_dbm_roundtrip() {
-        assert!((Dbm::from_mw(1.0).value() - 0.0).abs() < 1e-12);
-        assert!((Dbm::from_mw(100.0).value() - 20.0).abs() < 1e-12);
-        assert!((Dbm(14.0).to_mw() - 25.1188).abs() < 0.001);
-        assert!((Dbm(0.0).to_w() - 0.001).abs() < 1e-12);
-        let p = 17.3;
-        assert!((Dbm::from_mw(Dbm(p).to_mw()).value() - p).abs() < 1e-9);
-    }
-
-    #[test]
     fn budget_arithmetic() {
         // 14 dBm TX - 120 dB path + 3 dB antenna = -103 dBm RX.
         let rx = Dbm(14.0) - Db(120.0) + Db(3.0);
@@ -122,11 +92,5 @@ mod tests {
     fn display() {
         assert_eq!(Dbm(-103.25).to_string(), "-103.2 dBm");
         assert_eq!(Db(7.0).to_string(), "7.0 dB");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn from_mw_rejects_zero() {
-        Dbm::from_mw(0.0);
     }
 }

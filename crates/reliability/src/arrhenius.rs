@@ -7,28 +7,6 @@
 //! infrastructure enclosures run hot; this module quantifies how much life
 //! that costs.
 
-/// Boltzmann constant in eV/K.
-pub const BOLTZMANN_EV: f64 = 8.617_333e-5;
-
-/// Arrhenius acceleration factor between a use temperature and a reference
-/// temperature (both °C): how many times faster aging proceeds at
-/// `use_c` than at `ref_c` for a mechanism with activation energy
-/// `ea_ev` (eV).
-///
-/// AF > 1 means faster aging (shorter life).
-///
-/// # Panics
-///
-/// Panics if either temperature is at or below absolute zero or `ea_ev` is
-/// not finite and positive.
-pub fn acceleration_factor(ea_ev: f64, use_c: f64, ref_c: f64) -> f64 {
-    assert!(ea_ev.is_finite() && ea_ev > 0.0, "activation energy must be positive");
-    let use_k = use_c + 273.15;
-    let ref_k = ref_c + 273.15;
-    assert!(use_k > 0.0 && ref_k > 0.0, "temperature below absolute zero");
-    ((ea_ev / BOLTZMANN_EV) * (1.0 / ref_k - 1.0 / use_k)).exp()
-}
-
 /// The electrolytic-capacitor "10-degree rule": life multiplier
 /// `2^((rated_c - use_c)/10)` relative to the rated life at `rated_c`.
 ///
@@ -47,27 +25,6 @@ pub fn electrolytic_life_years(rated_hours: f64, rated_c: f64, use_c: f64) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn af_is_one_at_reference() {
-        let af = acceleration_factor(0.9, 55.0, 55.0);
-        assert!((af - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn af_increases_with_temperature() {
-        let cool = acceleration_factor(0.9, 40.0, 25.0);
-        let hot = acceleration_factor(0.9, 70.0, 25.0);
-        assert!(hot > cool && cool > 1.0);
-    }
-
-    #[test]
-    fn af_10c_rule_consistency() {
-        // Ea ≈ 0.55 eV reproduces roughly a 2x change per 10 °C near 300 K:
-        // Ea = ln2 · k · T1·T2/ΔT = 0.693 · 8.617e-5 · 298·308/10 ≈ 0.548 eV.
-        let af = acceleration_factor(0.55, 35.0, 25.0);
-        assert!((af - 2.0).abs() < 0.1, "af {af}");
-    }
 
     #[test]
     fn electrolytic_rule_doubles_per_10c() {
@@ -90,11 +47,5 @@ mod tests {
         // The same part in a 75 °C sealed curbside cabinet: 5,000 * 2^3 h ≈ 4.6 y.
         let years = electrolytic_life_years(5_000.0, 105.0, 75.0);
         assert!(years < 5.0, "years {years}");
-    }
-
-    #[test]
-    #[should_panic(expected = "activation energy")]
-    fn rejects_bad_ea() {
-        acceleration_factor(0.0, 50.0, 25.0);
     }
 }

@@ -83,12 +83,6 @@ pub fn primary_battery(median_years: f64) -> Component {
     Component::new("primary-battery", WeibullHazard::with_median(3.5, median_years))
 }
 
-/// Rechargeable Li-ion pack: calendar aging dominates at IoT duty cycles;
-/// median ~8 y, tighter spread (capacity fade is well-characterized).
-pub fn liion_battery() -> Component {
-    Component::new("liion-battery", WeibullHazard::with_median(4.0, 8.0))
-}
-
 /// FR-4 PCB substrate with plated vias (IPC-6012 class 3, the grade an
 /// infrastructure deployment specifies): CAF growth and via fatigue give a
 /// long wear-out, median ~50 y outdoors.

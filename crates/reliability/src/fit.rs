@@ -173,12 +173,6 @@ pub fn fit_weibull(observations: &[Observation]) -> Result<WeibullFit, FitError>
     })
 }
 
-/// Convenience: fit from plain failure times (no censoring).
-pub fn fit_weibull_complete(times: &[f64]) -> Result<WeibullFit, FitError> {
-    let obs: Vec<Observation> = times.iter().map(|&t| Observation::failed(t)).collect();
-    fit_weibull(&obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,16 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn complete_helper_equivalent() {
-        let times = [1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0];
-        let a = fit_weibull_complete(&times).expect("fit");
-        let obs: Vec<Observation> = times.iter().map(|&t| Observation::failed(t)).collect();
-        let b = fit_weibull(&obs).expect("fit");
-        assert_eq!(a.shape, b.shape);
-        assert_eq!(a.scale, b.scale);
-    }
-
-    #[test]
     fn no_convergence_is_error() {
         // Two distinct failure times separated by one ULP pass the
         // degeneracy check, but the profile score stays positive past the
@@ -306,7 +290,8 @@ mod tests {
         // score(k) ≈ (N+1)/k − N·ε, and (N+1)/2^60 > N·ε for N = 1000.
         let mut times = vec![1.0 + f64::EPSILON; 1_000];
         times.push(1.0);
-        match fit_weibull_complete(&times) {
+        let obs: Vec<Observation> = times.iter().map(|&t| Observation::failed(t)).collect();
+        match fit_weibull(&obs) {
             Err(FitError::NoConvergence) => {}
             other => panic!("expected NoConvergence, got {other:?}"),
         }

@@ -163,18 +163,6 @@ impl WeibullHazard {
     pub fn scale(&self) -> f64 {
         self.dist.scale()
     }
-
-    /// Returns a copy with the scale divided by an acceleration factor
-    /// (e.g. Arrhenius temperature acceleration): higher stress, shorter
-    /// life, same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `af` is not positive and finite.
-    pub fn accelerated(&self, af: f64) -> WeibullHazard {
-        assert!(af.is_finite() && af > 0.0, "acceleration factor must be positive");
-        WeibullHazard::new(self.shape(), self.scale() / af)
-    }
 }
 
 impl Hazard for WeibullHazard {
@@ -327,16 +315,6 @@ impl Hazard for Immortal {
     }
 }
 
-/// Estimates MTTF by Monte-Carlo over `n` draws.
-pub fn mttf_monte_carlo<H: Hazard + ?Sized>(h: &H, rng: &mut Rng, n: usize) -> f64 {
-    assert!(n > 0, "need at least one draw");
-    let mut acc = 0.0;
-    for _ in 0..n {
-        acc += h.sample_ttf(rng);
-    }
-    acc / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +328,8 @@ mod tests {
         let h = ExponentialHazard::with_mttf(10.0);
         assert_eq!(h.survival(0.0), 1.0);
         assert!((h.survival(10.0) - (-1.0f64).exp()).abs() < 1e-12);
-        let est = mttf_monte_carlo(&h, &mut rng(), 100_000);
+        let mut r = rng();
+        let est = (0..100_000).map(|_| h.sample_ttf(&mut r)).sum::<f64>() / 100_000.0;
         assert!((est - 10.0).abs() < 0.15, "est {est}");
     }
 
@@ -369,15 +348,6 @@ mod tests {
             assert!(s <= last + 1e-15);
             last = s;
         }
-    }
-
-    #[test]
-    fn weibull_acceleration_shortens_life() {
-        let h = WeibullHazard::new(2.0, 20.0);
-        let hot = h.accelerated(4.0);
-        assert!((hot.scale() - 5.0).abs() < 1e-12);
-        assert_eq!(hot.shape(), 2.0);
-        assert!(hot.survival(5.0) < h.survival(5.0));
     }
 
     #[test]

@@ -19,13 +19,11 @@
 //!   lifetime gap.
 //! * [`fit`] — Weibull maximum-likelihood fitting under right censoring,
 //!   for analyzing simulated (or real) deployment diaries.
-//! * [`burnin`] — burn-in screening and its warranty arithmetic.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arrhenius;
-pub mod burnin;
 pub mod components;
 pub mod fatigue;
 pub mod fit;

@@ -20,9 +20,6 @@ pub mod paper {
     /// "On average, a bridge is replaced every 50 years."
     pub const BRIDGE_SERVICE_YEARS: f64 = 50.0;
 
-    /// Median road service life (paper cites WisDOT: 25 years).
-    pub const ROAD_SERVICE_YEARS: f64 = 25.0;
-
     /// The headline gap: bridge years vs device months.
     pub fn lifetime_gap() -> f64 {
         BRIDGE_SERVICE_YEARS / (DEVICE_REPLACEMENT_MONTHS / 12.0)

@@ -3,14 +3,8 @@
 //! The paper's Ship-of-Theseus argument (§1, §3.4) is renewal theory in
 //! disguise: each mount hosts a sequence of devices, each replaced on
 //! failure (or on schedule), and the *system* lives as long as the renewal
-//! process keeps running. This module provides:
-//!
-//! * Monte-Carlo renewal-function estimation `m(t)` = expected replacements
-//!   by time `t`;
-//! * the elementary-renewal steady-state rate `1/μ`;
-//! * the steady-state **age distribution** of a pipelined fleet (which is
-//!   *not* the lifetime distribution — inspection paradox), used to answer
-//!   "how old is the average deployed device?".
+//! process keeps running. This module estimates the renewal function
+//! `m(t)` = expected replacements by time `t`, by Monte-Carlo.
 
 use simcore::rng::Rng;
 use simcore::stats::Moments;
@@ -51,85 +45,6 @@ pub fn renewal_function<H: Hazard + ?Sized>(
     (m.mean(), m.std_err())
 }
 
-/// The long-run replacement rate per mount-year, `1/MTTF` (elementary
-/// renewal theorem), estimated by Monte-Carlo over lifetimes.
-pub fn steady_state_rate<H: Hazard + ?Sized>(h: &H, rng: &mut Rng, draws: usize) -> f64 {
-    let mut m = Moments::new();
-    for _ in 0..draws {
-        m.add(h.sample_ttf(rng));
-    }
-    if m.mean() <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / m.mean()
-    }
-}
-
-/// Samples the steady-state **age** of the in-service unit at a uniformly
-/// random inspection time, using the length-biased construction: draw a
-/// lifetime `L` weighted by its length (via rejection against the observed
-/// max), then a uniform position within it.
-///
-/// Rejection is against an empirical bound refreshed from the proposal
-/// distribution; adequate for the bounded-tail lifetime models used here.
-pub fn sample_steady_state_age<H: Hazard + ?Sized>(h: &H, rng: &mut Rng) -> f64 {
-    // Estimate a bound on lifetimes from a few draws (cheap, cached per call
-    // group by callers who need many samples).
-    let mut bound: f64 = 0.0;
-    for _ in 0..16 {
-        bound = bound.max(h.sample_ttf(rng));
-    }
-    bound = (bound * 4.0).max(1e-9);
-    loop {
-        let l = h.sample_ttf(rng);
-        if l >= bound {
-            // Accept outright: beyond the estimated bound the acceptance
-            // ratio saturates.
-            return l * rng.next_f64();
-        }
-        if rng.next_f64() < l / bound {
-            return l * rng.next_f64();
-        }
-    }
-}
-
-/// Summary of a pipelined fleet at steady state (E3's headline numbers).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PipelineSummary {
-    /// Mean lifetime of one device (years).
-    pub device_mttf: f64,
-    /// Mean in-service device age at a random inspection (years).
-    pub mean_age: f64,
-    /// Long-run replacements per mount-year.
-    pub replacement_rate: f64,
-    /// Expected replacements per mount over the horizon.
-    pub replacements_per_mount: f64,
-}
-
-/// Computes the pipeline summary for a lifetime model over a horizon.
-pub fn pipeline_summary<H: Hazard + ?Sized>(
-    h: &H,
-    rng: &mut Rng,
-    horizon_years: f64,
-    replicates: usize,
-) -> PipelineSummary {
-    let mut life = Moments::new();
-    for _ in 0..replicates {
-        life.add(h.sample_ttf(rng));
-    }
-    let mut age = Moments::new();
-    for _ in 0..replicates {
-        age.add(sample_steady_state_age(h, rng));
-    }
-    let (m, _) = renewal_function(h, rng, horizon_years, replicates);
-    PipelineSummary {
-        device_mttf: life.mean(),
-        mean_age: age.mean(),
-        replacement_rate: if life.mean() > 0.0 { 1.0 / life.mean() } else { f64::INFINITY },
-        replacements_per_mount: m,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,46 +71,6 @@ mod tests {
         let expect = horizon / mttf;
         // Within a few percent at 20 lifetimes deep.
         assert!((m - expect).abs() / expect < 0.08, "m {m} expect {expect}");
-    }
-
-    #[test]
-    fn steady_state_rate_matches_mttf() {
-        let h = ExponentialHazard::with_mttf(4.0);
-        let r = steady_state_rate(&h, &mut rng(), 100_000);
-        assert!((r - 0.25).abs() < 0.01, "rate {r}");
-    }
-
-    #[test]
-    fn inspection_paradox_for_exponential() {
-        // For exponential lifetimes the steady-state age is Exp(1/MTTF):
-        // mean age = MTTF (not MTTF/2) — the inspection paradox.
-        let h = ExponentialHazard::with_mttf(6.0);
-        let mut r = rng();
-        let n = 50_000;
-        let mean: f64 =
-            (0..n).map(|_| sample_steady_state_age(&h, &mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 6.0).abs() < 0.35, "mean {mean}");
-    }
-
-    #[test]
-    fn steady_state_age_for_deterministic_like_weibull() {
-        // Sharp Weibull (k=20): lifetimes ~ scale, so mean age ~ scale/2.
-        let h = WeibullHazard::new(20.0, 10.0);
-        let mut r = rng();
-        let n = 50_000;
-        let mean: f64 =
-            (0..n).map(|_| sample_steady_state_age(&h, &mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.4, "mean {mean}");
-    }
-
-    #[test]
-    fn pipeline_summary_consistency() {
-        let h = WeibullHazard::new(3.0, 15.0);
-        let s = pipeline_summary(&h, &mut rng(), 100.0, 5_000);
-        assert!((s.device_mttf - h.mttf()).abs() < 0.5);
-        assert!((s.replacement_rate - 1.0 / h.mttf()).abs() < 0.01);
-        assert!(s.replacements_per_mount > 5.0);
-        assert!(s.mean_age > 0.0 && s.mean_age < s.device_mttf);
     }
 
     #[test]

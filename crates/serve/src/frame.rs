@@ -10,15 +10,11 @@
 //! truncated stream is a typed [`FrameError`], never a hang on a
 //! half-read length.
 //!
-//! The decoder has two entry points:
-//!
-//! * [`decode`] — a pure, incremental function over a byte slice, the
-//!   unit the adversarial proptests grind on (`tests/properties.rs`): it
-//!   must never panic, never over-read, and never consume bytes without
-//!   producing a frame or an error.
-//! * [`read_frame`]/[`write_frame`]/[`push_frame`] — blocking I/O
-//!   wrappers used by the daemon and client, built on the same
-//!   validation.
+//! [`read_frame`] is the one decoder: the daemon and the client read
+//! with it, and the adversarial proptests (`tests/properties.rs`) drive
+//! it over in-memory cursors. It must never panic, never over-read, and
+//! never consume bytes without producing a frame or an error.
+//! [`write_frame`]/[`push_frame`] write frames built by [`encode`].
 
 use std::io::{self, BufWriter, Read, Write};
 
@@ -74,49 +70,8 @@ impl std::error::Error for FrameError {
     }
 }
 
-/// One step of incremental decoding over `buf`.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Decoded {
-    /// Not enough bytes yet; no bytes consumed.
-    NeedMore,
-    /// One complete frame: the payload string and the total bytes
-    /// consumed from the front of `buf` (header + payload).
-    Frame {
-        /// The UTF-8 payload.
-        payload: String,
-        /// Header + payload bytes consumed.
-        consumed: usize,
-    },
-}
-
-/// Decodes one frame from the front of `buf` without consuming input on
-/// a short read. `max` is clamped to [`ABSOLUTE_MAX_FRAME`].
-///
-/// # Errors
-///
-/// [`FrameError::Oversized`] as soon as the 4-byte header declares a
-/// payload over the cap (before any payload arrives), and
-/// [`FrameError::BadUtf8`] for a complete but non-UTF-8 payload.
-pub fn decode(buf: &[u8], max: usize) -> Result<Decoded, FrameError> {
-    let max = max.min(ABSOLUTE_MAX_FRAME);
-    if buf.len() < 4 {
-        return Ok(Decoded::NeedMore);
-    }
-    let declared = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if declared > max {
-        return Err(FrameError::Oversized { declared, max });
-    }
-    let Some(payload) = buf.get(4..4 + declared) else {
-        return Ok(Decoded::NeedMore);
-    };
-    match core::str::from_utf8(payload) {
-        Ok(s) => Ok(Decoded::Frame { payload: s.to_string(), consumed: 4 + declared }),
-        Err(_) => Err(FrameError::BadUtf8),
-    }
-}
-
 /// Encodes `payload` as one frame (header + bytes). The inverse of
-/// [`decode`] for payloads under the cap.
+/// [`read_frame`] for payloads under the cap.
 pub fn encode(payload: &str) -> Vec<u8> {
     let bytes = payload.as_bytes();
     let mut out = Vec::with_capacity(4 + bytes.len());
@@ -161,6 +116,7 @@ pub fn push_frame<W: Write>(w: &mut BufWriter<W>, payload: &str) -> Result<(), F
 }
 
 /// Outcome of one blocking frame read.
+#[derive(Debug)]
 pub enum ReadFrame {
     /// A complete frame arrived.
     Frame(String),
@@ -243,25 +199,31 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Fill {
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip() {
-        let frame = encode("{\"op\":\"ping\"}");
-        match decode(&frame, DEFAULT_MAX_FRAME) {
-            Ok(Decoded::Frame { payload, consumed }) => {
-                assert_eq!(payload, "{\"op\":\"ping\"}");
-                assert_eq!(consumed, frame.len());
-            }
-            other => panic!("expected frame, got {other:?}"),
-        }
+    /// Reads one frame from the front of `bytes`.
+    fn read(bytes: &[u8], max: usize) -> Result<ReadFrame, FrameError> {
+        read_frame(&mut io::Cursor::new(bytes), max)
     }
 
     #[test]
-    fn short_reads_ask_for_more() {
+    fn roundtrip() {
+        let mut buf = encode("{\"op\":\"ping\"}");
+        let frame_len = buf.len();
+        buf.extend_from_slice(b"trailer");
+        let mut cursor = io::Cursor::new(&buf);
+        match read_frame(&mut cursor, DEFAULT_MAX_FRAME) {
+            Ok(ReadFrame::Frame(payload)) => assert_eq!(payload, "{\"op\":\"ping\"}"),
+            other => panic!("expected frame, got {other:?}"),
+        }
+        assert_eq!(cursor.position(), frame_len as u64, "the trailer stays unread");
+    }
+
+    #[test]
+    fn short_reads_are_truncated() {
         let frame = encode("{\"op\":\"ping\"}");
-        for cut in 0..frame.len() {
-            assert_eq!(
-                decode(&frame[..cut], DEFAULT_MAX_FRAME).map_err(|_| ()),
-                Ok(Decoded::NeedMore),
+        assert!(matches!(read(&[], DEFAULT_MAX_FRAME), Ok(ReadFrame::Closed)));
+        for cut in 1..frame.len() {
+            assert!(
+                matches!(read(&frame[..cut], DEFAULT_MAX_FRAME), Err(FrameError::Truncated)),
                 "cut at {cut}"
             );
         }
@@ -272,12 +234,12 @@ mod tests {
         let mut buf = (u32::MAX).to_be_bytes().to_vec();
         buf.push(0);
         assert!(matches!(
-            decode(&buf, DEFAULT_MAX_FRAME),
+            read(&buf, DEFAULT_MAX_FRAME),
             Err(FrameError::Oversized { declared, .. }) if declared == u32::MAX as usize
         ));
         // The cap never exceeds the absolute ceiling.
         assert!(matches!(
-            decode(&buf, usize::MAX),
+            read(&buf, usize::MAX),
             Err(FrameError::Oversized { max, .. }) if max == ABSOLUTE_MAX_FRAME
         ));
     }
@@ -286,7 +248,7 @@ mod tests {
     fn non_utf8_payload_is_refused() {
         let mut buf = 2u32.to_be_bytes().to_vec();
         buf.extend_from_slice(&[0xff, 0xfe]);
-        assert!(matches!(decode(&buf, DEFAULT_MAX_FRAME), Err(FrameError::BadUtf8)));
+        assert!(matches!(read(&buf, DEFAULT_MAX_FRAME), Err(FrameError::BadUtf8)));
     }
 
     #[test]

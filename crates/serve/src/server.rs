@@ -669,7 +669,6 @@ fn send_error<W: Write>(out: &mut BufWriter<W>, e: &ServeError) -> Result<(), Fr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Decoded;
 
     /// What reaches the socket side of a response buffer.
     #[derive(Default)]
@@ -706,18 +705,17 @@ mod tests {
         out.into_inner().map_err(|_| ()).unwrap()
     }
 
-    fn frames(mut bytes: &[u8]) -> Vec<Object> {
+    fn frames(bytes: &[u8]) -> Vec<Object> {
+        let mut cursor = std::io::Cursor::new(bytes);
         let mut out = Vec::new();
-        while !bytes.is_empty() {
-            match frame::decode(bytes, DEFAULT_MAX_FRAME).unwrap() {
-                Decoded::Frame { payload, consumed } => {
-                    out.push(json::parse_object(&payload).unwrap());
-                    bytes = &bytes[consumed..];
-                }
-                Decoded::NeedMore => panic!("response ends mid-frame"),
+        loop {
+            match frame::read_frame(&mut cursor, DEFAULT_MAX_FRAME) {
+                Ok(ReadFrame::Frame(payload)) => out.push(json::parse_object(&payload).unwrap()),
+                Ok(ReadFrame::Closed) => return out,
+                Ok(ReadFrame::Idle) => unreachable!("a cursor never times out"),
+                Err(e) => panic!("response is not a clean frame sequence: {e}"),
             }
         }
-        out
     }
 
     #[test]

@@ -193,17 +193,6 @@ impl Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// Returns `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.next_below(xs.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -327,14 +316,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_and_singleton() {
-        let mut r = Rng::seed_from(14);
-        let empty: [u8; 0] = [];
-        assert_eq!(r.choose(&empty), None);
-        assert_eq!(r.choose(&[42]), Some(&42));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! structural view ([`parse`]) feeds an RNG stream-lineage analysis
 //! ([`lineage`], rules R001/R002 against the `STREAMS.md` [`registry`]),
 //! a digest-purity taint pass ([`taint`], R003), and a stale-pragma audit
-//! (R004). Findings can be gated against a stable [`baseline`] so CI
+//! (R004) and a cross-file pass for public functions nothing calls
+//! ([`uncalled`], U001). Findings can be gated against a stable [`baseline`] so CI
 //! fails only on *new* findings.
 //!
 //! The crate is self-contained on purpose: no `syn`, no `walkdir`, no
@@ -38,10 +39,12 @@ pub mod parse;
 pub mod registry;
 pub mod rules;
 pub mod taint;
+pub mod uncalled;
 
 use lineage::StreamSite;
 use registry::Registry;
-use rules::{check_file, FileReport, Finding};
+use rules::{check_file, check_file_in, FileReport, Finding};
+use uncalled::NameIndex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -213,10 +216,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// `EXCLUDED_PREFIXES`). Returns an error only on I/O failure; findings
 /// are data, not errors.
 pub fn lint_workspace(root: &Path) -> std::io::Result<RunReport> {
+    let mut paths = Vec::new();
+    collect_rs_files(root, &mut paths)?;
     let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    let mut report = RunReport::default();
-    for path in files {
+    let mut names = NameIndex::default();
+    for path in paths {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -227,7 +231,14 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<RunReport> {
         if EXCLUDED_PREFIXES.iter().any(|p| rel.starts_with(p)) {
             continue;
         }
-        report.absorb(lint_path_as(&path, &rel)?);
+        let src = std::fs::read_to_string(&path)?;
+        names.add_file(&lexer::lex(&src).tokens);
+        files.push((rel, src));
+    }
+    let mut report = RunReport::default();
+    for (rel, src) in &files {
+        let (crate_name, is_test) = classify(rel);
+        report.absorb(check_file_in(rel, &crate_name, src, is_test, Some(&names)));
     }
     r002_collisions(&mut report, &Registry::load(root));
     report.findings.sort_by(|a, b| {

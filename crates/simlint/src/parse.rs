@@ -249,14 +249,6 @@ pub fn is_leaf_punct(toks: &[Token], t: Option<&Tree>, s: &str) -> bool {
     leaf(toks, t).map(|tok| tok.is_punct(s)).unwrap_or(false)
 }
 
-/// The source line a tree starts on.
-pub fn line_of(toks: &[Token], t: &Tree) -> u32 {
-    match t {
-        Tree::Leaf(ix) => toks.get(*ix).map(|t| t.line).unwrap_or(0),
-        Tree::Group { open, .. } => toks.get(*open).map(|t| t.line).unwrap_or(0),
-    }
-}
-
 /// Splits a tree sequence on top-level commas.
 pub fn split_on_comma<'a>(toks: &[Token], trees: &'a [Tree]) -> Vec<&'a [Tree]> {
     split_on(toks, trees, ",")

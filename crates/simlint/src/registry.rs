@@ -4,8 +4,7 @@
 //! substream to two different consumers — correlated randomness nobody
 //! asked for. R002 flags every such collision *unless* the chain is
 //! registered here as deliberate (the classic legitimate case is common
-//! random numbers: two policy arms sharing one stream on purpose, as
-//! `fleet::maintenance::batching_speedup` does).
+//! random numbers: two policy arms sharing one stream on purpose).
 //!
 //! The registry is the `Shared streams` table in the workspace-root
 //! `STREAMS.md`:

@@ -41,6 +41,9 @@
 //!   vars, thread/pointer identity may not flow into digest sinks.
 //! * **R004** (here) — a pragma that waives nothing is itself a finding,
 //!   so the allow-ledger can only shrink as code heals.
+//! * **U001** ([`crate::uncalled`], workspace runs only) — a library
+//!   `pub fn` that no other file names and its own file uses only in
+//!   tests is dead surface.
 //!
 //! Rules operate on the token stream from [`crate::lexer`]; test code
 //! (`#[cfg(test)]` items, `#[test]` functions, files under `tests/`) is
@@ -58,10 +61,13 @@
 use crate::lexer::{lex, LineComment, TokKind, Token};
 use crate::lineage::{self, StreamSite};
 use crate::taint;
+use crate::uncalled::{self, NameIndex};
 
 /// Rule identifiers, in report order.
-pub const RULE_IDS: [&str; 11] =
-    ["D001", "D002", "D003", "D004", "P001", "F001", "R001", "R002", "R003", "R004", "SL000"];
+pub const RULE_IDS: [&str; 12] = [
+    "D001", "D002", "D003", "D004", "P001", "F001", "R001", "R002", "R003", "R004", "U001",
+    "SL000",
+];
 
 /// Crates whose state feeds run digests, golden traces, or rendered
 /// exhibits. `HashMap` iteration anywhere in these is a D001 finding.
@@ -153,8 +159,21 @@ struct Pragma {
 /// `file` is the path used in findings (workspace-relative by convention),
 /// `crate_name` scopes the per-crate rules (`"workspace"` for the root
 /// package), and `is_test_file` marks whole-file test exemption (files
-/// under a `tests/` directory — they compile with `cfg(test)`).
+/// under a `tests/` directory — they compile with `cfg(test)`). The
+/// cross-file rule U001 is skipped; see [`check_file_in`].
 pub fn check_file(file: &str, crate_name: &str, src: &str, is_test_file: bool) -> FileReport {
+    check_file_in(file, crate_name, src, is_test_file, None)
+}
+
+/// [`check_file`] with the workspace's [`NameIndex`], which enables U001
+/// and audits U001 pragmas under R004.
+pub fn check_file_in(
+    file: &str,
+    crate_name: &str,
+    src: &str,
+    is_test_file: bool,
+    names: Option<&NameIndex>,
+) -> FileReport {
     let lexed = lex(src);
     let mut report = FileReport::default();
 
@@ -297,6 +316,9 @@ pub fn check_file(file: &str, crate_name: &str, src: &str, is_test_file: bool) -
     if DIGEST_FEEDING_CRATES.contains(&crate_name) {
         raw.append(&mut taint::analyze(file, toks, &parsed));
     }
+    if let Some(names) = names {
+        raw.append(&mut uncalled::analyze(file, toks, &in_test, names));
+    }
 
     let mut used = vec![false; pragmas.len()];
     for f in raw {
@@ -317,10 +339,12 @@ pub fn check_file(file: &str, crate_name: &str, src: &str, is_test_file: bool) -
     // honest if every entry still earns its keep. Test code is exempt as
     // everywhere else; `allow(R004, …)` meta-pragmas can waive an entry
     // that is intentionally kept (e.g. around conditionally-compiled code)
-    // and are never themselves reported stale.
+    // and are never themselves reported stale. U001 pragmas can only be
+    // judged against the whole workspace.
     if !is_test_file {
         for (p, was_used) in pragmas.iter().zip(&used) {
-            if *was_used || p.rule == "R004" || in_test(p.at) {
+            let unjudged = p.rule == "U001" && names.is_none();
+            if *was_used || p.rule == "R004" || unjudged || in_test(p.at) {
                 continue;
             }
             if waived("R004", p.at) {

@@ -219,6 +219,117 @@ fn findings_sort_by_line_and_render_with_location() {
     );
 }
 
+// ---- U001: public functions nothing calls ------------------------------
+
+/// A library file whose `pub fn helper` only its own unit test calls.
+const LIB_WITH_HELPER: &str = "\
+/// Used.
+pub fn used() -> u32 {
+    2
+}
+
+/// Called only from the test below.
+pub fn helper() -> u32 {
+    used() + 1
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn helper_adds_one() {
+        assert_eq!(super::helper(), 3);
+    }
+}
+";
+
+/// Lints a throwaway workspace built under `CARGO_TARGET_TMPDIR` from
+/// (relative-path, contents) pairs and returns its U001 findings.
+fn u001_in(name: &str, files: &[(&str, &str)]) -> Vec<simlint::rules::Finding> {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("simlint_u001").join(name);
+    if root.exists() {
+        std::fs::remove_dir_all(&root).expect("clear temp ws");
+    }
+    for (rel, contents) in files {
+        let dst = root.join(rel);
+        std::fs::create_dir_all(dst.parent().expect("parent")).expect("mkdir");
+        std::fs::write(&dst, contents).expect("write");
+    }
+    let report = simlint::lint_workspace(&root).expect("lint temp ws");
+    report.findings.into_iter().filter(|f| f.rule == "U001").collect()
+}
+
+/// A caller in another file that names `helper`.
+const CALLER: &str = "fn main() {\n    println!(\"{}\", lib::a::helper());\n}\n";
+
+#[test]
+fn u001_fires_when_only_its_own_tests_call_it() {
+    let found = u001_in(
+        "own_tests_only",
+        &[("crates/lib/src/a.rs", LIB_WITH_HELPER), ("crates/lib/src/b.rs", "pub fn b() {}\n")],
+    );
+    let names: Vec<(&str, u32)> = found.iter().map(|f| (f.file.as_str(), f.line)).collect();
+    // `helper` (line 7) and `b`; `used` has a non-test caller in its own file.
+    assert_eq!(names, vec![("crates/lib/src/a.rs", 7), ("crates/lib/src/b.rs", 1)]);
+    assert!(found[0].message.contains("`pub fn helper`"), "got {:?}", found[0]);
+}
+
+#[test]
+fn u001_silent_when_another_crate_names_it() {
+    let found = u001_in(
+        "other_crate",
+        &[("crates/lib/src/a.rs", LIB_WITH_HELPER), ("crates/app/src/main.rs", CALLER)],
+    );
+    assert!(found.is_empty(), "got {found:?}");
+}
+
+#[test]
+fn u001_silent_when_a_root_integration_test_names_it() {
+    let found = u001_in(
+        "root_test",
+        &[
+            ("crates/lib/src/a.rs", LIB_WITH_HELPER),
+            ("tests/uses_helper.rs", "#[test]\nfn t() {\n    assert_eq!(lib::a::helper(), 3);\n}\n"),
+        ],
+    );
+    assert!(found.is_empty(), "got {found:?}");
+}
+
+#[test]
+fn u001_silent_when_perfbench_names_it() {
+    let found = u001_in(
+        "perfbench",
+        &[("crates/lib/src/a.rs", LIB_WITH_HELPER), ("perfbench/src/main.rs", CALLER)],
+    );
+    assert!(found.is_empty(), "got {found:?}");
+}
+
+#[test]
+fn u001_pragma_waives_and_goes_stale_once_a_caller_appears() {
+    let kept = LIB_WITH_HELPER.replace(
+        "pub fn helper",
+        "// simlint: allow(U001, kept for callers outside the workspace)\npub fn helper",
+    );
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("simlint_u001").join("pragma");
+    if root.exists() {
+        std::fs::remove_dir_all(&root).expect("clear temp ws");
+    }
+    std::fs::create_dir_all(root.join("crates/lib/src")).expect("mkdir");
+    std::fs::write(root.join("crates/lib/src/a.rs"), &kept).expect("write");
+    let report = simlint::lint_workspace(&root).expect("lint temp ws");
+    assert!(report.findings.is_empty(), "got {:?}", report.findings);
+    assert_eq!(report.allowed, 1);
+    // R004 flags the pragma once the function gains a caller.
+    std::fs::create_dir_all(root.join("crates/app/src")).expect("mkdir");
+    std::fs::write(root.join("crates/app/src/main.rs"), CALLER).expect("write");
+    let report = simlint::lint_workspace(&root).expect("lint temp ws");
+    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, vec!["R004"], "got {:?}", report.findings);
+    // Linting the file alone cannot judge U001, so it neither fires nor
+    // reports the pragma stale.
+    let alone = check_file("crates/lib/src/a.rs", "lib", LIB_WITH_HELPER, false);
+    assert!(alone.findings.is_empty(), "got {:?}", alone.findings);
+}
+
 // ---- The real binary ---------------------------------------------------
 
 /// Copies a fixture into `CARGO_TARGET_TMPDIR` (whose path has no `tests`

@@ -127,7 +127,9 @@ fn r004_exempt_in_test_regions() {
 // ---- Temp-workspace harness for binary-level R002/baseline tests -------
 
 /// Builds a throwaway workspace under `CARGO_TARGET_TMPDIR` from
-/// (relative-path, contents) pairs, clearing any previous run.
+/// (relative-path, contents) pairs, clearing any previous run. The
+/// functions these workspaces hold are private, so U001 (public functions
+/// nothing calls) stays out of tests aimed at other rules.
 fn temp_ws(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("simlint_v2").join(name);
     if root.exists() {
@@ -256,7 +258,7 @@ fn r002_pragmas_cannot_waive_collisions() {
 // ---- Baseline: the "no new findings" gate ------------------------------
 
 const ACCUMULATOR_VIOLATION: &str = "\
-pub fn f(root: &Rng, xs: &[u64]) {\n\
+fn f(root: &Rng, xs: &[u64]) {\n\
     let mut k = 0u64;\n\
     for x in xs {\n\
         seed(root.split(\"acc\", k));\n\
@@ -265,7 +267,7 @@ pub fn f(root: &Rng, xs: &[u64]) {\n\
 }\n";
 
 const SECOND_VIOLATION: &str = "\
-pub fn g(root: &Rng, name: &str) {\n\
+fn g(root: &Rng, name: &str) {\n\
     seed(root.split(name, 0));\n\
 }\n";
 

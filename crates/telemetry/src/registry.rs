@@ -89,25 +89,6 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Raises the gauge to `v` if `v` is greater (high-water mark).
-    pub fn set_max(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            if v <= f64::from_bits(cur) {
-                return;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -613,14 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_high_water() {
+    fn gauge_set_and_get() {
         let reg = Registry::new();
         let g = reg.gauge("depth").unwrap();
         g.set(5.0);
-        g.set_max(3.0);
         assert_eq!(g.get(), 5.0);
-        g.set_max(9.0);
-        assert_eq!(g.get(), 9.0);
+        g.set(3.0);
+        assert_eq!(g.get(), 3.0);
     }
 
     #[test]

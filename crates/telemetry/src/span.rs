@@ -20,13 +20,6 @@ pub struct Span {
     pub end: Option<SimTime>,
 }
 
-impl Span {
-    /// The span's length, measured to `horizon` when still open.
-    pub fn duration_to(&self, horizon: SimTime) -> simcore::time::SimDuration {
-        self.end.unwrap_or(horizon).since(self.start)
-    }
-}
-
 /// Handle to an open span, returned by [`SpanLog::open`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(usize);
@@ -84,11 +77,6 @@ impl SpanLog {
         self.spans.is_empty()
     }
 
-    /// Spans still open (no close recorded).
-    pub fn open_count(&self) -> usize {
-        self.spans.iter().filter(|s| s.end.is_none()).count()
-    }
-
     /// Rebuilds a log from checkpointed spans, in their original open
     /// order. Handles into the previous log stay valid positionally;
     /// re-mint them with [`SpanLog::handle`].
@@ -114,11 +102,8 @@ mod tests {
         let b = log.open("outage", SimTime::from_years(2));
         assert!(log.close(a, SimTime::from_years(3)));
         assert_eq!(log.len(), 2);
-        assert_eq!(log.open_count(), 1);
         assert_eq!(log.spans()[0].end, Some(SimTime::from_years(3)));
         assert_eq!(log.spans()[1].end, None);
-        let horizon = SimTime::from_years(50);
-        assert_eq!(log.spans()[1].duration_to(horizon).as_years_f64(), 48.0);
         let _ = b;
     }
 

@@ -4,25 +4,26 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use century::scenario::Scenario;
+use century::{audit, readiness_score, DesignPosture};
+use fleet::sim::{FleetConfig, FleetSim};
 use simcore::trace::Severity;
 
 fn main() {
     // The §4 experiment: 10 energy-harvesting, transmit-only sensors per
     // arm. Arm 1 uses our own 802.15.4 gateways on a campus backhaul;
     // arm 2 rides the Helium network with $5 prepaid data-credit wallets.
-    let scenario = Scenario::paper_experiment(42);
+    let posture = DesignPosture::paper_experiment();
 
     // First: does the design satisfy the paper's principles?
-    let violations = scenario.audit();
+    let violations = audit(&posture);
     println!(
         "century-readiness: {:.0}% ({} violations)",
-        scenario.readiness() * 100.0,
+        readiness_score(&posture) * 100.0,
         violations.len()
     );
 
     // Then: fifty years of simulated operation.
-    let report = scenario.run();
+    let report = FleetSim::run(FleetConfig::paper_experiment(42));
     println!("\n=== after 50 simulated years ===");
     for arm in &report.arms {
         println!(

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything must pass offline (no registry access;
-# proptest/criterion resolve to the path shims under vendor/).
+# proptest resolves to the path shim under vendor/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

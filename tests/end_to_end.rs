@@ -2,7 +2,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // Test-only target.
 
-use century::scenario::Scenario;
 use fleet::sim::{ArmConfig, FleetConfig, FleetSim};
 use simcore::time::SimDuration;
 use simcore::trace::Tier;
@@ -50,16 +49,11 @@ fn horizon_scales_weeks_evaluated() {
 
 #[test]
 fn scenario_roundtrip() {
-    let scenario = Scenario {
-        name: "integration".to_string(),
-        fleet: FleetConfig {
-            horizon: SimDuration::from_years(25),
-            arms: vec![ArmConfig::paper_owned_154(6, 2)],
-            ..FleetConfig::paper_experiment(77)
-        },
-        ..Scenario::paper_experiment(77)
-    };
-    let report = scenario.run();
+    let report = FleetSim::run(FleetConfig {
+        horizon: SimDuration::from_years(25),
+        arms: vec![ArmConfig::paper_owned_154(6, 2)],
+        ..FleetConfig::paper_experiment(77)
+    });
     assert_eq!(report.arms.len(), 1);
     assert_eq!(report.arms[0].weeks_total, 25 * 365 / 7);
     assert!(report.arms[0].uptime() > 0.9);
@@ -67,7 +61,7 @@ fn scenario_roundtrip() {
 
 #[test]
 fn diary_covers_multiple_tiers_over_fifty_years() {
-    let report = Scenario::paper_experiment(2).run();
+    let report = FleetSim::run(FleetConfig::paper_experiment(2));
     let d = &report.diary;
     assert!(d.count_tier(Tier::Device) > 0, "device events expected");
     assert!(d.count_tier(Tier::Gateway) > 0, "gateway events expected");

@@ -587,46 +587,69 @@ proptest! {
         }
     }
 
-    /// Serve frame decoder totality: arbitrary byte prefixes never panic,
-    /// never consume bytes without producing a frame, and never claim
-    /// more input than exists — the adversarial contract behind the
-    /// daemon's "malformed frames cannot hang or kill the listener".
+    /// Serve frame decoder totality: the daemon's `read_frame`, fed
+    /// arbitrary byte prefixes until it stops, ends every read in a frame,
+    /// `Closed` or a typed error — never a panic, never a frame that
+    /// consumes fewer than its 4-byte header, never a read past the input.
+    /// The adversarial contract behind the daemon's "malformed frames
+    /// cannot hang or kill the listener".
     #[test]
     fn serve_frame_decode_is_total(
         bytes in proptest::collection::vec(any::<u32>(), 0..200),
         max in 0u64..2_000_000,
     ) {
-        use serve::frame::{decode, Decoded};
+        use serve::frame::{read_frame, FrameError, ReadFrame};
         // Widen u32 lanes into raw bytes so headers of every magnitude
         // (tiny, huge, pathological) appear in the corpus.
         let raw: Vec<u8> = bytes.iter().flat_map(|w| w.to_be_bytes()).collect();
         for cut in [raw.len() / 3, raw.len() / 2, raw.len()] {
-            match decode(&raw[..cut], max as usize) {
-                Ok(Decoded::Frame { consumed, .. }) => {
-                    prop_assert!(consumed >= 4 && consumed <= cut);
+            let mut cursor = std::io::Cursor::new(&raw[..cut]);
+            loop {
+                let before = cursor.position();
+                match read_frame(&mut cursor, max as usize) {
+                    Ok(ReadFrame::Frame(_)) => {
+                        prop_assert!(cursor.position() >= before + 4);
+                        prop_assert!(cursor.position() <= cut as u64);
+                    }
+                    Ok(ReadFrame::Closed) => {
+                        prop_assert_eq!(before, cut as u64);
+                        break;
+                    }
+                    Ok(ReadFrame::Idle)
+                    | Err(FrameError::Truncated)
+                    | Err(FrameError::Oversized { .. })
+                    | Err(FrameError::BadUtf8) => break,
+                    Err(FrameError::Io(e)) => {
+                        prop_assert!(false, "an in-memory read cannot fail: {}", e);
+                    }
                 }
-                Ok(Decoded::NeedMore) | Err(_) => {}
             }
         }
     }
 
-    /// Serve frame codec round-trip: every encodable payload decodes to
-    /// itself with exact consumption, and survives trailing garbage.
+    /// Serve frame codec round-trip: every encodable payload reads back
+    /// through `read_frame` to itself, and the read stops exactly at the
+    /// frame boundary with trailing garbage unread.
     #[test]
     fn serve_frame_roundtrip(
         chars in proptest::collection::vec(0u32..0x11_0000, 0..120),
         trailer in proptest::collection::vec(any::<u32>(), 0..8),
     ) {
-        use serve::frame::{decode, encode, Decoded, ABSOLUTE_MAX_FRAME};
+        use serve::frame::{encode, read_frame, ReadFrame, ABSOLUTE_MAX_FRAME};
         let payload: String =
             chars.iter().filter_map(|&c| char::from_u32(c)).collect();
         let mut framed = encode(&payload);
         let framed_len = framed.len();
         framed.extend(trailer.iter().flat_map(|w| w.to_be_bytes()));
-        match decode(&framed, ABSOLUTE_MAX_FRAME) {
-            Ok(Decoded::Frame { payload: got, consumed }) => {
+        let mut cursor = std::io::Cursor::new(&framed);
+        match read_frame(&mut cursor, ABSOLUTE_MAX_FRAME) {
+            Ok(ReadFrame::Frame(got)) => {
                 prop_assert_eq!(got, payload);
-                prop_assert_eq!(consumed, framed_len, "must stop exactly at the frame boundary");
+                prop_assert_eq!(
+                    cursor.position(),
+                    framed_len as u64,
+                    "must stop exactly at the frame boundary"
+                );
             }
             other => prop_assert!(false, "expected roundtrip, got {:?}", other),
         }
