@@ -466,10 +466,17 @@ impl FleetReport {
     /// metric snapshot — one self-describing object per line. The bytes
     /// of [`write_jsonl`](Self::write_jsonl), rendered into one string
     /// sized up front.
+    ///
+    /// The capacity is the body length rounded up to a power of two (what
+    /// doubling growth would reach, without its copies), so exports of
+    /// similar length ask the allocator for one size. An exact-length
+    /// request differs with every seed: glibc serves one larger than any
+    /// freed before from fresh `mmap` pages, so a run's peak RSS would
+    /// hinge on whether a record-length export came late.
     pub fn export_jsonl(&self) -> String {
         let tail = self.jsonl_tail();
         let events: usize = self.diary.entries().iter().map(jsonl::event_line_len).sum();
-        let mut out = String::with_capacity(events + tail.len());
+        let mut out = String::with_capacity((events + tail.len()).next_power_of_two());
         for e in self.diary.entries() {
             jsonl::push_event(&mut out, e);
         }
