@@ -59,15 +59,15 @@ pub fn render(seed: u64) -> String {
     );
     d.row(&[
         "diary entries".into(),
-        n(out.exemplar.diary.len() as u64),
+        n(out.exemplar.diary().len() as u64),
     ]);
     d.row(&[
         "incidents (interventions)".into(),
-        n(out.exemplar.diary.count(Severity::Incident) as u64),
+        n(out.exemplar.diary().count(Severity::Incident) as u64),
     ]);
     d.row(&[
         "warnings".into(),
-        n(out.exemplar.diary.count(Severity::Warning) as u64),
+        n(out.exemplar.diary().count(Severity::Warning) as u64),
     ]);
     for arm in &out.exemplar.arms {
         d.row(&[
@@ -83,7 +83,7 @@ pub fn render(seed: u64) -> String {
     let mut excerpt = String::new();
     for e in out
         .exemplar
-        .diary
+        .diary()
         .at_least(Severity::Incident)
         .take(8)
     {

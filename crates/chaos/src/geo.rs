@@ -198,7 +198,7 @@ mod tests {
         let injected: u64 = report.arms.iter().map(|a| a.faults_injected).sum();
         assert_eq!(injected, n, "every planned knockout targets a real device");
         let knockout_lines = report
-            .diary
+            .diary()
             .render()
             .lines()
             .filter(|l| l.contains("storm knockout"))

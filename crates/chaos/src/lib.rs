@@ -326,7 +326,7 @@ mod tests {
         let injected: u64 = report.arms.iter().map(|a| a.faults_injected).sum();
         assert_eq!(injected, n, "plan targets are built from the config; none may miss");
         let chaos_lines = report
-            .diary
+            .diary()
             .render()
             .lines()
             .filter(|l| l.contains("chaos:"))
@@ -338,7 +338,7 @@ mod tests {
     fn empty_plan_reproduces_the_fault_free_run_exactly() {
         let plain = FleetSim::run(cfg(9));
         let hooked = run_with_plan(cfg(9), FaultPlan::empty());
-        assert_eq!(plain.diary.render(), hooked.diary.render());
+        assert_eq!(plain.diary().render(), hooked.diary().render());
         assert_eq!(plain.events_processed, hooked.events_processed);
         assert_eq!(
             plain.digest(),

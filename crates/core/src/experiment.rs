@@ -40,7 +40,7 @@ pub struct ExperimentOutcome {
 impl ExperimentOutcome {
     /// Incidents (interventions) logged in the exemplar run's diary.
     pub fn exemplar_incidents(&self) -> usize {
-        self.exemplar.diary.count(Severity::Incident)
+        self.exemplar.diary().count(Severity::Incident)
     }
 }
 
@@ -321,7 +321,7 @@ mod tests {
         let many = run_reports(&FleetConfig::paper_experiment, 50, 6, 6).unwrap();
         for (a, b) in one.iter().zip(&many) {
             assert_eq!(a.arms[0].readings_delivered, b.arms[0].readings_delivered);
-            assert_eq!(a.diary.len(), b.diary.len());
+            assert_eq!(a.diary().len(), b.diary().len());
         }
     }
 

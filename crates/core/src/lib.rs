@@ -24,7 +24,7 @@
 //!     println!("{}: weekly uptime {:.1}%", arm.name, arm.uptime() * 100.0);
 //! }
 //! // The diary is the §4.5 "living, public experimental diary".
-//! assert!(!report.diary.is_empty());
+//! assert!(!report.diary().is_empty());
 //! ```
 //!
 //! # Module map

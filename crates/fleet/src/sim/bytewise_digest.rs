@@ -16,8 +16,8 @@ pub(crate) fn bytewise_digest(report: &FleetReport) -> u64 {
     let mut d = Digest::new();
     d.write_str("century-fleet-digest-v1");
     d.write_u64(report.events_processed);
-    d.write_u64(report.diary.len() as u64);
-    for e in report.diary.entries() {
+    d.write_u64(report.diary().len() as u64);
+    for e in report.diary().entries() {
         d.write_u64(e.at.as_secs());
         d.write_u8(e.severity.code());
         d.write_u8(e.tier.code());

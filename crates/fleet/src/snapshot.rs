@@ -375,9 +375,9 @@ fn encode_arm(w: &mut ByteWriter, arm: &ArmState) {
         w.put_bool(true);
     }
     // Diary (replaces the rebuilt arm's deployment entry on resume — the
-    // stored stream already begins with it). Typed messages are stored as
-    // their rendered text and come back as `Msg::Text`, which reads,
-    // digests and exports identically.
+    // stored stream already begins with it), read in log order. Device
+    // lines are stored as their rendered text and come back as text
+    // lines, which read, digest and export identically.
     w.put_u64(arm.diary.len() as u64);
     let mut text = String::new();
     for entry in arm.diary.entries() {
@@ -500,7 +500,7 @@ fn decode_arm_into(r: &mut ByteReader<'_>, arm: &mut ArmState) -> Result<(), Sna
     arm.report.failure_ages = failure_ages;
     // Diary: rebuilt wholesale in stored (time-ordered) sequence.
     let n_diary = r.take_count(18)?;
-    let mut diary = Diary::new();
+    let mut diary = Diary::new(arm.cfg.name);
     for _ in 0..n_diary {
         let at = r.take_time()?;
         let severity = Severity::from_code(r.take_u8()?)

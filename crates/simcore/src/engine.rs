@@ -60,22 +60,16 @@ pub trait World {
     }
 }
 
-/// Every how many dispatches the engine wraps `World::handle` in an
-/// `Instant::now()` pair. Power of two so the hot-loop check is one mask.
-const PROFILE_SAMPLE_EVERY: u64 = 1024;
-
 /// Per-run profiling collected by the engine: where the simulated
 /// half-century went.
 ///
 /// Dispatch counts and the queue high-water mark are deterministic for a
 /// deterministic world. The high-water mark is logical: it counts the
 /// events a world holds outside the queue ([`World::held_events`]) too.
-/// [`handler_nanos`](Self::handler_nanos) and `run_nanos` are wall-clock
-/// and vary run to run — they are **excluded from run digests** by
-/// contract (DESIGN.md §6). Handler time is *sampled* (every
-/// `PROFILE_SAMPLE_EVERY`th dispatch) so profiling costs two clock reads
-/// per ~thousand events instead of per event; see DESIGN.md §7 for the
-/// contract.
+/// `run_nanos` is wall-clock and varies run to run — it is **excluded
+/// from run digests** by contract (DESIGN.md §6). The run loop reads no
+/// clock per event: `run_nanos` costs one clock pair per run call
+/// (DESIGN.md §7).
 #[derive(Clone, Debug, Default)]
 pub struct EngineProfile {
     /// Dispatch counts per event kind, in first-dispatch order.
@@ -83,10 +77,6 @@ pub struct EngineProfile {
     /// Highest pending-event count observed at a dispatch point, queued
     /// and world-held together.
     pub queue_high_water: usize,
-    /// Wall-clock nanoseconds measured across sampled handler dispatches.
-    handler_sampled_nanos: u64,
-    /// Number of dispatches that were timed.
-    handler_samples: u64,
     /// Wall-clock nanoseconds spent inside engine run calls (handlers,
     /// hooks, and queue operations together).
     pub run_nanos: u64,
@@ -108,27 +98,6 @@ impl EngineProfile {
     /// Total events dispatched across all kinds.
     pub fn total_dispatched(&self) -> u64 {
         self.kinds.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Estimated wall-clock nanoseconds spent inside `World::handle`,
-    /// scaled up from the sampled dispatches
-    /// (`sampled_nanos × dispatched ⁄ samples`). Zero when nothing has
-    /// been sampled yet. An estimate — it can legitimately exceed
-    /// `run_nanos` when the sampled dispatches were unrepresentative.
-    // simlint: allow(U001, the only readout of the run loop's sampled handler timing, DESIGN.md §7; removing it means removing the sampling)
-    pub fn handler_nanos(&self) -> u64 {
-        if self.handler_samples == 0 {
-            return 0;
-        }
-        let scaled = self.handler_sampled_nanos as u128 * self.total_dispatched() as u128
-            / self.handler_samples as u128;
-        u64::try_from(scaled).unwrap_or(u64::MAX)
-    }
-
-    /// Number of dispatches whose handler time was measured (one per
-    /// `PROFILE_SAMPLE_EVERY` dispatches, starting with the first).
-    pub fn handler_samples(&self) -> u64 {
-        self.handler_samples
     }
 
     #[inline]
@@ -164,9 +133,8 @@ impl EngineProfile {
     /// (e.g. the weekly evaluation barrier): a serial run dispatches each
     /// once per tick, so they are *not* summed — this profile (shard 0's)
     /// already carries the canonical count. Everything else is owned by
-    /// exactly one shard and sums. Wall-clock fields keep the maximum
-    /// (shards run concurrently) except handler sampling, which sums so
-    /// `handler_nanos` stays a cross-shard estimate.
+    /// exactly one shard and sums. `run_nanos` keeps the maximum (shards
+    /// run concurrently).
     pub fn absorb_shard(&mut self, other: &EngineProfile, duplicated: &[&str]) {
         for &(kind, n) in &other.kinds {
             if duplicated.contains(&kind) {
@@ -175,8 +143,6 @@ impl EngineProfile {
             self.record_n(kind, n);
         }
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.handler_sampled_nanos += other.handler_sampled_nanos;
-        self.handler_samples += other.handler_samples;
         self.run_nanos = self.run_nanos.max(other.run_nanos);
         self.hook_fires += other.hook_fires;
     }
@@ -532,24 +498,10 @@ impl<W: World> Engine<W> {
                 return Ok(RunOutcome::QueueEmpty);
             };
             self.now = at;
-            // Sample handler wall-clock on the first dispatch and every
-            // PROFILE_SAMPLE_EVERY-th after; `handler_nanos()` scales the
-            // samples back up. Keeps the two clock reads per event off
-            // the hot path (DESIGN.md §7).
-            let sampled = self.processed & (PROFILE_SAMPLE_EVERY - 1) == 0;
             self.processed += 1;
             self.profile.record(W::event_kind(&event));
             let mut ctx = Ctx { now: self.now, queue: &mut self.queue };
-            if sampled {
-                // simlint: allow(D002, EngineProfile sampled handler timing; excluded from digests per DESIGN.md §6)
-                let handler_started = std::time::Instant::now();
-                self.world.handle(&mut ctx, event);
-                self.profile.handler_sampled_nanos +=
-                    handler_started.elapsed().as_nanos() as u64;
-                self.profile.handler_samples += 1;
-            } else {
-                self.world.handle(&mut ctx, event);
-            }
+            self.world.handle(&mut ctx, event);
         }
     }
 
@@ -1019,30 +971,16 @@ mod tests {
         let p = e.profile();
         assert_eq!(p.hook_fires, 3, "faults at 10, 20, 30");
         assert!(p.run_nanos > 0, "run wall-clock must accumulate");
-        // The first dispatch is always sampled, so short runs still get a
-        // handler-time estimate.
-        assert!(p.handler_samples() >= 1);
     }
 
     #[test]
-    fn handler_time_is_sampled_every_1024th_dispatch() {
+    fn a_second_ticker_dispatches_once_a_second() {
         let mut e = Engine::new(SecondTicker);
         e.schedule_at(SimTime::ZERO, ());
-        // Events fire at t = 0..=2999 (3000 dispatches), so dispatches
-        // 0, 1024, and 2048 are sampled.
+        // Events fire at t = 0..=2999.
         e.run_until(SimTime::from_secs(3_000));
-        let p = e.profile();
         assert_eq!(e.events_processed(), 3_000);
-        assert_eq!(p.handler_samples(), 3);
-        // The scaled estimate covers all dispatches, not just samples.
-        assert!(p.handler_nanos() >= p.handler_samples());
-    }
-
-    #[test]
-    fn empty_profile_reports_zero_handler_time() {
-        let p = EngineProfile::default();
-        assert_eq!(p.handler_samples(), 0);
-        assert_eq!(p.handler_nanos(), 0);
+        assert_eq!(e.profile().total_dispatched(), 3_000);
     }
 
     /// A world that holds one pending event itself: event 1 reserves a

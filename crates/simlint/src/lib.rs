@@ -232,7 +232,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<RunReport> {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;
-        names.add_file(&lexer::lex(&src).tokens);
+        names.add_file(&lexer::lex(&src));
         files.push((rel, src));
     }
     let mut report = RunReport::default();

@@ -6,7 +6,9 @@
 //! `pub fn` in library code (`crates/` and the root `src/`) when
 //!
 //! * no other scanned file names it — crate sources, integration tests,
-//!   examples and `perfbench/` all count as callers — and
+//!   examples and `perfbench/` all count as callers, and so do the code
+//!   blocks of each file's `///` and `//!` doc comments, which rustdoc
+//!   compiles as a crate of their own — and
 //! * its own file names it only in test code (or not at all).
 //!
 //! Names are matched as identifier tokens, not resolved: a `pub fn new`
@@ -19,7 +21,7 @@
 //! [`crate::lint_workspace`]; linting single files skips it and leaves
 //! its pragmas unaudited.
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{self, Lexed, TokKind, Token};
 use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,8 +32,14 @@ pub struct NameIndex {
 }
 
 impl NameIndex {
-    /// Records every identifier one file names.
-    pub fn add_file(&mut self, toks: &[Token]) {
+    /// Records every identifier one file names, then, as one more file,
+    /// every identifier its doc examples name.
+    pub fn add_file(&mut self, lexed: &Lexed) {
+        self.add_names(&lexed.tokens);
+        self.add_names(&lexer::lex(&doc_examples(lexed)).tokens);
+    }
+
+    fn add_names(&mut self, toks: &[Token]) {
         let names: BTreeSet<&str> =
             toks.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str()).collect();
         for name in names {
@@ -42,6 +50,36 @@ impl NameIndex {
     fn files_naming(&self, name: &str) -> usize {
         self.files_naming.get(name).copied().unwrap_or(0)
     }
+}
+
+/// The Rust code blocks of a file's `///` and `//!` doc comments, one
+/// line each. A fence opens a Rust block unless its info string names
+/// something else (`text`, `ignore`, a shell); rustdoc compiles the rest.
+fn doc_examples(lexed: &Lexed) -> String {
+    let mut code = String::new();
+    // Inside a fenced block: whether it is Rust.
+    let mut block: Option<bool> = None;
+    for c in &lexed.comments {
+        let Some(line) = c.text.strip_prefix("///").or_else(|| c.text.strip_prefix("//!")) else {
+            continue;
+        };
+        let line = line.strip_prefix(' ').unwrap_or(line);
+        if let Some(info) = line.trim_start().strip_prefix("```") {
+            block = match block {
+                Some(_) => None,
+                None => Some(info.split(',').map(str::trim).all(|tag| {
+                    matches!(tag, "" | "rust" | "no_run" | "should_panic")
+                        || tag.starts_with("edition")
+                })),
+            };
+            continue;
+        }
+        if block == Some(true) {
+            code.push_str(line);
+            code.push('\n');
+        }
+    }
+    code
 }
 
 /// True if U001 checks the definitions in `file` (library code).

@@ -274,6 +274,24 @@ fn u001_fires_when_only_its_own_tests_call_it() {
 }
 
 #[test]
+fn u001_silent_when_a_doc_example_calls_it() {
+    // rustdoc compiles each doc example as a crate of its own, so a call
+    // there is a caller; a `text` block is never compiled and is not one.
+    let doc = |fence: &str| {
+        format!(
+            "//! ```{fence}\n//! assert_eq!(lib::a::helper(), 3);\n//! ```\n\n{LIB_WITH_HELPER}"
+        )
+    };
+    let rust = doc("");
+    let found = u001_in("doc_example", &[("crates/lib/src/a.rs", &rust)]);
+    assert!(found.is_empty(), "got {found:?}");
+    let text = doc("text");
+    let found = u001_in("doc_text", &[("crates/lib/src/a.rs", &text)]);
+    assert_eq!(found.len(), 1, "got {found:?}");
+    assert!(found[0].message.contains("`pub fn helper`"), "got {:?}", found[0]);
+}
+
+#[test]
 fn u001_silent_when_another_crate_names_it() {
     let found = u001_in(
         "other_crate",

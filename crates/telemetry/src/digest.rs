@@ -23,17 +23,30 @@
 //! (mod 2^64): a multiplier and 256 addends, read off the byte loop run
 //! from each low byte. The diary fold folds each typed line's recurring
 //! wording through such a table, and [`Digest::write_repeated`] folds a
-//! long run of one record by squaring its map. Both give exactly the
-//! value of the byte loop; only the work changes.
+//! long run of one record by squaring its map. A zero byte's step is just
+//! `h·P`, so [`Digest::write_u64`] folds a value's high zero bytes as one
+//! multiply by `P^k`: a diary line's time and length have four and seven.
+//! All give exactly the value of the byte loop; only the work changes.
 
 use simcore::time::SimTime;
-use simcore::trace::{DeviceEvent, Diary, DigitBuf, Msg};
+use simcore::trace::{DeviceEvent, DigitBuf, Entry, Msg};
 
 use crate::registry::{MetricValue, Snapshot};
 use crate::span::Span;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `P^k` for `k` in `0..=8`: the fold of `k` zero bytes is one multiply.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
 
 /// How often a fixed byte string must recur before it is folded through
 /// a table, which costs 256 byte loops to build. [`Digest::write_repeated`]
@@ -192,9 +205,13 @@ impl Digest {
         self.write_bytes(&[v]);
     }
 
-    /// Folds a `u64` as 8 little-endian bytes.
+    /// Folds a `u64` as 8 little-endian bytes: the low bytes up to the
+    /// highest nonzero one byte by byte, the zero bytes above it as one
+    /// multiply (module docs).
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let significant = 8 - (v.leading_zeros() / 8) as usize;
+        self.write_bytes(&v.to_le_bytes()[..significant]);
+        self.h = self.h.wrapping_mul(PRIME_POWERS[8 - significant]);
     }
 
     /// Folds an `i128` as 16 little-endian bytes (exact money amounts).
@@ -218,21 +235,23 @@ impl Digest {
         self.h
     }
 
-    /// Folds a whole diary: every entry's time, severity, tier and
-    /// message, in order. A message folds as its rendered text, written
-    /// like [`write_str`](Self::write_str) but piece by piece, so a typed
+    /// Folds a whole diary: its entry count, then every entry's time,
+    /// severity, tier and message, in the order `entries` reads them
+    /// (for a fleet, a [`DiaryView`](simcore::trace::DiaryView)'s merged
+    /// order). A message folds as its rendered text, written like
+    /// [`write_str`](Self::write_str) but piece by piece, so a typed
     /// entry and the text of it fold identically without allocating.
     ///
     /// A typed line's `"{arm}: device "` head and its event's wording are
     /// fixed strings: once one recurs often enough it folds through its
-    /// table (module docs). The time, codes, length and device digits
-    /// fold byte by byte.
-    pub fn fold_diary(&mut self, diary: &Diary) {
-        self.write_u64(diary.len() as u64);
+    /// table (module docs). The time and length fold their zero high
+    /// bytes in one step; the codes and device digits fold byte by byte.
+    pub fn fold_diary<'a>(&mut self, entries: impl ExactSizeIterator<Item = Entry<'a>>) {
+        self.write_u64(entries.len() as u64);
         let mut buf = DigitBuf::default();
         let mut heads: Recurring<&str> = Recurring::new();
         let mut wordings: Recurring<DeviceEvent> = Recurring::new();
-        for e in diary.entries() {
+        for e in entries {
             self.write_u64(e.at.as_secs());
             self.write_u8(e.severity.code());
             self.write_u8(e.tier.code());
@@ -296,7 +315,7 @@ mod tests {
     use crate::registry::{Buckets, Registry};
     use crate::span::SpanLog;
     use simcore::rng::Rng;
-    use simcore::trace::{Severity, Tier};
+    use simcore::trace::{Diary, DiaryView, Severity, Tier};
 
     #[test]
     fn deterministic_and_order_sensitive() {
@@ -327,41 +346,59 @@ mod tests {
 
     #[test]
     fn diary_fold_sees_every_field() {
-        let mut d1 = Diary::new();
+        let mut d1 = Diary::new("arm");
         d1.log(SimTime::from_years(1), Severity::Info, Tier::Device, "x");
-        let mut d2 = Diary::new();
+        let mut d2 = Diary::new("arm");
         d2.log(SimTime::from_years(1), Severity::Warning, Tier::Device, "x");
         let mut a = Digest::new();
-        a.fold_diary(&d1);
+        a.fold_diary(d1.entries());
         let mut b = Digest::new();
-        b.fold_diary(&d2);
+        b.fold_diary(d2.entries());
         assert_ne!(a.finish(), b.finish(), "severity must enter the fold");
     }
 
     /// The `&str` fold `fold_diary` replaced: each message as one
-    /// length-prefixed string.
-    fn fold_diary_text(d: &mut Digest, diary: &Diary) {
-        d.write_u64(diary.len() as u64);
-        for e in diary.entries() {
-            d.write_u64(e.at.as_secs());
+    /// length-prefixed string, every `u64` as its 8 bytes.
+    fn fold_diary_text(d: &mut Digest, view: DiaryView<'_>) {
+        d.write_bytes(&(view.len() as u64).to_le_bytes());
+        for e in view.entries() {
+            d.write_bytes(&e.at.as_secs().to_le_bytes());
             d.write_u8(e.severity.code());
             d.write_u8(e.tier.code());
-            d.write_str(&crate::oracle::legacy(&e.message));
+            let text = crate::oracle::legacy(&e.message);
+            d.write_bytes(&(text.len() as u64).to_le_bytes());
+            d.write_bytes(text.as_bytes());
         }
     }
 
     #[test]
     fn typed_diary_folds_like_the_text_oracle() {
-        let typed = crate::oracle::mixed_diary();
+        let typed = crate::oracle::mixed_diaries();
         let mut a = Digest::new();
-        a.fold_diary(&typed);
+        a.fold_diary(DiaryView::new(&typed).entries());
         let mut b = Digest::new();
-        fold_diary_text(&mut b, &typed);
+        fold_diary_text(&mut b, DiaryView::new(&typed));
         assert_eq!(a.finish(), b.finish());
-        // …and like the same diary stored as text.
+        // …and like the same diaries stored as text.
         let mut c = Digest::new();
-        c.fold_diary(&crate::oracle::text_twin(&typed));
+        c.fold_diary(DiaryView::new(&crate::oracle::text_twin(&typed)).entries());
         assert_eq!(a.finish(), c.finish());
+    }
+
+    #[test]
+    fn write_u64_folds_like_the_byte_loop() {
+        let mut rng = Rng::seed_from(3);
+        let edges = [0, 1, 255, 256, 65_535, 1 << 32, (1 << 32) - 1, u64::MAX, u64::MAX >> 8];
+        let random: Vec<u64> = (0..256).map(|k| rng.next_u64() >> (k % 64)).collect();
+        for v in edges.into_iter().chain(random) {
+            for h in [0, 0xff, FNV_OFFSET, u64::MAX, rng.next_u64()] {
+                let mut d = at(h);
+                d.write_u64(v);
+                let mut bytes = at(h);
+                bytes.write_bytes(&v.to_le_bytes());
+                assert_eq!(d.finish(), bytes.finish(), "v {v:#x}, h {h:#x}");
+            }
+        }
     }
 
     /// `len` bytes of `rng`.
@@ -435,27 +472,26 @@ mod tests {
         let arms: [&'static str; 3] = [&LONG[..5], LONG, "q\"uote\\back\u{1}ctl"];
         let events = [DeviceEvent::Failed, DeviceEvent::Replaced, DeviceEvent::WalletExhausted];
         for lines in [RECUR - 1, RECUR, RECUR + 1, 3 * RECUR + 5] {
-            let mut diary = Diary::new();
+            let mut diaries: Vec<Diary> = arms.iter().map(|&arm| Diary::new(arm)).collect();
             for k in 0..lines {
                 let at = SimTime::from_secs(k as u64);
-                let arm = arms[k % arms.len()];
-                let msg = Msg::device(arm, k * 37, events[k % events.len()]);
-                diary.log(at, Severity::Warning, Tier::Device, msg);
+                let arm = k % arms.len();
+                diaries[arm].log_device(at, k * 37, events[k % events.len()]);
                 if k % 5 == 0 {
-                    diary.log(at, Severity::Info, Tier::System, format!("\"{arm}\" {k}"));
+                    let text = format!("\"{}\" {k}", arms[arm]);
+                    diaries[arm].log(at, Severity::Info, Tier::System, text);
                 }
             }
             // Each arm's and each event's wording alone past the threshold.
-            for arm in arms {
+            for d in &mut diaries {
                 for _ in 0..RECUR + 1 {
-                    let at = SimTime::from_secs(lines as u64);
-                    diary.log(at, Severity::Incident, Tier::Device, Msg::device(arm, 4, events[1]));
+                    d.log_device(SimTime::from_secs(lines as u64), 4, events[1]);
                 }
             }
             let mut a = Digest::new();
-            a.fold_diary(&diary);
+            a.fold_diary(DiaryView::new(&diaries).entries());
             let mut b = Digest::new();
-            fold_diary_text(&mut b, &diary);
+            fold_diary_text(&mut b, DiaryView::new(&diaries));
             assert_eq!(a.finish(), b.finish(), "{lines} lines");
         }
     }

@@ -59,7 +59,7 @@ fn push_f64(out: &mut String, v: f64) {
 /// and tier labels and a message's fixed pieces need no escaping; only
 /// the message's first piece is escaped, so a typed entry is never
 /// rendered to a `String` first.
-pub fn push_event(out: &mut String, e: &Entry) {
+pub fn push_event(out: &mut String, e: &Entry<'_>) {
     let mut buf = DigitBuf::default();
     out.push_str("{\"type\":\"event\",\"t\":");
     out.push_str(decimal(e.at.as_secs(), &mut buf));
@@ -78,7 +78,7 @@ pub fn push_event(out: &mut String, e: &Entry) {
 
 /// The length of [`push_event`]'s line for `e`: exact unless the message
 /// needs escaping, which only makes the line longer.
-pub fn event_line_len(e: &Entry) -> usize {
+pub fn event_line_len(e: &Entry<'_>) -> usize {
     const FIXED: usize = r#"{"type":"event","t":,"sev":"","tier":"","msg":""}"#.len() + 1;
     let digits = e.at.as_secs().checked_ilog10().map_or(1, |d| d as usize + 1);
     FIXED + digits + e.severity.as_str().len() + e.tier.as_str().len() + e.message.len()
@@ -145,17 +145,17 @@ pub fn snapshot_to_jsonl(snap: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{legacy, mixed_diary, text_twin};
+    use crate::oracle::{legacy, mixed_diaries, text_twin};
     use crate::registry::{Buckets, Registry};
     use crate::span::SpanLog;
     use simcore::time::SimTime;
-    use simcore::trace::{Diary, Severity, Tier};
+    use simcore::trace::{Diary, DiaryView, Severity, Tier};
 
     /// The `String` renderer `push_event` replaced: each field through
     /// `to_string()`, each message as its legacy text.
-    fn diary_to_jsonl(diary: &Diary) -> String {
+    fn diary_to_jsonl(diaries: &[Diary]) -> String {
         let mut out = String::new();
-        for e in diary.entries() {
+        for e in DiaryView::new(diaries).entries() {
             let _ = write!(out, "{{\"type\":\"event\",\"t\":{},\"sev\":", e.at.as_secs());
             push_escaped(&mut out, &e.severity.to_string());
             out.push_str(",\"tier\":");
@@ -167,48 +167,49 @@ mod tests {
         out
     }
 
-    fn render(diary: &Diary) -> String {
+    fn render(diaries: &[Diary]) -> String {
         let mut out = String::new();
-        for e in diary.entries() {
-            push_event(&mut out, e);
+        for e in DiaryView::new(diaries).entries() {
+            push_event(&mut out, &e);
         }
         out
     }
 
     #[test]
     fn typed_and_text_events_render_like_the_string_oracle() {
-        let typed = mixed_diary();
+        let typed = mixed_diaries();
         let oracle = diary_to_jsonl(&typed);
         assert_eq!(render(&typed), oracle);
         assert_eq!(render(&text_twin(&typed)), oracle);
-        assert!(oracle.contains(&format!("device {} replaced", u32::MAX)));
+        assert!(oracle.contains(&format!("device {} replaced", (1 << 30) - 1)));
         assert!(oracle.contains("q\\\"uote\\\\back\\u0001ctl: device 10 "), "{oracle}");
     }
 
     #[test]
     fn event_line_len_is_exact_without_escapes() {
-        let mut d = Diary::new();
+        let mut d = Diary::new("arm");
         d.log(SimTime::ZERO, Severity::Info, Tier::System, "deployed");
         d.log(SimTime::from_secs(9), Severity::Warning, Tier::Device, "a");
         d.log(SimTime::from_secs(10), Severity::Incident, Tier::Backhaul, "");
         d.log(SimTime::from_years(50), Severity::Info, Tier::Gateway, "x".repeat(300));
+        d.log_device(SimTime::from_years(51), 1 << 29, simcore::trace::DeviceEvent::Failed);
         for e in d.entries() {
             let mut line = String::new();
-            push_event(&mut line, e);
-            assert_eq!(line.len(), event_line_len(e), "{line}");
+            push_event(&mut line, &e);
+            assert_eq!(line.len(), event_line_len(&e), "{line}");
         }
-        for e in mixed_diary().entries() {
+        for e in DiaryView::new(&mixed_diaries()).entries() {
             let mut line = String::new();
-            push_event(&mut line, e);
-            assert!(line.len() >= event_line_len(e), "{line}");
+            push_event(&mut line, &e);
+            assert!(line.len() >= event_line_len(&e), "{line}");
         }
     }
 
     #[test]
     fn diary_lines_are_one_object_each() {
-        let mut d = Diary::new();
+        let mut d = Diary::new("arm");
         d.log(SimTime::from_years(1), Severity::Incident, Tier::Gateway, "gw \"g0\" died\n");
-        let out = render(&d);
+        let out = render(&[d]);
         assert_eq!(out.lines().count(), 1);
         assert!(out.contains("\"sev\":\"INCIDENT\""));
         assert!(out.contains("\\\"g0\\\""), "quotes escaped: {out}");

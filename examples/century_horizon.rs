@@ -72,7 +72,7 @@ fn main() -> io::Result<()> {
         engine.profile().queue_high_water,
     );
     let (report, _) = phase("finalize", devices, || FleetSim::into_report(engine, horizon));
-    println!("diary        {} entries", report.diary.len());
+    println!("diary        {} entries", report.diary().len());
     let (digest, _) = phase("digest", devices, || report.digest());
     phase("write_jsonl", devices, || report.write_jsonl(&mut io::sink())).0?;
     phase("drop", devices, || drop(report));

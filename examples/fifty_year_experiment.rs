@@ -55,7 +55,7 @@ fn main() -> Result<(), ParallelError> {
     }
 
     // Where did the interventions land in the hierarchy?
-    let diary = &out.exemplar.diary;
+    let diary = out.exemplar.diary();
     println!("\nexemplar diary: {} entries", diary.len());
     for tier in [Tier::Device, Tier::Gateway, Tier::Backhaul, Tier::Cloud, Tier::System] {
         println!("  {:<9} {:>4} entries", tier.to_string(), diary.count_tier(tier));

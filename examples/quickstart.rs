@@ -43,10 +43,10 @@ fn main() {
     // The paper commits to publishing a maintenance diary (§4.5); here it is.
     println!(
         "\ndiary: {} entries, {} interventions; first five:",
-        report.diary.len(),
-        report.diary.count(Severity::Incident)
+        report.diary().len(),
+        report.diary().count(Severity::Incident)
     );
-    for entry in report.diary.at_least(Severity::Incident).take(5) {
+    for entry in report.diary().at_least(Severity::Incident).take(5) {
         println!("  [{}] {}", entry.at, entry.message);
     }
 
@@ -59,8 +59,8 @@ fn main() {
         print!(" {kind}:{count}");
     }
     println!();
-    // Wall-clock profile fields (handler_nanos/run_nanos) vary run to
-    // run and are deliberately not printed: quickstart output stays
-    // byte-identical across invocations, like every seeded surface.
+    // The wall-clock profile field (run_nanos) varies run to run and is
+    // deliberately not printed: quickstart output stays byte-identical
+    // across invocations, like every seeded surface.
     println!("engine: queue high-water {}", p.queue_high_water);
 }

@@ -64,7 +64,7 @@ fn main() {
     let report = chaos::run_with_plan(cfg, plan);
     println!("first chaos entries of the full-intensity diary:");
     for line in report
-        .diary
+        .diary()
         .render()
         .lines()
         .filter(|l| l.contains("chaos:"))
@@ -73,7 +73,7 @@ fn main() {
         println!("  {line}");
     }
     let total = report
-        .diary
+        .diary()
         .render()
         .lines()
         .filter(|l| l.contains("chaos:"))

@@ -114,7 +114,7 @@ fn main() {
     let report = Run { start, faults: plan.clone(), shards: Shards::SERIAL }.execute();
     println!("  diary entries for the storm and its aftermath:");
     for line in report
-        .diary
+        .diary()
         .render()
         .lines()
         .filter(|l| l.contains("chaos:"))

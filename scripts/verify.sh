@@ -66,6 +66,18 @@ cargo test -q --release -p fleet --lib \
 echo "== century-horizon pins (100k and 1M devices x 50 years, aggregate; digest, export FNV, events and queue high-water fixed) =="
 cargo test -q --release --test golden_digests -- --ignored century_horizon_runs_match_their_pins
 
+echo "== century memory (1M devices x 50 years, serial; the pinned digest at <= 260 MiB peak RSS) =="
+century=$(cargo run -q --release --example century_horizon -- 1000000 50)
+echo "$century"
+echo "$century" | grep -q '^digest *51b4de2cb967383b$' \
+  || { echo "verify: FAIL — the 1M x 50 y run digest is not 51b4de2cb967383b" >&2; exit 1; }
+# The peak after the last phase (VmHWM) is the run's peak.
+century_peak=$(echo "$century" | sed -n 's/^drop .*peak RSS *\([0-9]*\) MiB.*/\1/p')
+if [ -z "$century_peak" ] || [ "$century_peak" -gt 260 ]; then
+  echo "verify: FAIL — the 1M x 50 y run peaked at ${century_peak:-n/a} MiB (gate: 260 MiB)" >&2
+  exit 1
+fi
+
 echo "== filtered Box-Muller kernel (10^8 draws; the table kernel's rounded counts equal the libm expression's) =="
 cargo test -q --release -p simcore --lib -- --ignored rounded_matches_libm_over_a_hundred_million_pairs
 

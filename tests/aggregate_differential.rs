@@ -71,9 +71,8 @@ fn assert_equivalent(agg: &FleetReport, reference: &FleetReport, ctx: &str) {
     // Wallet-exhaustion *weeks*: the diary timestamps, not just tallies.
     let exhaustion_weeks = |report: &FleetReport| -> Vec<(u64, String)> {
         report
-            .diary
+            .diary()
             .entries()
-            .iter()
             .map(|e| (e.at.as_secs(), e.message.to_string()))
             .filter(|(_, message)| message.contains("wallet exhausted"))
             .collect()

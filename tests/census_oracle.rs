@@ -55,7 +55,7 @@ fn age(installed: SimTime, at: SimTime) -> f64 {
     }
 }
 
-/// Each arm's lifetime observations, replayed from the merged diary's
+/// Each arm's lifetime observations, replayed from the diary's
 /// rendered lines (typed lines and the text lines a snapshot restores
 /// render alike).
 fn replay(report: &FleetReport, cfg: &FleetConfig) -> Vec<Vec<Observation>> {
@@ -64,7 +64,7 @@ fn replay(report: &FleetReport, cfg: &FleetConfig) -> Vec<Vec<Observation>> {
         cfg.arms.iter().map(|a| vec![SimTime::ZERO; a.devices]).collect();
     let mut present: Vec<Vec<bool>> = cfg.arms.iter().map(|a| vec![true; a.devices]).collect();
     let mut failures: Vec<Vec<Observation>> = vec![Vec::new(); cfg.arms.len()];
-    for entry in report.diary.entries() {
+    for entry in report.diary().entries() {
         let text = entry.message.to_string();
         let Some((name, rest)) = text.split_once(": device ") else { continue };
         let Some(ai) = cfg.arms.iter().position(|a| a.name == name) else { continue };

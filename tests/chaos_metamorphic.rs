@@ -44,7 +44,7 @@ fn full_intensity_storms_never_abort_and_are_fully_diarised() {
     let injected: u64 = report.arms.iter().map(|a| a.faults_injected).sum();
     assert_eq!(injected, n);
     let chaos_lines = report
-        .diary
+        .diary()
         .render()
         .lines()
         .filter(|l| l.contains("chaos:"))
@@ -150,8 +150,8 @@ fn zero_intensity_plan_is_byte_identical_to_no_plan() {
     let zeroed = run_with_plan(cfg, plan);
     let empty = run_with_plan(FleetConfig::paper_experiment(SEED), FaultPlan::empty());
 
-    assert_eq!(plain.diary.render(), zeroed.diary.render());
-    assert_eq!(plain.diary.render(), empty.diary.render());
+    assert_eq!(plain.diary().render(), zeroed.diary().render());
+    assert_eq!(plain.diary().render(), empty.diary().render());
     assert_eq!(plain.events_processed, zeroed.events_processed);
     for (a, b) in plain.arms.iter().zip(&zeroed.arms) {
         assert_eq!(a.weeks_up, b.weeks_up);

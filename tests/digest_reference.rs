@@ -18,7 +18,7 @@ use chaos::{FaultPlan, FaultPlanBuilder};
 use fleet::run::{Run, Shards, Start};
 use fleet::sim::{ArmConfig, FleetConfig, FleetReport, FleetSim, SamplingMode};
 use simcore::time::{SimDuration, SimTime};
-use simcore::trace::{DeviceEvent, Diary, Msg, Severity, Tier};
+use simcore::trace::{DeviceEvent, Diary, Severity, Tier};
 
 #[path = "../crates/fleet/src/sim/bytewise_digest.rs"]
 mod bytewise_digest;
@@ -61,7 +61,7 @@ fn aggregate_golden_configs_fold_like_the_byte_loop() {
     // Each arm's never-failed cohort is one long run, and the typed lines
     // recur far past the table threshold: both fast paths run.
     assert!(longest_census_run(&plain) > 3_000, "{}", longest_census_run(&plain));
-    assert!(plain.diary.len() > 5_000, "{}", plain.diary.len());
+    assert!(plain.diary().len() > 5_000, "{}", plain.diary().len());
     assert_reference(&plain, "plain");
 
     let plan = FaultPlanBuilder::full(1).build(&aggregate_cfg(1), 1.0).unwrap();
@@ -91,18 +91,20 @@ fn free_text_and_awkward_arm_names_fold_like_the_byte_loop() {
     let events = [DeviceEvent::Failed, DeviceEvent::Replaced, DeviceEvent::WalletExhausted];
     for lines in [255, 256, 257, 700] {
         let mut report = FleetSim::run(FleetConfig::paper_experiment(5));
-        let mut diary = Diary::new();
+        let mut diaries: Vec<Diary> = arms.iter().map(|&arm| Diary::new(arm)).collect();
         for k in 0..lines {
-            let at = SimTime::from_secs(k as u64 * 3);
-            let arm = arms[k % arms.len()];
+            // Every arm logs at each second, so every line ties across arms.
+            let at = SimTime::from_secs(k as u64 / 3 * 3);
+            let arm = k % arms.len();
             let event = events[(k / 2) % events.len()];
             let device = [0, 9, 10, 12_345, u32::MAX as usize][k % 5];
-            diary.log(at, Severity::Warning, Tier::Device, Msg::device(arm, device, event));
+            diaries[arm].log_device(at, device, event);
             if k % 4 == 0 {
-                diary.log(at, Severity::Incident, Tier::Backhaul, format!("{arm}: \"gw {k}\"\t"));
+                let text = format!("{}: \"gw {k}\"\t", arms[arm]);
+                diaries[arm].log(at, Severity::Incident, Tier::Backhaul, text);
             }
         }
-        report.diary = diary;
+        report.diaries = diaries;
         assert_reference(&report, &format!("{lines} typed lines"));
     }
 }

@@ -11,8 +11,8 @@ fn full_run_is_deterministic_across_the_stack() {
     let a = FleetSim::run(FleetConfig::paper_experiment(31337));
     let b = FleetSim::run(FleetConfig::paper_experiment(31337));
     assert_eq!(a.events_processed, b.events_processed);
-    assert_eq!(a.diary.len(), b.diary.len());
-    for (x, y) in a.diary.entries().iter().zip(b.diary.entries()) {
+    assert_eq!(a.diary().len(), b.diary().len());
+    for (x, y) in a.diary().entries().zip(b.diary().entries()) {
         assert_eq!(x.at, y.at);
         assert_eq!(x.message, y.message);
     }
@@ -62,7 +62,7 @@ fn scenario_roundtrip() {
 #[test]
 fn diary_covers_multiple_tiers_over_fifty_years() {
     let report = FleetSim::run(FleetConfig::paper_experiment(2));
-    let d = &report.diary;
+    let d = report.diary();
     assert!(d.count_tier(Tier::Device) > 0, "device events expected");
     assert!(d.count_tier(Tier::Gateway) > 0, "gateway events expected");
     assert!(d.count_tier(Tier::System) > 0, "deployment log expected");

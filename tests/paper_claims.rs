@@ -124,7 +124,7 @@ fn s4_experiment_sustains_weekly_uptime() {
     }
     // §4.4: "The end-to-end system will require maintenance before the
     // fifty year mark."
-    assert!(report.diary.count(simcore::trace::Severity::Incident) > 0);
+    assert!(report.diary().count(simcore::trace::Severity::Incident) > 0);
 }
 
 /// §4 under sharded execution: splitting the experiment across worker

@@ -51,7 +51,7 @@ fn sharded_digest_matches_serial_across_seeds_and_k() {
             // The digest already folds these, but name the usual suspects
             // so a failure pinpoints itself.
             assert_eq!(serial.events_processed, sharded.events_processed, "seed {seed}, k={k}");
-            assert_eq!(serial.diary.len(), sharded.diary.len(), "seed {seed}, k={k}");
+            assert_eq!(serial.diary().len(), sharded.diary().len(), "seed {seed}, k={k}");
             assert_eq!(serial.spans.len(), sharded.spans.len(), "seed {seed}, k={k}");
         }
     }

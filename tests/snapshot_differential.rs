@@ -79,8 +79,8 @@ fn plain_resume_matches_uninterrupted_across_seeds_weeks_and_k() {
                     "seed {seed}, checkpoint week {w}, k={k}"
                 );
                 assert_eq!(
-                    report.diary.len(),
-                    baseline.diary.len(),
+                    report.diary().len(),
+                    baseline.diary().len(),
                     "seed {seed}, checkpoint week {w}, k={k}"
                 );
             }
